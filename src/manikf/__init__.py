@@ -18,7 +18,6 @@ from .filter import (
     UpdateConfig,
     UpdateDiagnostics,
     compute_G,
-    compute_J,
     compute_L,
     predict,
     update,
@@ -42,7 +41,6 @@ __all__ = [
     "UpdateSolverError",
     "compound",
     "compute_G",
-    "compute_J",
     "compute_L",
     "predict",
     "update",

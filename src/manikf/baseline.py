@@ -20,11 +20,13 @@ import numpy as np
 from .errors import DimensionError
 from .filter import SystemModel
 from .lidar_inertial import (
+    REP,
     PlaneFeature,
     _all_planes,
     _meas_dim,
     _require_features,
     _stack,
+    make_state as manifold_state,
 )
 from .manifolds import Euclidean
 from .so3 import skew
@@ -126,6 +128,49 @@ def make_state(p, v, R, ba, bw, g, R_ext, p_ext) -> np.ndarray:
             np.asarray(p_ext, dtype=float),
         ]
     )
+
+
+def from_manifold(x36: np.ndarray) -> np.ndarray:
+    """The R^26 state of a lidar-inertial manifold-representation state."""
+    return make_state(*(
+        x36[sl].reshape(3, 3) if key in ("R", "R_ext") else x36[sl]
+        for key, sl in REP.items()
+    ))
+
+
+def to_manifold(x26: np.ndarray) -> np.ndarray:
+    """The lidar-inertial manifold representation; quaternions are normalized."""
+    return manifold_state(*(
+        quat_to_rot(x26[sl] / np.linalg.norm(x26[sl])) if key in ("q", "q_ext") else x26[sl]
+        for key, sl in BREP.items()
+    ))
+
+
+def initial_cov(init_sigma) -> np.ndarray:
+    """Map the per-block tangent sigmas (p, v, R, b_a, b_w, g, R_ext, p_ext)
+    onto the R^26 state.
+
+    Quaternion components get half the rotation sigma (small-angle factor),
+    gravity components the tangent sigma scaled by the gravity norm.
+    """
+    scale = (1.0, 1.0, 0.5, 1.0, 1.0, GRAVITY, 0.5, 1.0)
+    var = [(k * s) ** 2 for k, s in zip(scale, init_sigma)]
+    return np.diag(np.repeat(var, [sl.stop - sl.start for sl in BREP.values()]))
+
+
+def sigma3_envelope(P: np.ndarray) -> np.ndarray:
+    """A naive 3-sigma envelope in the 23-dim lidar-inertial tangent space.
+
+    The Euclidean diag(P) has no exact tangent meaning: rotation rows use
+    the small-angle 2x scaling of the quaternion's vector part, gravity rows
+    the first two components over the gravity norm.
+    """
+    s = 3.0 * np.sqrt(np.maximum(np.diag(P), 0.0))
+    return np.concatenate([
+        s[BREP["p"]], s[BREP["v"]], 2.0 * s[BREP["q"]][1:], s[BREP["ba"]],
+        s[BREP["bw"]], s[BREP["g"]][:2] / GRAVITY, 2.0 * s[BREP["q_ext"]][1:],
+        s[BREP["p_ext"]],
+    ])
 
 
 def normalize_state(x: np.ndarray, gravity_radius: float = GRAVITY) -> np.ndarray:

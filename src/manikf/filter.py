@@ -86,8 +86,6 @@ class UpdateDiagnostics:
     converged: bool = False
     residual_norms: List[float] = field(default_factory=list)
     cost_trace: List[float] = field(default_factory=list)
-    j_condition: float = 1.0
-    l_condition: float = 1.0
 
 
 def compute_G(
@@ -101,12 +99,6 @@ def compute_G(
     """
     zero_u = np.zeros(manifold.dim)
     return manifold.diff_u(x, zero_u, dx), manifold.diff_v(x, zero_u, dx)
-
-
-def compute_J(manifold: Manifold, x_prior: np.ndarray, x_iter: np.ndarray) -> np.ndarray:
-    """Chart-change Jacobian from the prior's tangent space to the iterate's."""
-    dx = manifold.boxminus(x_iter, x_prior)
-    return manifold.diff_u(x_prior, dx, np.zeros(manifold.control_dim))
 
 
 def compute_L(manifold: Manifold, x_kappa: np.ndarray, delta_x_o: np.ndarray) -> np.ndarray:
@@ -133,7 +125,7 @@ def predict(
         raise DimensionError(f"Q must be {(q, q)}, got {Q.shape}")
     dx = dt * np.asarray(model.f(state.x, u, np.zeros(q)), dtype=float)
     if not np.all(np.isfinite(dx)):
-        raise ValueError("process model returned non-finite velocity")
+        raise FloatingPointError("process model returned non-finite velocity")
     gx, gf = compute_G(man, state.x, dx)
     fx = gx + dt * gf @ np.asarray(model.df_dx(state.x, u), dtype=float)
     fw = dt * gf @ np.asarray(model.df_dw(state.x, u), dtype=float)
@@ -164,7 +156,8 @@ def update(
     prior fixed; the prior covariance is re-expressed in the chart at the
     iterate through J before the gain is formed. After the loop the
     posterior covariance is transported into the chart at the final
-    estimate through L.
+    estimate through L. A non-finite residual or Jacobian raises
+    UpdateSolverError before anything is factorized.
     """
     if config is None:
         config = UpdateConfig()
@@ -183,6 +176,8 @@ def update(
         h_mat = np.asarray(model.dh_dx(xj, ctx), dtype=float)
         d_mat = np.asarray(model.dh_dv(xj, ctx), dtype=float)
         r_bar = d_mat @ R @ d_mat.T
+        if not (np.isfinite(r).all() and np.isfinite(h_mat).all() and np.isfinite(r_bar).all()):
+            raise UpdateSolverError("measurement model returned non-finite values")
         if xj is x_prior:
             dxj, jmat, pj = np.zeros(n), eye_n, p_prior
         else:
@@ -216,6 +211,4 @@ def update(
     lmat = compute_L(man, xj, dxo)
     p_final = lmat @ p_plus @ lmat.T
     diag.iterations = j
-    diag.j_condition = float(np.linalg.cond(jmat))
-    diag.l_condition = float(np.linalg.cond(lmat))
     return FilterState(x_next, 0.5 * (p_final + p_final.T)), diag

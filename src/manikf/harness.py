@@ -10,10 +10,9 @@ import numpy as np
 import scipy.linalg
 
 from . import baseline as qb
-from .errors import CutLocusError, SingularityError, UpdateSolverError
+from .errors import UpdateSolverError
 from .filter import FilterState, UpdateConfig, predict, update
 from .lidar_inertial import (
-    GRAVITY,
     REP,
     TAN,
     TANGENT_DIM,
@@ -55,62 +54,19 @@ def _init_state(man, truth0: np.ndarray, cfg: ScenarioConfig, trial: int):
     return man.boxplus(truth0, e), p0
 
 
-def _baseline_rep(x36: np.ndarray) -> np.ndarray:
-    """Convert a manifold-representation state to the flat R^26 baseline state."""
-    return qb.make_state(
-        x36[REP["p"]],
-        x36[REP["v"]],
-        x36[REP["R"]].reshape(3, 3),
-        x36[REP["ba"]],
-        x36[REP["bw"]],
-        x36[REP["g"]],
-        x36[REP["R_ext"]].reshape(3, 3),
-        x36[REP["p_ext"]],
-    )
-
-
-def _manifold_rep_from_baseline(x26: np.ndarray) -> np.ndarray:
-    from .lidar_inertial import make_state
-
-    return make_state(
-        x26[qb.BREP["p"]],
-        x26[qb.BREP["v"]],
-        qb.quat_to_rot(x26[qb.BREP["q"]] / np.linalg.norm(x26[qb.BREP["q"]])),
-        x26[qb.BREP["ba"]],
-        x26[qb.BREP["bw"]],
-        x26[qb.BREP["g"]],
-        qb.quat_to_rot(x26[qb.BREP["q_ext"]] / np.linalg.norm(x26[qb.BREP["q_ext"]])),
-        x26[qb.BREP["p_ext"]],
-    )
-
-
-def _baseline_init_cov(cfg: ScenarioConfig) -> np.ndarray:
-    """Map the per-block tangent sigmas onto the 26-dim Euclidean state.
-
-    Quaternion components get half the rotation sigma (small-angle factor),
-    gravity components the tangent sigma scaled by the gravity norm.
-    """
-    s = cfg.init_sigma
-    diag = np.concatenate(
-        [
-            np.full(3, s[0] ** 2),
-            np.full(3, s[1] ** 2),
-            np.full(4, (0.5 * s[2]) ** 2),
-            np.full(3, s[3] ** 2),
-            np.full(3, s[4] ** 2),
-            np.full(3, (GRAVITY * s[5]) ** 2),
-            np.full(4, (0.5 * s[6]) ** 2),
-            np.full(3, s[7] ** 2),
-        ]
-    )
-    return np.diag(diag)
-
-
 def _nees(err: np.ndarray, p: np.ndarray) -> float:
     try:
         return float(err @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(p), err))
     except scipy.linalg.LinAlgError:
         return float("inf")  # failure to factor counts as an inconsistency event
+
+
+def _identity(x: np.ndarray) -> np.ndarray:
+    return x
+
+
+def _sigma3(p: np.ndarray) -> np.ndarray:
+    return 3.0 * np.sqrt(np.maximum(np.diag(p), 0.0))
 
 
 def run_trial(
@@ -119,18 +75,35 @@ def run_trial(
     traj: Optional[Trajectory] = None,
     keep_estimates: bool = False,
 ) -> TrialRecord:
-    """Run the selected filter over one simulated trajectory."""
+    """Run the selected filter over one simulated trajectory.
+
+    Both filters share one loop. The quaternion baseline brings its own
+    model, initial state and covariance, renormalizes its state after every
+    predict and update, and converts to the manifold representation, where
+    errors, their 3-sigma envelope and the final metrics are reported in the
+    shared 23-dim tangent space. NEES is taken in each filter's own state
+    space. Numerical failures end the trial as a failed record; any other
+    exception propagates.
+    """
     cfg.validate()
     if traj is None:
         traj = generate_trajectory(cfg, trial)
-    if cfg.filter == "quat":
-        return _run_baseline_trial(cfg, trial, traj, keep_estimates)
-
     man = state_manifold()
-    model = lidar_inertial_model()
+    x0, p0 = _init_state(man, traj.truth[0], cfg, trial)
+    if cfg.filter == "quat":
+        augmented = cfg.baseline_mode == "augmented"
+        model = qb.baseline_model(augmented=augmented)
+        x0, p0 = qb.from_manifold(x0), qb.initial_cov(cfg.init_sigma)
+        to_native, to_manifold = qb.from_manifold, qb.to_manifold
+        project, envelope = qb.normalize_state, qb.sigma3_envelope
+        r_extra = np.full(qb.N_CONSTRAINTS if augmented else 0, CONSTRAINT_SIGMA**2)
+    else:
+        model = lidar_inertial_model()
+        to_native = to_manifold = project = _identity
+        envelope = _sigma3
+        r_extra = np.zeros(0)
     qmat = cfg.process_noise()
     ucfg = UpdateConfig(max_iterations=cfg.nmax)
-    x0, p0 = _init_state(man, traj.truth[0], cfg, trial)
     state = FilterState(x0, p0)
 
     k_steps = traj.imu.shape[0]
@@ -142,94 +115,12 @@ def run_trial(
     failed, failure = False, ""
 
     def record(k: int) -> None:
-        errors[k] = man.boxminus(traj.truth[k], state.x)
-        sigma3[k] = 3.0 * np.sqrt(np.maximum(np.diag(state.P), 0.0))
-        nees[k] = _nees(errors[k], state.P)
-        if est is not None:
-            est[k] = state.x
-
-    record(0)
-    k_done = 0
-    try:
-        for k in range(k_steps):
-            state = predict(model, state, traj.imu[k], cfg.dt, qmat)
-            feats = traj.features[k]
-            rmat = cfg.sigma_feature**2 * np.eye(3 * len(feats))
-            z = np.zeros(sum(1 if f.kind == "plane" else 3 for f in feats))
-            state, diag = update(model, state, z, rmat, ctx=feats, config=ucfg)
-            iters.append(diag.iterations)
-            record(k + 1)
-            k_done = k + 1
-    except (UpdateSolverError, CutLocusError, SingularityError, ValueError) as exc:
-        failed, failure = True, f"step {k_done + 1}: {exc}"
-        errors, sigma3, nees = errors[: k_done + 1], sigma3[: k_done + 1], nees[: k_done + 1]
-
-    final = -1
-    drift = float(
-        np.linalg.norm(traj.truth[final][REP["p"]] - state.x[REP["p"]])
-    )
-    rot_err = so3_log(
-        state.x[REP["R_ext"]].reshape(3, 3).T @ traj.truth[final][REP["R_ext"]].reshape(3, 3)
-    )
-    return TrialRecord(
-        cfg=cfg,
-        trial=trial,
-        times=traj.times,
-        truth=traj.truth,
-        errors=errors,
-        sigma3=sigma3,
-        nees=nees,
-        iterations=iters,
-        final_drift=drift,
-        final_ext_rot_deg=float(np.degrees(np.linalg.norm(rot_err))),
-        final_ext_pos=float(
-            np.linalg.norm(traj.truth[final][REP["p_ext"]] - state.x[REP["p_ext"]])
-        ),
-        failed=failed,
-        failure=failure,
-        est_rep=est,
-    )
-
-
-def _run_baseline_trial(cfg, trial, traj, keep_estimates) -> TrialRecord:
-    """Quaternion-as-vector filter on the same trajectory.
-
-    Errors and their envelopes are reported in the shared 23-dim tangent
-    space (quaternion error mapped through the rotation chart) so records
-    are directly comparable with the manifold filter's.
-    """
-    man = state_manifold()
-    augmented = cfg.baseline_mode == "augmented"
-    model = qb.baseline_model(augmented=augmented)
-    qmat = cfg.process_noise()
-    ucfg = UpdateConfig(max_iterations=cfg.nmax)
-
-    x0m, _ = _init_state(man, traj.truth[0], cfg, trial)
-    state = FilterState(_baseline_rep(x0m), _baseline_init_cov(cfg))
-
-    k_steps = traj.imu.shape[0]
-    errors = np.zeros((k_steps + 1, TANGENT_DIM))
-    sigma3 = np.zeros((k_steps + 1, TANGENT_DIM))
-    nees = np.zeros(k_steps + 1)
-    iters: List[int] = []
-    est = np.zeros((k_steps + 1, 36)) if keep_estimates else None
-    failed, failure = False, ""
-
-    def record(k: int) -> None:
-        xm = _manifold_rep_from_baseline(state.x)
-        errors[k] = man.boxminus(traj.truth[k], xm)
-        # naive envelope: the Euclidean diag(P) has no exact tangent meaning;
-        # rotation rows use the small-angle 2x quaternion scaling
-        d = np.sqrt(np.maximum(np.diag(state.P), 0.0))
-        sigma3[k, TAN["p"]] = 3.0 * d[qb.BREP["p"]]
-        sigma3[k, TAN["v"]] = 3.0 * d[qb.BREP["v"]]
-        sigma3[k, TAN["R"]] = 6.0 * d[qb.BREP["q"]][1:]
-        sigma3[k, TAN["ba"]] = 3.0 * d[qb.BREP["ba"]]
-        sigma3[k, TAN["bw"]] = 3.0 * d[qb.BREP["bw"]]
-        sigma3[k, TAN["g"]] = 3.0 * d[qb.BREP["g"]][:2] / GRAVITY
-        sigma3[k, TAN["R_ext"]] = 6.0 * d[qb.BREP["q_ext"]][1:]
-        sigma3[k, TAN["p_ext"]] = 3.0 * d[qb.BREP["p_ext"]]
-        nees[k] = _nees(_baseline_rep(traj.truth[k]) - state.x, state.P)
+        err = model.manifold.boxminus(to_native(traj.truth[k]), state.x)
+        xm = to_manifold(state.x)
+        # for the manifold filter the NEES error is already the tangent error
+        errors[k] = err if xm is state.x else man.boxminus(traj.truth[k], xm)
+        sigma3[k] = envelope(state.P)
+        nees[k] = _nees(err, state.P)
         if est is not None:
             est[k] = xm
 
@@ -238,32 +129,22 @@ def _run_baseline_trial(cfg, trial, traj, keep_estimates) -> TrialRecord:
     try:
         for k in range(k_steps):
             state = predict(model, state, traj.imu[k], cfg.dt, qmat)
-            state.x = qb.normalize_state(state.x)
+            state.x = project(state.x)
             feats = traj.features[k]
-            m = len(feats)
             mdim = sum(1 if f.kind == "plane" else 3 for f in feats)
-            z = np.zeros(mdim + (qb.N_CONSTRAINTS if augmented else 0))
-            rdiag = np.full(3 * m, cfg.sigma_feature**2)
-            if augmented:
-                rdiag = np.concatenate(
-                    [rdiag, np.full(qb.N_CONSTRAINTS, CONSTRAINT_SIGMA**2)]
-                )
-            state, diag = update(
-                model, state, z, np.diag(rdiag), ctx=feats, config=ucfg
-            )
-            state.x = qb.normalize_state(state.x)
+            z = np.zeros(mdim + r_extra.size)
+            rdiag = np.concatenate([np.full(3 * len(feats), cfg.sigma_feature**2), r_extra])
+            state, diag = update(model, state, z, np.diag(rdiag), ctx=feats, config=ucfg)
+            state.x = project(state.x)
             iters.append(diag.iterations)
             record(k + 1)
             k_done = k + 1
-    except (UpdateSolverError, CutLocusError, SingularityError, ValueError) as exc:
+    except (ArithmeticError, UpdateSolverError) as exc:
         failed, failure = True, f"step {k_done + 1}: {exc}"
         errors, sigma3, nees = errors[: k_done + 1], sigma3[: k_done + 1], nees[: k_done + 1]
 
-    xm = _manifold_rep_from_baseline(state.x)
-    drift = float(np.linalg.norm(traj.truth[-1][REP["p"]] - xm[REP["p"]]))
-    rot_err = so3_log(
-        xm[REP["R_ext"]].reshape(3, 3).T @ traj.truth[-1][REP["R_ext"]].reshape(3, 3)
-    )
+    xm, truth = to_manifold(state.x), traj.truth[-1]
+    rot_err = so3_log(xm[REP["R_ext"]].reshape(3, 3).T @ truth[REP["R_ext"]].reshape(3, 3))
     return TrialRecord(
         cfg=cfg,
         trial=trial,
@@ -273,9 +154,9 @@ def _run_baseline_trial(cfg, trial, traj, keep_estimates) -> TrialRecord:
         sigma3=sigma3,
         nees=nees,
         iterations=iters,
-        final_drift=drift,
+        final_drift=float(np.linalg.norm(truth[REP["p"]] - xm[REP["p"]])),
         final_ext_rot_deg=float(np.degrees(np.linalg.norm(rot_err))),
-        final_ext_pos=float(np.linalg.norm(traj.truth[-1][REP["p_ext"]] - xm[REP["p_ext"]])),
+        final_ext_pos=float(np.linalg.norm(truth[REP["p_ext"]] - xm[REP["p_ext"]])),
         failed=failed,
         failure=failure,
         est_rep=est,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from manikf import harness
 from manikf.harness import (
     gravity_containment,
     run_baseline,
@@ -51,12 +52,16 @@ def test_trial_record_shapes_and_metrics():
 
 
 def test_trials_are_deterministic():
-    cfg = _short_cfg()
-    a = run_trial(cfg, trial=2, keep_estimates=True)
-    b = run_trial(cfg, trial=2, keep_estimates=True)
-    assert np.array_equal(a.errors, b.errors)
-    assert np.array_equal(a.est_rep, b.est_rep)
-    assert trial_csv_rows(a) == trial_csv_rows(b)
+    for cfg in (
+        _short_cfg(),
+        _short_cfg(filter="quat", baseline_mode="hard"),
+        _short_cfg(filter="quat", baseline_mode="augmented"),
+    ):
+        a = run_trial(cfg, trial=2, keep_estimates=True)
+        b = run_trial(cfg, trial=2, keep_estimates=True)
+        assert np.array_equal(a.errors, b.errors)
+        assert np.array_equal(a.est_rep, b.est_rep)
+        assert trial_csv_rows(a) == trial_csv_rows(b)
 
 
 def test_baseline_trial_runs_both_modes():
@@ -76,6 +81,32 @@ def test_failure_is_recorded_not_raised():
     assert rec.failed
     assert "step 1" in rec.failure
     assert rec.errors.shape[0] == 1  # truncated at the failure
+
+
+def _with_measurement(monkeypatch, wrap):
+    """Make run_trial use a lidar-inertial model whose h is wrap(h)."""
+    factory = harness.lidar_inertial_model
+
+    def patched(*args, **kwargs):
+        model = factory(*args, **kwargs)
+        return dataclasses.replace(model, h=wrap(model.h))
+
+    monkeypatch.setattr(harness, "lidar_inertial_model", patched)
+
+
+def test_malformed_model_raises(monkeypatch):
+    # a shape bug is a programming error, not a numerical failure
+    _with_measurement(monkeypatch, lambda h: lambda x, v, ctx: h(x, v, ctx)[:-1])
+    with pytest.raises(ValueError, match="broadcast"):
+        run_trial(_short_cfg(duration=0.2))
+
+
+@pytest.mark.parametrize("nmax", [0, 2])
+def test_non_finite_measurement_is_a_failed_trial(monkeypatch, nmax):
+    _with_measurement(monkeypatch, lambda h: lambda x, v, ctx: np.full_like(h(x, v, ctx), np.nan))
+    rec = run_trial(_short_cfg(duration=0.2, nmax=nmax))
+    assert rec.failed
+    assert rec.failure.startswith("step 1: measurement model returned non-finite values")
 
 
 def test_summarize_keys_and_failure_handling():
