@@ -21,12 +21,9 @@ from .errors import DimensionError
 from .filter import SystemModel
 from .lidar_inertial import (
     REP,
-    PlaneFeature,
-    _all_planes,
-    _meas_dim,
-    _require_features,
-    _stack,
     make_state as manifold_state,
+    scan_noise_jacobian,
+    scan_residuals,
 )
 from .manifolds import Euclidean
 from .so3 import skew
@@ -193,13 +190,16 @@ def baseline_model(
 ) -> SystemModel:
     """SystemModel on R^26 mirroring the lidar-inertial dynamics.
 
-    Measurement context is the same PlaneFeature sequence; in augmented
-    mode three constraint rows (with their own unit-gain noise channels)
-    are appended after the feature rows, so the caller's R needs three
-    extra diagonal entries and z three extra zeros.
+    Measurement context is the same ScanRows as the lidar-inertial model's,
+    and the scan rows come from the shared scan_residuals and
+    scan_noise_jacobian. In augmented mode three constraint rows (with
+    their own unit-gain noise channels) are appended after the scan rows,
+    so the caller's R needs three extra diagonal entries and z three extra
+    zeros.
     """
     man = Euclidean(STATE_DIM)
     r2 = gravity_radius * gravity_radius
+    extra = N_CONSTRAINTS if augmented else 0
 
     def f(x, u, w):
         a_m, w_m = u[:3], u[3:6]
@@ -234,99 +234,37 @@ def baseline_model(
         out[BREP["bw"], 9:12] = np.eye(3)
         return out
 
-    def h(x, v, features):
-        features = _require_features(features)
+    def h(x, v, rows):
         rot = quat_to_rot(x[BREP["q"]])
         r_ext = quat_to_rot(x[BREP["q_ext"]])
-        p, p_ext = x[BREP["p"]], x[BREP["p_ext"]]
-        if _all_planes(features):
-            m = len(features)
-            pts = _stack(features, "p_f") - v[: 3 * m].reshape(-1, 3)
-            w_pts = (pts @ r_ext.T + p_ext) @ rot.T + p - _stack(features, "q")
-            rows = [np.einsum("ij,ij->i", _stack(features, "u_dir"), w_pts)]
-        else:
-            rows = []
-            for i, ft in enumerate(features):
-                pt = ft.p_f - v[3 * i : 3 * i + 3]
-                rows.append(ft.g_mat @ (rot @ (r_ext @ pt + p_ext) + p - ft.q))
-        if augmented:
-            m = len(features)
-            q, qe, g = x[BREP["q"]], x[BREP["q_ext"]], x[BREP["g"]]
-            rows.append(
-                np.array([q @ q - 1.0, g @ g - r2, qe @ qe - 1.0])
-                + v[3 * m : 3 * m + 3]
-            )
-        return np.concatenate(rows)
+        res = scan_residuals(rot, r_ext, x[BREP["p"]], x[BREP["p_ext"]], v, rows)
+        if not augmented:
+            return res
+        q, qe, g = x[BREP["q"]], x[BREP["q_ext"]], x[BREP["g"]]
+        m3 = rows.p_f.size
+        constraints = np.array([q @ q - 1.0, g @ g - r2, qe @ qe - 1.0])
+        return np.concatenate([res, constraints + v[m3 : m3 + N_CONSTRAINTS]])
 
-    def dh_dx(x, features):
-        features = _require_features(features)
-        rot = quat_to_rot(x[BREP["q"]])
-        r_ext = quat_to_rot(x[BREP["q_ext"]])
-        p_ext = x[BREP["p_ext"]]
-        m_rows = _meas_dim(features)
-        out = np.zeros((m_rows + (N_CONSTRAINTS if augmented else 0), STATE_DIM))
-        row = 0
-        if _all_planes(features):
-            u = _stack(features, "u_dir")
-            p_f = _stack(features, "p_f")
-            s = p_f @ r_ext.T + p_ext
-            out[:m_rows, BREP["p"]] = u
-            out[:m_rows, BREP["q"]] = _rows_drot_dq(x[BREP["q"]], u, s)
-            out[:m_rows, BREP["q_ext"]] = _rows_drot_dq(
-                x[BREP["q_ext"]], u @ rot, p_f
-            )
-            out[:m_rows, BREP["p_ext"]] = u @ rot
-            row = m_rows
-            if augmented:
-                out[row, BREP["q"]] = 2.0 * x[BREP["q"]]
-                out[row + 1, BREP["g"]] = 2.0 * x[BREP["g"]]
-                out[row + 2, BREP["q_ext"]] = 2.0 * x[BREP["q_ext"]]
-            return out
-        for ft in features:
-            g_i = ft.g_mat
-            m = g_i.shape[0]
-            s = r_ext @ ft.p_f + p_ext
-            out[row : row + m, BREP["p"]] = g_i
-            out[row : row + m, BREP["q"]] = g_i @ _drot_dq(x[BREP["q"]], s)
-            out[row : row + m, BREP["q_ext"]] = (
-                g_i @ rot @ _drot_dq(x[BREP["q_ext"]], ft.p_f)
-            )
-            out[row : row + m, BREP["p_ext"]] = g_i @ rot
-            row += m
+    def dh_dx(x, rows):
+        q, q_ext = x[BREP["q"]], x[BREP["q_ext"]]
+        gr = rows.g @ quat_to_rot(q)
+        s = rows.p_f @ quat_to_rot(q_ext).T + x[BREP["p_ext"]]
+        n = len(rows.g)
+        out = np.zeros((n + extra, STATE_DIM))
+        out[:n, BREP["p"]] = rows.g
+        out[:n, BREP["q"]] = _rows_drot_dq(q, rows.g, s[rows.owner])
+        out[:n, BREP["q_ext"]] = _rows_drot_dq(q_ext, gr, rows.p_f[rows.owner])
+        out[:n, BREP["p_ext"]] = gr
         if augmented:
-            out[row, BREP["q"]] = 2.0 * x[BREP["q"]]
-            out[row + 1, BREP["g"]] = 2.0 * x[BREP["g"]]
-            out[row + 2, BREP["q_ext"]] = 2.0 * x[BREP["q_ext"]]
+            out[n, BREP["q"]] = 2.0 * q
+            out[n + 1, BREP["g"]] = 2.0 * x[BREP["g"]]
+            out[n + 2, BREP["q_ext"]] = 2.0 * q_ext
         return out
 
-    def dh_dv(x, features):
-        features = _require_features(features)
+    def dh_dv(x, rows):
         rot = quat_to_rot(x[BREP["q"]])
         r_ext = quat_to_rot(x[BREP["q_ext"]])
-        m = len(features)
-        extra = N_CONSTRAINTS if augmented else 0
-        out = np.zeros((_meas_dim(features) + extra, 3 * m + extra))
-        row = 0
-        if _all_planes(features):
-            b = _stack(features, "u_dir") @ rot @ r_ext
-            idx = np.arange(m)
-            for c in range(3):
-                out[idx, 3 * idx + c] = -b[:, c]
-            if augmented:
-                out[m:, 3 * m :] = np.eye(N_CONSTRAINTS)
-            return out
-        for i, ft in enumerate(features):
-            k = ft.g_mat.shape[0]
-            out[row : row + k, 3 * i : 3 * i + 3] = -ft.g_mat @ rot @ r_ext
-            row += k
-        if augmented:
-            out[row:, 3 * m :] = np.eye(N_CONSTRAINTS)
-        return out
-
-    def noise_len(features):
-        return 3 * len(_require_features(features)) + (
-            N_CONSTRAINTS if augmented else 0
-        )
+        return scan_noise_jacobian(rot, r_ext, rows, extra)
 
     return SystemModel(
         manifold=man,
@@ -337,5 +275,5 @@ def baseline_model(
         h=h,
         dh_dx=dh_dx,
         dh_dv=dh_dv,
-        meas_noise_dim=noise_len,
+        meas_noise_dim=lambda rows: rows.p_f.size + extra,
     )

@@ -94,6 +94,8 @@ def _load_config(args) -> tuple:
             values[key] = flag
     if args.trials is not None:
         trials = args.trials
+    if trials is not None and trials < 1:
+        raise ContractViolationError(f"trials must be at least 1, got {trials}")
     cfg = ScenarioConfig(**values)
     cfg.validate()
     return cfg, (1 if trials is None else trials)

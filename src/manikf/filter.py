@@ -84,7 +84,6 @@ class UpdateConfig:
 class UpdateDiagnostics:
     iterations: int = 0
     converged: bool = False
-    residual_norms: List[float] = field(default_factory=list)
     cost_trace: List[float] = field(default_factory=list)
 
 
@@ -184,7 +183,6 @@ def update(
             dxj = man.boxminus(xj, x_prior)
             jmat = man.diff_u(x_prior, dxj, np.zeros(man.control_dim))
             pj = jmat @ p_prior @ jmat.T
-        diag.residual_norms.append(float(np.linalg.norm(r)))
         if config.track_cost:
             diag.cost_trace.append(
                 float(dxj @ _spd_solve(p_prior, dxj, "prior covariance"))

@@ -17,6 +17,7 @@ from .lidar_inertial import (
     TAN,
     TANGENT_DIM,
     lidar_inertial_model,
+    scan_rows,
     state_manifold,
 )
 from .so3 import so3_log
@@ -130,11 +131,10 @@ def run_trial(
         for k in range(k_steps):
             state = predict(model, state, traj.imu[k], cfg.dt, qmat)
             state.x = project(state.x)
-            feats = traj.features[k]
-            mdim = sum(1 if f.kind == "plane" else 3 for f in feats)
-            z = np.zeros(mdim + r_extra.size)
-            rdiag = np.concatenate([np.full(3 * len(feats), cfg.sigma_feature**2), r_extra])
-            state, diag = update(model, state, z, np.diag(rdiag), ctx=feats, config=ucfg)
+            rows = scan_rows(traj.features[k])
+            z = np.zeros(len(rows.g) + r_extra.size)
+            rdiag = np.concatenate([np.full(rows.p_f.size, cfg.sigma_feature**2), r_extra])
+            state, diag = update(model, state, z, np.diag(rdiag), ctx=rows, config=ucfg)
             state.x = project(state.x)
             iters.append(diag.iterations)
             record(k + 1)

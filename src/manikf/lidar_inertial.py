@@ -13,7 +13,7 @@ identically zero and all information enters through h and its Jacobians.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,30 +110,62 @@ def make_state(p, v, R, ba, bw, g, R_ext, p_ext) -> np.ndarray:
     )
 
 
-def _meas_dim(features: Sequence[PlaneFeature]) -> int:
-    return sum(1 if ft.kind == "plane" else 3 for ft in features)
+class ScanRows(NamedTuple):
+    """One update's features stacked once into residual rows.
+
+    ``p_f`` and ``q`` hold one row per feature; ``g`` holds the stacked
+    residual projectors (one row u^T per plane, the three rows of skew(u)
+    per edge) and ``owner[i]`` is the feature that residual row i belongs
+    to.
+    """
+
+    p_f: np.ndarray  # (m, 3)
+    q: np.ndarray  # (m, 3)
+    g: np.ndarray  # (n, 3), n residual rows
+    owner: np.ndarray  # (n,)
 
 
-def _all_planes(features: Sequence[PlaneFeature]) -> bool:
-    return all(ft.kind == "plane" for ft in features)
-
-
-def _stack(features: Sequence[PlaneFeature], attr: str) -> np.ndarray:
-    return np.array([getattr(ft, attr) for ft in features])
-
-
-def _require_features(features) -> Sequence[PlaneFeature]:
+def scan_rows(features: Sequence[PlaneFeature]) -> ScanRows:
+    """Stack a feature list into the measurement context of one update."""
     if not features:
         raise DimensionError("measurement update needs at least one feature")
-    return features
+    g = [ft.g_mat for ft in features]
+    return ScanRows(
+        p_f=np.array([ft.p_f for ft in features]),
+        q=np.array([ft.q for ft in features]),
+        g=np.concatenate(g),
+        owner=np.repeat(np.arange(len(g)), [len(g_i) for g_i in g]),
+    )
+
+
+def scan_residuals(rot, r_ext, p, p_ext, v, rows: ScanRows) -> np.ndarray:
+    """Residual rows g_i (R (R_ext (p_f - v) + p_ext) + p - q) of a scan.
+
+    Only the first 3m entries of the noise vector ``v`` are read.
+    """
+    pts = rows.p_f - v[: rows.p_f.size].reshape(-1, 3)
+    w = (pts @ r_ext.T + p_ext) @ rot.T + p - rows.q
+    return np.einsum("ij,ij->i", rows.g, w[rows.owner])
+
+
+def scan_noise_jacobian(rot, r_ext, rows: ScanRows, extra: int = 0) -> np.ndarray:
+    """d(scan_residuals)/dv at v = 0, with ``extra`` unit rows and columns
+    appended for measurement rows that carry their own noise channel."""
+    n, m = len(rows.g), len(rows.p_f)
+    out = np.zeros((n + extra, 3 * m + extra))
+    cols = 3 * rows.owner[:, None] + np.arange(3)
+    out[np.arange(n)[:, None], cols] = -(rows.g @ rot @ r_ext)
+    out[n:, 3 * m :] = np.eye(extra)
+    return out
 
 
 def lidar_inertial_model(gravity_radius: float = GRAVITY) -> SystemModel:
     """SystemModel for the IMU process and plane/edge measurements.
 
-    The per-update measurement context is a sequence of PlaneFeature; the
-    measurement noise is one isotropic 3-vector per scanned point, so the
-    caller's R must be 3m x 3m for m features.
+    The per-update measurement context is the ScanRows of the update's
+    features (see scan_rows); the measurement noise is one isotropic
+    3-vector per scanned point, so the caller's R must be 3m x 3m for m
+    features.
     """
     man = state_manifold(gravity_radius)
 
@@ -170,70 +202,27 @@ def lidar_inertial_model(gravity_radius: float = GRAVITY) -> SystemModel:
         out[12:15, 9:12] = np.eye(3)
         return out
 
-    def h(x, v, features):
-        features = _require_features(features)
+    def h(x, v, rows):
         rot = x[REP["R"]].reshape(3, 3)
         r_ext = x[REP["R_ext"]].reshape(3, 3)
-        p, p_ext = x[REP["p"]], x[REP["p_ext"]]
-        if _all_planes(features):
-            pts = _stack(features, "p_f") - v.reshape(-1, 3)
-            w = (pts @ r_ext.T + p_ext) @ rot.T + p - _stack(features, "q")
-            return np.einsum("ij,ij->i", _stack(features, "u_dir"), w)
-        rows = []
-        for i, ft in enumerate(features):
-            pt = ft.p_f - v[3 * i : 3 * i + 3]
-            rows.append(ft.g_mat @ (rot @ (r_ext @ pt + p_ext) + p - ft.q))
-        return np.concatenate(rows)
+        return scan_residuals(rot, r_ext, x[REP["p"]], x[REP["p_ext"]], v, rows)
 
-    def dh_dx(x, features):
-        features = _require_features(features)
+    def dh_dx(x, rows):
         rot = x[REP["R"]].reshape(3, 3)
         r_ext = x[REP["R_ext"]].reshape(3, 3)
-        p_ext = x[REP["p_ext"]]
-        if _all_planes(features):
-            u = _stack(features, "u_dir")
-            p_f = _stack(features, "p_f")
-            s = p_f @ r_ext.T + p_ext  # feature points in the body frame
-            a = u @ rot  # row blocks u^T R
-            b = a @ r_ext
-            out = np.zeros((len(features), TANGENT_DIM))
-            out[:, TAN["p"]] = u
-            out[:, TAN["R"]] = -np.cross(a, s)  # rows -u^T R skew(s)
-            out[:, TAN["R_ext"]] = -np.cross(b, p_f)
-            out[:, TAN["p_ext"]] = a
-            return out
-        out = np.zeros((_meas_dim(features), TANGENT_DIM))
-        row = 0
-        for ft in features:
-            g_i = ft.g_mat
-            m = g_i.shape[0]
-            gr = g_i @ rot
-            out[row : row + m, TAN["p"]] = g_i
-            out[row : row + m, TAN["R"]] = -gr @ skew(r_ext @ ft.p_f + p_ext)
-            out[row : row + m, TAN["R_ext"]] = -gr @ r_ext @ skew(ft.p_f)
-            out[row : row + m, TAN["p_ext"]] = gr
-            row += m
+        s = rows.p_f @ r_ext.T + x[REP["p_ext"]]  # feature points in the body frame
+        a = rows.g @ rot  # row blocks g R
+        out = np.zeros((len(rows.g), TANGENT_DIM))
+        out[:, TAN["p"]] = rows.g
+        out[:, TAN["R"]] = -np.cross(a, s[rows.owner])  # rows -g R skew(s)
+        out[:, TAN["R_ext"]] = -np.cross(a @ r_ext, rows.p_f[rows.owner])
+        out[:, TAN["p_ext"]] = a
         return out
 
-    def dh_dv(x, features):
-        features = _require_features(features)
+    def dh_dv(x, rows):
         rot = x[REP["R"]].reshape(3, 3)
         r_ext = x[REP["R_ext"]].reshape(3, 3)
-        if _all_planes(features):
-            m = len(features)
-            b = _stack(features, "u_dir") @ rot @ r_ext
-            out = np.zeros((m, 3 * m))
-            idx = np.arange(m)
-            for c in range(3):
-                out[idx, 3 * idx + c] = -b[:, c]
-            return out
-        out = np.zeros((_meas_dim(features), 3 * len(features)))
-        row = 0
-        for i, ft in enumerate(features):
-            m = ft.g_mat.shape[0]
-            out[row : row + m, 3 * i : 3 * i + 3] = -ft.g_mat @ rot @ r_ext
-            row += m
-        return out
+        return scan_noise_jacobian(rot, r_ext, rows)
 
     return SystemModel(
         manifold=man,
@@ -244,10 +233,5 @@ def lidar_inertial_model(gravity_radius: float = GRAVITY) -> SystemModel:
         h=h,
         dh_dx=dh_dx,
         dh_dv=dh_dv,
-        meas_noise_dim=lambda features: 3 * len(_require_features(features)),
+        meas_noise_dim=lambda rows: rows.p_f.size,
     )
-
-
-def measurement_dim(features: Sequence[PlaneFeature]) -> int:
-    """Total residual rows contributed by a feature list."""
-    return _meas_dim(features)

@@ -32,6 +32,7 @@ from manikf.lidar_inertial import (
     PlaneFeature,
     lidar_inertial_model,
     make_state,
+    scan_rows,
 )
 from manifold_samples import random_point, random_tangent
 from manikf.manifolds import SO3, Euclidean, Sphere2, compound
@@ -103,13 +104,13 @@ def test_all_jacobians_match_finite_differences():
         fw = lambda w: np.asarray(model.f(x, u, w))
         _check_jac(model.df_dx(x, u), fd_jacobian(fx, np.zeros(TANGENT_DIM)), "li df_dx")
         _check_jac(model.df_dw(x, u), fd_jacobian(fw, np.zeros(NOISE_DIM)), "li df_dw")
-        feats = _random_features(rng, 4, n_edge=(1 if k % 5 == 0 else 0))
-        nv = model.noise_len(feats)
-        hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), feats))
-        hv = lambda v: np.asarray(model.h(x, v, feats))
-        _check_jac(model.dh_dx(x, feats), fd_jacobian(hx, np.zeros(TANGENT_DIM)),
+        rows = scan_rows(_random_features(rng, 4, n_edge=(1 if k % 5 == 0 else 0)))
+        nv = model.noise_len(rows)
+        hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), rows))
+        hv = lambda v: np.asarray(model.h(x, v, rows))
+        _check_jac(model.dh_dx(x, rows), fd_jacobian(hx, np.zeros(TANGENT_DIM)),
                    "li dh_dx")
-        _check_jac(model.dh_dv(x, feats), fd_jacobian(hv, np.zeros(nv)), "li dh_dv")
+        _check_jac(model.dh_dv(x, rows), fd_jacobian(hv, np.zeros(nv)), "li dh_dv")
 
     # baseline Jacobians, both constraint modes
     for augmented in (False, True):
@@ -123,13 +124,13 @@ def test_all_jacobians_match_finite_differences():
                        "baseline df_dx")
             _check_jac(bmodel.df_dw(x, u), fd_jacobian(fw, np.zeros(B_NOISE_DIM)),
                        "baseline df_dw")
-            feats = _random_features(rng, 3)
-            nv = bmodel.noise_len(feats)
-            hx = lambda e: np.asarray(bmodel.h(x + e, np.zeros(nv), feats))
-            hv = lambda v: np.asarray(bmodel.h(x, v, feats))
-            _check_jac(bmodel.dh_dx(x, feats), fd_jacobian(hx, np.zeros(B_STATE_DIM)),
+            rows = scan_rows(_random_features(rng, 3))
+            nv = bmodel.noise_len(rows)
+            hx = lambda e: np.asarray(bmodel.h(x + e, np.zeros(nv), rows))
+            hv = lambda v: np.asarray(bmodel.h(x, v, rows))
+            _check_jac(bmodel.dh_dx(x, rows), fd_jacobian(hx, np.zeros(B_STATE_DIM)),
                        "baseline dh_dx")
-            _check_jac(bmodel.dh_dv(x, feats), fd_jacobian(hv, np.zeros(nv)),
+            _check_jac(bmodel.dh_dv(x, rows), fd_jacobian(hv, np.zeros(nv)),
                        "baseline dh_dv")
 
     # process blocks

@@ -16,7 +16,7 @@ from manikf.baseline import (
 )
 from manikf.errors import DimensionError
 from manikf.filter import FilterState, predict
-from manikf.lidar_inertial import PlaneFeature
+from manikf.lidar_inertial import PlaneFeature, scan_rows
 from manikf.so3 import so3_exp
 
 from helpers import assert_close, fd_jacobian
@@ -121,28 +121,28 @@ def test_measurement_jacobians_match_fd(augmented):
             # perturb off the constraint sets: Jacobians must hold there too
             x[BREP["q"]] *= 1.02
             x[BREP["g"]] *= 0.99
-            feats = _random_features(rng, n_plane, n_edge)
-            nv = model.noise_len(feats)
-            hx = lambda e: np.asarray(model.h(x + e, np.zeros(nv), feats))
-            hv = lambda v: np.asarray(model.h(x, v, feats))
-            assert_close(model.dh_dx(x, feats),
+            rows = scan_rows(_random_features(rng, n_plane, n_edge))
+            nv = model.noise_len(rows)
+            hx = lambda e: np.asarray(model.h(x + e, np.zeros(nv), rows))
+            hv = lambda v: np.asarray(model.h(x, v, rows))
+            assert_close(model.dh_dx(x, rows),
                          fd_jacobian(hx, np.zeros(STATE_DIM)),
                          tol=1e-5, floor=1e-7)
-            assert_close(model.dh_dv(x, feats),
+            assert_close(model.dh_dv(x, rows),
                          fd_jacobian(hv, np.zeros(nv)),
                          tol=1e-5, floor=1e-7)
 
 
 def test_augmented_rows_and_noise_dim():
     rng = np.random.default_rng(11)
-    feats = _random_features(rng, 4)
+    rows = scan_rows(_random_features(rng, 4))
     x = _random_state(rng)
     plain = baseline_model(augmented=False)
     aug = baseline_model(augmented=True)
-    assert plain.noise_len(feats) == 12
-    assert aug.noise_len(feats) == 12 + N_CONSTRAINTS
-    h_plain = plain.h(x, np.zeros(12), feats)
-    h_aug = aug.h(x, np.zeros(15), feats)
+    assert plain.noise_len(rows) == 12
+    assert aug.noise_len(rows) == 12 + N_CONSTRAINTS
+    h_plain = plain.h(x, np.zeros(12), rows)
+    h_aug = aug.h(x, np.zeros(15), rows)
     assert_close(h_aug[:4], h_plain, tol=1e-12)
     # exactly on the constraint sets the extra rows vanish
     assert np.max(np.abs(h_aug[4:])) < 1e-9
@@ -164,15 +164,16 @@ def test_quaternion_stays_unit_through_prediction():
 
 
 def test_feature_paths_agree():
-    # vectorized all-plane path vs the generic per-feature loop
+    # appending an edge must leave the plane rows unchanged
     rng = np.random.default_rng(15)
     model = baseline_model(augmented=True)
     x = _random_state(rng)
     planes = _random_features(rng, 5)
-    mixed = planes + _random_features(rng, 0, 1)
-    nv_m, nv_p = model.noise_len(mixed), model.noise_len(planes)
-    h_m = model.h(x, np.zeros(nv_m), mixed)
-    h_p = model.h(x, np.zeros(nv_p), planes)
+    rows_m = scan_rows(planes + _random_features(rng, 0, 1))
+    rows_p = scan_rows(planes)
+    nv_m, nv_p = model.noise_len(rows_m), model.noise_len(rows_p)
+    h_m = model.h(x, np.zeros(nv_m), rows_m)
+    h_p = model.h(x, np.zeros(nv_p), rows_p)
     assert_close(h_m[:5], h_p[:5], tol=1e-12)
-    assert_close(model.dh_dx(x, mixed)[:5], model.dh_dx(x, planes)[:5],
+    assert_close(model.dh_dx(x, rows_m)[:5], model.dh_dx(x, rows_p)[:5],
                  tol=1e-12, floor=1e-14)

@@ -71,6 +71,13 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert main(["simulate", "--config", str(cfg_file)]) == 2
     cfg_file.write_text("not json at all {")
     assert main(["simulate", "--config", str(cfg_file)]) == 2
+    # fewer than one trial, from a flag or from the file
+    out = str(tmp_path / "out")
+    assert main(["montecarlo", *FAST, "--trials", "0", "--out", out]) == 2
+    assert main(["compare", *FAST, "--trials", "0", "--out", out]) == 2
+    assert main(["compare", *FAST, "--trials", "-2", "--out", out]) == 2
+    cfg_file.write_text(json.dumps({"scenario": "static", "trials": 0}))
+    assert main(["montecarlo", "--config", str(cfg_file), "--out", out]) == 2
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from manikf.baseline import baseline_model, from_manifold
 from manikf.errors import ContractViolationError, DimensionError
 from manikf.lidar_inertial import (
     GRAVITY,
@@ -12,7 +13,7 @@ from manikf.lidar_inertial import (
     PlaneFeature,
     lidar_inertial_model,
     make_state,
-    measurement_dim,
+    scan_rows,
     state_manifold,
 )
 from manikf.so3 import so3_exp
@@ -69,16 +70,12 @@ def test_feature_validation():
         PlaneFeature(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3),
                      kind="corner")
     feats = _random_features(np.random.default_rng(0), 2, 1)
-    assert measurement_dim(feats) == 2 + 3
+    assert len(scan_rows(feats).g) == 2 + 3
 
 
 def test_empty_feature_list_rejected():
-    model = lidar_inertial_model()
-    x = _random_state(np.random.default_rng(1))
     with pytest.raises(DimensionError):
-        model.h(x, np.zeros(0), [])
-    with pytest.raises(DimensionError):
-        model.noise_len([])
+        scan_rows([])
 
 
 def test_hover_equilibrium():
@@ -96,14 +93,18 @@ def test_hover_equilibrium():
 
 
 def test_point_on_plane_gives_zero_residual():
-    # place the scanned point exactly on its plane: h must vanish
+    # place each scanned point exactly on its plane or edge line: h must vanish
     rng = np.random.default_rng(5)
     model = lidar_inertial_model()
     x = _random_state(rng)
     rot = x[REP["R"]].reshape(3, 3)
     r_ext = x[REP["R_ext"]].reshape(3, 3)
     p, p_ext = x[REP["p"]], x[REP["p_ext"]]
-    feats = []
+
+    def lidar_point(target):
+        return r_ext.T @ (rot.T @ (target - p) - p_ext)
+
+    planes, edges = [], []
     for _ in range(5):
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
@@ -111,28 +112,42 @@ def test_point_on_plane_gives_zero_residual():
         # choose p_f so the global point lands on the plane through q
         t = rng.standard_normal(3)
         target = q + t - (u @ t) * u
-        p_f = r_ext.T @ (rot.T @ (target - p) - p_ext)
-        feats.append(PlaneFeature(p_f=p_f, u_dir=u, q=q))
-    res = model.h(x, np.zeros(15), feats)
+        planes.append(PlaneFeature(p_f=lidar_point(target), u_dir=u, q=q))
+    for _ in range(4):
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        q = rng.standard_normal(3)
+        # the global point lands on the line q + t u
+        target = q + rng.standard_normal() * u
+        edges.append(PlaneFeature(p_f=lidar_point(target), u_dir=u, q=q, kind="edge"))
+    # plane, edge, plane, ...: residual rows and feature indices out of step
+    feats = [ft for pair in zip(planes, edges) for ft in pair] + planes[len(edges):]
+    rows = scan_rows(feats)
+    assert len(rows.g) == 5 + 3 * 4
+    res = model.h(x, np.zeros(rows.p_f.size), rows)
     assert np.max(np.abs(res)) < 1e-10
+    bres = baseline_model(augmented=False).h(
+        from_manifold(x), np.zeros(rows.p_f.size), rows)
+    assert np.max(np.abs(bres)) < 1e-10
 
 
 def test_plane_and_edge_paths_agree():
-    # the vectorized all-plane path must match the generic per-feature loop
+    # appending an edge must leave the plane rows unchanged
     rng = np.random.default_rng(7)
     model = lidar_inertial_model()
     x = _random_state(rng)
     planes = _random_features(rng, 6)
     mixed = planes + _random_features(rng, 0, 1)
+    rows_m, rows_p = scan_rows(mixed), scan_rows(planes)
     v = 0.01 * rng.standard_normal(3 * len(mixed))
-    h_mixed = model.h(x, v, mixed)
-    h_planes = model.h(x, v[: 3 * len(planes)], planes)
+    h_mixed = model.h(x, v, rows_m)
+    h_planes = model.h(x, v[: 3 * len(planes)], rows_p)
     assert_close(h_mixed[: len(planes)], h_planes, tol=1e-12)
-    hx_mixed = model.dh_dx(x, mixed)
-    hx_planes = model.dh_dx(x, planes)
+    hx_mixed = model.dh_dx(x, rows_m)
+    hx_planes = model.dh_dx(x, rows_p)
     assert_close(hx_mixed[: len(planes)], hx_planes, tol=1e-12, floor=1e-14)
-    hv_mixed = model.dh_dv(x, mixed)
-    hv_planes = model.dh_dv(x, planes)
+    hv_mixed = model.dh_dv(x, rows_m)
+    hv_planes = model.dh_dv(x, rows_p)
     assert_close(hv_mixed[: len(planes), : 3 * len(planes)], hv_planes,
                  tol=1e-12, floor=1e-14)
 
@@ -176,14 +191,14 @@ def test_measurement_jacobians_match_fd():
     for n_plane, n_edge in ((8, 0), (3, 2), (0, 3)):
         for _ in range(5):
             x = _random_state(rng)
-            feats = _random_features(rng, n_plane, n_edge)
-            nv = 3 * len(feats)
-            hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), feats))
-            hv = lambda v: np.asarray(model.h(x, v, feats))
-            assert_close(model.dh_dx(x, feats),
+            rows = scan_rows(_random_features(rng, n_plane, n_edge))
+            nv = rows.p_f.size
+            hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), rows))
+            hv = lambda v: np.asarray(model.h(x, v, rows))
+            assert_close(model.dh_dx(x, rows),
                          fd_jacobian(hx, np.zeros(TANGENT_DIM)),
                          tol=1e-5, floor=1e-7)
-            assert_close(model.dh_dv(x, feats),
+            assert_close(model.dh_dv(x, rows),
                          fd_jacobian(hv, np.zeros(nv)),
                          tol=1e-5, floor=1e-7)
 
@@ -193,7 +208,6 @@ def test_measurement_jacobian_sparsity():
     rng = np.random.default_rng(15)
     model = lidar_inertial_model()
     x = _random_state(rng)
-    feats = _random_features(rng, 4, 2)
-    jac = model.dh_dx(x, feats)
+    jac = model.dh_dx(x, scan_rows(_random_features(rng, 4, 2)))
     for block in ("v", "ba", "bw", "g"):
         assert np.all(jac[:, TAN[block]] == 0.0)
