@@ -17,8 +17,6 @@ from .filter import (
     SystemModel,
     UpdateConfig,
     UpdateDiagnostics,
-    compute_G,
-    compute_L,
     predict,
     update,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "UpdateDiagnostics",
     "UpdateSolverError",
     "compound",
-    "compute_G",
-    "compute_L",
     "predict",
     "update",
 ]

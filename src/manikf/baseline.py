@@ -275,5 +275,4 @@ def baseline_model(
         h=h,
         dh_dx=dh_dx,
         dh_dv=dh_dv,
-        meas_noise_dim=lambda rows: rows.p_f.size + extra,
     )

@@ -1,53 +1,33 @@
 """Reusable one-state process blocks in the canonical discrete form.
 
-Each block packages a manifold with the velocity map f and its Jacobians,
-so that x_{k+1} = oplus(x_k, dt * f(x_k, u_k, w_k)). Inputs u are
-block-specific (rates, camera twists, ...); none of these demonstration
-blocks carries process noise.
+Each block is a process-only SystemModel: a manifold with the velocity map
+f and its Jacobians, so that x_{k+1} = oplus(x_k, dt * f(x_k, u_k, w_k)),
+and no measurement maps. Inputs u are block-specific (rates, camera
+twists, ...); none of these demonstration blocks carries process noise, so
+``predict`` takes them with a 0 x 0 Q.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .manifolds import Euclidean, Manifold, SO3, Sphere2, compound
+from .filter import SystemModel
+from .manifolds import Euclidean, SO3, Sphere2, compound
 from .so3 import skew
 from .sphere import sphere_basis
-
-
-@dataclass(frozen=True)
-class SystemBlock:
-    """A manifold-valued state with its velocity map and Jacobians.
-
-    ``f(x, u, w) -> control vector``; ``df_dx(x, u)`` is the Jacobian with
-    respect to the state error at w = 0, ``df_dw(x, u)`` with respect to
-    the noise.
-    """
-
-    manifold: Manifold
-    f: Callable
-    df_dx: Callable
-    df_dw: Callable
-    noise_dim: int = 0
-
-    def step(self, x: np.ndarray, u, dt: float) -> np.ndarray:
-        """Noise-free discrete step oplus(x, dt * f(x, u, 0))."""
-        w = np.zeros(self.noise_dim)
-        return self.manifold.oplus(x, dt * np.asarray(self.f(x, u, w), dtype=float))
 
 
 def _no_noise(l: int) -> Callable:
     return lambda x, u: np.zeros((l, 0))
 
 
-def block_euclidean(n: int, f_cont=None, df_dx_cont=None) -> SystemBlock:
+def block_euclidean(n: int, f_cont=None, df_dx_cont=None) -> SystemModel:
     """Vector state with velocity f_cont(x, u); default f = u (u is the rate)."""
     if f_cont is None:
         f_cont = lambda x, u: np.asarray(u, dtype=float)
         df_dx_cont = lambda x, u: np.zeros((n, n))
-    return SystemBlock(
+    return SystemModel(
         manifold=Euclidean(n),
         f=lambda x, u, w: f_cont(x, u),
         df_dx=df_dx_cont,
@@ -55,9 +35,9 @@ def block_euclidean(n: int, f_cont=None, df_dx_cont=None) -> SystemBlock:
     )
 
 
-def block_attitude_global() -> SystemBlock:
+def block_attitude_global() -> SystemModel:
     """Attitude driven by a rate expressed in the global frame: f = R^T u."""
-    return SystemBlock(
+    return SystemModel(
         manifold=SO3(),
         f=lambda x, u, w: x.reshape(3, 3).T @ u,
         df_dx=lambda x, u: skew(x.reshape(3, 3).T @ u),
@@ -65,9 +45,9 @@ def block_attitude_global() -> SystemBlock:
     )
 
 
-def block_attitude_body() -> SystemBlock:
+def block_attitude_body() -> SystemModel:
     """Attitude driven by a body-frame rate: f = u."""
-    return SystemBlock(
+    return SystemModel(
         manifold=SO3(),
         f=lambda x, u, w: np.asarray(u, dtype=float),
         df_dx=lambda x, u: np.zeros((3, 3)),
@@ -75,9 +55,9 @@ def block_attitude_body() -> SystemBlock:
     )
 
 
-def block_gravity_global(radius: float = 9.81) -> SystemBlock:
+def block_gravity_global(radius: float = 9.81) -> SystemModel:
     """Constant-magnitude vector fixed in the global frame: f = 0."""
-    return SystemBlock(
+    return SystemModel(
         manifold=Sphere2(radius),
         f=lambda x, u, w: np.zeros(3),
         df_dx=lambda x, u: np.zeros((3, 2)),
@@ -85,9 +65,9 @@ def block_gravity_global(radius: float = 9.81) -> SystemBlock:
     )
 
 
-def block_gravity_body(radius: float = 9.81) -> SystemBlock:
+def block_gravity_body(radius: float = 9.81) -> SystemModel:
     """Constant-magnitude vector seen from a body rotating at rate u: f = -u."""
-    return SystemBlock(
+    return SystemModel(
         manifold=Sphere2(radius),
         f=lambda x, u, w: -np.asarray(u, dtype=float),
         df_dx=lambda x, u: np.zeros((3, 2)),
@@ -99,7 +79,7 @@ def block_bearing_landmark(
     d: Callable[[float], float] = lambda rho: rho,
     d_prime: Callable[[float], float] = lambda rho: 1.0,
     d_second: Callable[[float], float] = lambda rho: 0.0,
-) -> SystemBlock:
+) -> SystemModel:
     """Bearing-and-depth landmark seen from a moving camera.
 
     State is (bearing on the unit sphere, depth coordinate rho) with the
@@ -131,4 +111,4 @@ def block_bearing_landmark(
         out[3, 2] = (x @ v) * d_second(rho) / dp**2
         return out
 
-    return SystemBlock(manifold=man, f=f, df_dx=df_dx, df_dw=_no_noise(4))
+    return SystemModel(manifold=man, f=f, df_dx=df_dx, df_dw=_no_noise(4))

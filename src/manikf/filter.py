@@ -12,8 +12,8 @@ covariance through the corresponding chart Jacobian (diff_u / diff_v).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -31,24 +31,19 @@ class SystemModel:
     w = 0 with respect to the state error and the noise. ``h(x, v, ctx)``
     returns the predicted (Euclidean) measurement; ``ctx`` is opaque
     per-update context for measurement models whose dimension changes step
-    to step; ``dh_dx``/``dh_dv`` are the Jacobians at v = 0. ``meas_noise_dim``
-    may be a callable of ctx when the noise dimension varies.
+    to step; ``dh_dx``/``dh_dv`` are the Jacobians at v = 0. The measurement
+    noise v has the length of the R passed to ``update``. A process-only
+    model leaves the measurement maps ``None``.
     """
 
     manifold: Manifold
     f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     df_dx: Callable[[np.ndarray, np.ndarray], np.ndarray]
     df_dw: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    noise_dim: int
+    noise_dim: int = 0
     h: Optional[Callable[[np.ndarray, np.ndarray, Any], np.ndarray]] = None
     dh_dx: Optional[Callable[[np.ndarray, Any], np.ndarray]] = None
     dh_dv: Optional[Callable[[np.ndarray, Any], np.ndarray]] = None
-    meas_noise_dim: Any = 0
-
-    def noise_len(self, ctx: Any) -> int:
-        if callable(self.meas_noise_dim):
-            return self.meas_noise_dim(ctx)
-        return self.meas_noise_dim
 
 
 @dataclass
@@ -62,47 +57,26 @@ class FilterState:
         return FilterState(self.x.copy(), self.P.copy())
 
 
+# the update stops once a correction step is shorter than this
+CONVERGENCE_TOL = 1e-6
+
+
 @dataclass
 class UpdateConfig:
-    """Knobs for the iterated update.
+    """Iteration cap of the iterated update.
 
     ``max_iterations`` is the highest allowed iteration index: the gain is
     computed for indices 0..max_iterations, so 0 gives the plain (single
-    linearization) error-state extended update. ``gain_form`` selects
-    between the innovation-matrix gain and the algebraically equivalent
-    information form; both factor SPD matrices and never invert the prior
-    covariance to build the gain.
+    linearization) error-state extended update.
     """
 
     max_iterations: int = 4
-    convergence_tol: float = 1e-6
-    gain_form: str = "innovation"
-    track_cost: bool = False
 
 
 @dataclass
 class UpdateDiagnostics:
     iterations: int = 0
     converged: bool = False
-    cost_trace: List[float] = field(default_factory=list)
-
-
-def compute_G(
-    manifold: Manifold, x: np.ndarray, dx: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """State- and velocity-side chart Jacobians of one propagation step.
-
-    ``dx = dt * f(x, u, 0)`` is the commanded displacement; the returned
-    (G_x, G_f) linearize ``boxminus(oplus(boxplus(x, e), dx + d), x')`` in
-    the state error e and velocity change d at zero.
-    """
-    zero_u = np.zeros(manifold.dim)
-    return manifold.diff_u(x, zero_u, dx), manifold.diff_v(x, zero_u, dx)
-
-
-def compute_L(manifold: Manifold, x_kappa: np.ndarray, delta_x_o: np.ndarray) -> np.ndarray:
-    """Covariance-reset Jacobian for the final correction delta_x_o at x_kappa."""
-    return manifold.diff_u(x_kappa, delta_x_o, np.zeros(manifold.control_dim))
 
 
 def predict(
@@ -116,7 +90,8 @@ def predict(
 
     The mean moves along ``dt * f`` with zero noise; the covariance goes
     through F_x = G_x + dt * G_f * df_dx and F_w = dt * G_f * df_dw, so the
-    retraction and the velocity action are linearized jointly.
+    retraction and the velocity action are linearized jointly; G_x and G_f
+    are the chart Jacobians diff_u/diff_v of the step x' = oplus(x, dx).
     """
     man = model.manifold
     q = model.noise_dim
@@ -125,7 +100,8 @@ def predict(
     dx = dt * np.asarray(model.f(state.x, u, np.zeros(q)), dtype=float)
     if not np.all(np.isfinite(dx)):
         raise FloatingPointError("process model returned non-finite velocity")
-    gx, gf = compute_G(man, state.x, dx)
+    zero_u = np.zeros(man.dim)
+    gx, gf = man.diff_u(state.x, zero_u, dx), man.diff_v(state.x, zero_u, dx)
     fx = gx + dt * gf @ np.asarray(model.df_dx(state.x, u), dtype=float)
     fw = dt * gf @ np.asarray(model.df_dw(state.x, u), dtype=float)
     p = fx @ state.P @ fx.T + fw @ Q @ fw.T
@@ -155,15 +131,21 @@ def update(
     prior fixed; the prior covariance is re-expressed in the chart at the
     iterate through J before the gain is formed. After the loop the
     posterior covariance is transported into the chart at the final
-    estimate through L. A non-finite residual or Jacobian raises
-    UpdateSolverError before anything is factorized.
+    estimate through L. J and L are both diff_u at zero velocity. The
+    measurement noise v has the length of R. A ``z`` that does not have the
+    shape of h's output, or a non-square R, raises DimensionError; a
+    non-finite residual or Jacobian raises UpdateSolverError before
+    anything is factorized.
     """
     if config is None:
         config = UpdateConfig()
+    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+        raise DimensionError(f"R must be square, got {R.shape}")
     man = model.manifold
     n = man.dim
     x_prior, p_prior = state.x, state.P
-    vzero = np.zeros(model.noise_len(ctx))
+    vzero = np.zeros(R.shape[0])
+    zero_c = np.zeros(man.control_dim)
     eye_n = np.eye(n)
     diag = UpdateDiagnostics()
 
@@ -171,7 +153,10 @@ def update(
     j = -1
     while True:
         j += 1
-        r = z - np.asarray(model.h(xj, vzero, ctx), dtype=float)
+        hx = np.asarray(model.h(xj, vzero, ctx), dtype=float)
+        if hx.shape != z.shape:
+            raise DimensionError(f"z must have shape {hx.shape}, got {z.shape}")
+        r = z - hx
         h_mat = np.asarray(model.dh_dx(xj, ctx), dtype=float)
         d_mat = np.asarray(model.dh_dv(xj, ctx), dtype=float)
         r_bar = d_mat @ R @ d_mat.T
@@ -181,32 +166,20 @@ def update(
             dxj, jmat, pj = np.zeros(n), eye_n, p_prior
         else:
             dxj = man.boxminus(xj, x_prior)
-            jmat = man.diff_u(x_prior, dxj, np.zeros(man.control_dim))
+            jmat = man.diff_u(x_prior, dxj, zero_c)
             pj = jmat @ p_prior @ jmat.T
-        if config.track_cost:
-            diag.cost_trace.append(
-                float(dxj @ _spd_solve(p_prior, dxj, "prior covariance"))
-                + float(r @ _spd_solve(r_bar, r, "measurement covariance"))
-            )
-        if config.gain_form == "innovation":
-            s = h_mat @ pj @ h_mat.T + r_bar
-            k = _spd_solve(s, h_mat @ pj, "innovation matrix").T
-        elif config.gain_form == "information":
-            info = _spd_solve(pj, eye_n, "prior covariance")
-            hr = h_mat.T @ _spd_solve(r_bar, np.eye(len(r)), "measurement covariance")
-            k = _spd_solve(info + hr @ h_mat, hr, "information matrix")
-        else:
-            raise ValueError(f"unknown gain_form {config.gain_form!r}")
+        s = h_mat @ pj @ h_mat.T + r_bar
+        k = _spd_solve(s, h_mat @ pj, "innovation matrix").T
         dxo = -jmat @ dxj + k @ (r + h_mat @ jmat @ dxj)
         x_next = man.boxplus(xj, dxo)
-        if float(np.linalg.norm(dxo)) < config.convergence_tol:
+        if float(np.linalg.norm(dxo)) < CONVERGENCE_TOL:
             diag.converged = True
         if diag.converged or j >= config.max_iterations:
             break
         xj = x_next
 
     p_plus = (eye_n - k @ h_mat) @ pj
-    lmat = compute_L(man, xj, dxo)
+    lmat = man.diff_u(xj, dxo, zero_c)
     p_final = lmat @ p_plus @ lmat.T
     diag.iterations = j
     return FilterState(x_next, 0.5 * (p_final + p_final.T)), diag

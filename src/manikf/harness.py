@@ -17,13 +17,13 @@ from .lidar_inertial import (
     TAN,
     TANGENT_DIM,
     lidar_inertial_model,
+    make_state,
     scan_rows,
     state_manifold,
 )
 from .so3 import so3_log
 from .trajectory import ScenarioConfig, Trajectory, generate_trajectory
 
-BLOCKS = ("p", "v", "R", "ba", "bw", "g", "R_ext", "p_ext")
 CONSTRAINT_SIGMA = 1e-3  # pseudo-measurement noise for baseline constraints
 
 
@@ -210,7 +210,6 @@ def run_monte_carlo(cfg: ScenarioConfig, trials: int) -> Dict:
 # output files
 
 _CSV_HEADER = "step,t,block,component,truth,estimate,error,sigma3"
-_BLOCK_TAN = [(name, TAN[name]) for name in BLOCKS]
 
 
 def trial_csv_rows(record: TrialRecord) -> List[str]:
@@ -223,14 +222,14 @@ def trial_csv_rows(record: TrialRecord) -> List[str]:
     if record.est_rep is None:
         raise ValueError("record was collected without keep_estimates")
     man = state_manifold()
+    z3, eye = np.zeros(3), np.eye(3)
+    origin = make_state(z3, z3, eye, z3, z3, record.est_rep[0][REP["g"]], eye, z3)
     rows = [_CSV_HEADER]
-    g_ref = record.est_rep[0][REP["g"]]
-    sphere_g = man.parts[5]
     for k in range(record.errors.shape[0]):
-        truth_t = _chart(man, sphere_g, record.truth[k], g_ref)
-        est_t = _chart(man, sphere_g, record.est_rep[k], g_ref)
+        truth_t = man.boxminus(record.truth[k], origin)
+        est_t = man.boxminus(record.est_rep[k], origin)
         t = record.times[k]
-        for name, sl in _BLOCK_TAN:
+        for name, sl in TAN.items():
             for c in range(sl.stop - sl.start):
                 i = sl.start + c
                 rows.append(
@@ -242,20 +241,6 @@ def trial_csv_rows(record: TrialRecord) -> List[str]:
                     )
                 )
     return rows
-
-
-def _chart(man, sphere_g, x36: np.ndarray, g_ref: np.ndarray) -> np.ndarray:
-    """Flatten a manifold state into 23 plot coordinates."""
-    out = np.zeros(TANGENT_DIM)
-    out[TAN["p"]] = x36[REP["p"]]
-    out[TAN["v"]] = x36[REP["v"]]
-    out[TAN["R"]] = so3_log(x36[REP["R"]].reshape(3, 3))
-    out[TAN["ba"]] = x36[REP["ba"]]
-    out[TAN["bw"]] = x36[REP["bw"]]
-    out[TAN["g"]] = sphere_g.boxminus(x36[REP["g"]], g_ref)
-    out[TAN["R_ext"]] = so3_log(x36[REP["R_ext"]].reshape(3, 3))
-    out[TAN["p_ext"]] = x36[REP["p_ext"]]
-    return out
 
 
 def write_trial_csv(record: TrialRecord, path) -> None:

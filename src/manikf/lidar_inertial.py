@@ -58,7 +58,8 @@ class PlaneFeature:
     ``p_f`` is the point in the lidar frame; ``u_dir`` the unit plane
     normal (or edge direction); ``q`` a point on the plane (or edge);
     ``kind`` selects the residual: a plane contributes the 1-row normal
-    distance, an edge the 3-row rejection from the direction.
+    distance, an edge the 2-row rejection from the direction, in an
+    orthonormal basis of the plane normal to it.
     """
 
     p_f: np.ndarray
@@ -74,10 +75,11 @@ class PlaneFeature:
 
     @property
     def g_mat(self) -> np.ndarray:
-        """Residual projector: row u^T for a plane, skew(u) for an edge."""
+        """Residual projector: row u^T for a plane; for an edge the two rows
+        sphere_basis(u)^T spanning the plane normal to u (skew(u) has rank 2)."""
         if self.kind == "plane":
             return self.u_dir.reshape(1, 3)
-        return skew(self.u_dir)
+        return sphere_basis(self.u_dir).T
 
 
 def state_manifold(gravity_radius: float = GRAVITY) -> Compound:
@@ -114,9 +116,8 @@ class ScanRows(NamedTuple):
     """One update's features stacked once into residual rows.
 
     ``p_f`` and ``q`` hold one row per feature; ``g`` holds the stacked
-    residual projectors (one row u^T per plane, the three rows of skew(u)
-    per edge) and ``owner[i]`` is the feature that residual row i belongs
-    to.
+    residual projectors (one row u^T per plane, two rows per edge) and
+    ``owner[i]`` is the feature that residual row i belongs to.
     """
 
     p_f: np.ndarray  # (m, 3)
@@ -233,5 +234,4 @@ def lidar_inertial_model(gravity_radius: float = GRAVITY) -> SystemModel:
         h=h,
         dh_dx=dh_dx,
         dh_dv=dh_dv,
-        meas_noise_dim=lambda rows: rows.p_f.size,
     )

@@ -64,6 +64,11 @@ class ScenarioConfig:
             )
         if len(self.init_sigma) != 8:
             raise ContractViolationError("init_sigma needs 8 per-block entries")
+        for name in ("points_per_update", "n_planes"):
+            if getattr(self, name) < 1:
+                raise ContractViolationError(f"{name} must be at least 1")
+        if self.nmax < 0:
+            raise ContractViolationError("nmax must be non-negative")
 
     @property
     def n_steps(self) -> int:

@@ -78,6 +78,10 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert main(["compare", *FAST, "--trials", "-2", "--out", out]) == 2
     cfg_file.write_text(json.dumps({"scenario": "static", "trials": 0}))
     assert main(["montecarlo", "--config", str(cfg_file), "--out", out]) == 2
+    # sizes that would crash the run or be silently clamped
+    for bad in ({"points_per_update": 0}, {"n_planes": 0}, {"nmax": -1}):
+        cfg_file.write_text(json.dumps({"scenario": "circle", **bad}))
+        assert main(["simulate", "--config", str(cfg_file), "--out", out]) == 2
 
 
 def test_numerical_failure_exit_code(tmp_path):

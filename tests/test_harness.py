@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from manikf import harness
+from manikf.errors import DimensionError
 from manikf.harness import (
     gravity_containment,
     run_baseline,
@@ -97,7 +98,7 @@ def _with_measurement(monkeypatch, wrap):
 def test_malformed_model_raises(monkeypatch):
     # a shape bug is a programming error, not a numerical failure
     _with_measurement(monkeypatch, lambda h: lambda x, v, ctx: h(x, v, ctx)[:-1])
-    with pytest.raises(ValueError, match="broadcast"):
+    with pytest.raises(DimensionError):
         run_trial(_short_cfg(duration=0.2))
 
 

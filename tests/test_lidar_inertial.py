@@ -4,6 +4,7 @@ import pytest
 
 from manikf.baseline import baseline_model, from_manifold
 from manikf.errors import ContractViolationError, DimensionError
+from manikf.filter import FilterState, update
 from manikf.lidar_inertial import (
     GRAVITY,
     NOISE_DIM,
@@ -70,7 +71,7 @@ def test_feature_validation():
         PlaneFeature(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3),
                      kind="corner")
     feats = _random_features(np.random.default_rng(0), 2, 1)
-    assert len(scan_rows(feats).g) == 2 + 3
+    assert len(scan_rows(feats).g) == 2 + 2
 
 
 def test_empty_feature_list_rejected():
@@ -92,11 +93,8 @@ def test_hover_equilibrium():
         assert np.max(np.abs(f)) < 1e-12
 
 
-def test_point_on_plane_gives_zero_residual():
-    # place each scanned point exactly on its plane or edge line: h must vanish
-    rng = np.random.default_rng(5)
-    model = lidar_inertial_model()
-    x = _random_state(rng)
+def _features_on_map(rng, x, n_plane, n_edge):
+    """Planes and edges whose scanned points lie exactly on them at state x."""
     rot = x[REP["R"]].reshape(3, 3)
     r_ext = x[REP["R_ext"]].reshape(3, 3)
     p, p_ext = x[REP["p"]], x[REP["p_ext"]]
@@ -105,7 +103,7 @@ def test_point_on_plane_gives_zero_residual():
         return r_ext.T @ (rot.T @ (target - p) - p_ext)
 
     planes, edges = [], []
-    for _ in range(5):
+    for _ in range(n_plane):
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
         q = rng.standard_normal(3)
@@ -113,22 +111,47 @@ def test_point_on_plane_gives_zero_residual():
         t = rng.standard_normal(3)
         target = q + t - (u @ t) * u
         planes.append(PlaneFeature(p_f=lidar_point(target), u_dir=u, q=q))
-    for _ in range(4):
+    for _ in range(n_edge):
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
         q = rng.standard_normal(3)
         # the global point lands on the line q + t u
         target = q + rng.standard_normal() * u
         edges.append(PlaneFeature(p_f=lidar_point(target), u_dir=u, q=q, kind="edge"))
+    return planes, edges
+
+
+def test_point_on_plane_gives_zero_residual():
+    # place each scanned point exactly on its plane or edge line: h must vanish
+    rng = np.random.default_rng(5)
+    model = lidar_inertial_model()
+    x = _random_state(rng)
+    planes, edges = _features_on_map(rng, x, 5, 4)
     # plane, edge, plane, ...: residual rows and feature indices out of step
     feats = [ft for pair in zip(planes, edges) for ft in pair] + planes[len(edges):]
     rows = scan_rows(feats)
-    assert len(rows.g) == 5 + 3 * 4
+    assert len(rows.g) == 5 + 2 * 4
     res = model.h(x, np.zeros(rows.p_f.size), rows)
     assert np.max(np.abs(res)) < 1e-10
     bres = baseline_model(augmented=False).h(
         from_manifold(x), np.zeros(rows.p_f.size), rows)
     assert np.max(np.abs(bres)) < 1e-10
+
+
+def test_update_with_edges_succeeds():
+    # every edge row must carry information: a rank-deficient edge projector
+    # makes the innovation matrix singular and the update fail
+    rng = np.random.default_rng(17)
+    model = lidar_inertial_model()
+    sigma = 0.02
+    for _ in range(5):
+        x = _random_state(rng)
+        planes, edges = _features_on_map(rng, x, 10, 3)
+        rows = scan_rows(planes + edges)
+        r = sigma**2 * np.eye(rows.p_f.size)
+        state = FilterState(x, 0.01 * np.eye(TANGENT_DIM))
+        out, _ = update(model, state, np.zeros(len(rows.g)), r, ctx=rows)
+        np.linalg.cholesky(out.P)
 
 
 def test_plane_and_edge_paths_agree():

@@ -31,6 +31,10 @@ def test_config_validation():
         {"filter": "ukf"},
         {"baseline_mode": "soft"},
         {"init_sigma": (0.1, 0.1)},
+        {"points_per_update": 0},
+        {"points_per_update": -3},
+        {"n_planes": 0},
+        {"nmax": -1},
     ):
         with pytest.raises(ContractViolationError):
             dataclasses.replace(ScenarioConfig(), **bad).validate()
