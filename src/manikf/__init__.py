@@ -9,7 +9,6 @@ from .errors import (
     ContractViolationError,
     CutLocusError,
     DimensionError,
-    SingularityError,
     UpdateSolverError,
 )
 from .filter import (
@@ -31,7 +30,6 @@ __all__ = [
     "FilterState",
     "Manifold",
     "SO3",
-    "SingularityError",
     "Sphere2",
     "SystemModel",
     "UpdateConfig",

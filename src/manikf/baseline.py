@@ -20,15 +20,13 @@ import numpy as np
 from .errors import DimensionError
 from .filter import SystemModel
 from .lidar_inertial import (
+    GRAVITY,
     REP,
-    make_state as manifold_state,
     scan_noise_jacobian,
     scan_residuals,
 )
 from .manifolds import Euclidean
 from .so3 import skew
-
-GRAVITY = 9.81
 
 BREP = {
     "p": slice(0, 3),
@@ -111,36 +109,21 @@ def _rows_drot_dq(q: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_state(p, v, R, ba, bw, g, R_ext, p_ext) -> np.ndarray:
-    """Pack block values (rotations given as matrices) into the flat vector."""
-    return np.concatenate(
-        [
-            np.asarray(p, dtype=float),
-            np.asarray(v, dtype=float),
-            rot_to_quat(np.asarray(R, dtype=float)),
-            np.asarray(ba, dtype=float),
-            np.asarray(bw, dtype=float),
-            np.asarray(g, dtype=float),
-            rot_to_quat(np.asarray(R_ext, dtype=float)),
-            np.asarray(p_ext, dtype=float),
-        ]
-    )
-
-
 def from_manifold(x36: np.ndarray) -> np.ndarray:
     """The R^26 state of a lidar-inertial manifold-representation state."""
-    return make_state(*(
-        x36[sl].reshape(3, 3) if key in ("R", "R_ext") else x36[sl]
+    return np.concatenate([
+        rot_to_quat(x36[sl].reshape(3, 3)) if key in ("R", "R_ext") else x36[sl]
         for key, sl in REP.items()
-    ))
+    ])
 
 
 def to_manifold(x26: np.ndarray) -> np.ndarray:
     """The lidar-inertial manifold representation; quaternions are normalized."""
-    return manifold_state(*(
-        quat_to_rot(x26[sl] / np.linalg.norm(x26[sl])) if key in ("q", "q_ext") else x26[sl]
+    return np.concatenate([
+        quat_to_rot(x26[sl] / np.linalg.norm(x26[sl])).reshape(9)
+        if key in ("q", "q_ext") else x26[sl]
         for key, sl in BREP.items()
-    ))
+    ])
 
 
 def initial_cov(init_sigma) -> np.ndarray:

@@ -12,6 +12,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ContractViolationError
 from .filter import SystemModel
 from .manifolds import Euclidean, SO3, Sphere2, compound
 from .so3 import skew
@@ -23,7 +24,10 @@ def _no_noise(l: int) -> Callable:
 
 
 def block_euclidean(n: int, f_cont=None, df_dx_cont=None) -> SystemModel:
-    """Vector state with velocity f_cont(x, u); default f = u (u is the rate)."""
+    """Vector state with velocity f_cont(x, u) and its Jacobian df_dx_cont(x, u);
+    default f = u (u is the rate)."""
+    if (f_cont is None) != (df_dx_cont is None):
+        raise ContractViolationError("give f_cont and df_dx_cont together, or neither")
     if f_cont is None:
         f_cont = lambda x, u: np.asarray(u, dtype=float)
         df_dx_cont = lambda x, u: np.zeros((n, n))

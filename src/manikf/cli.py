@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -25,22 +26,11 @@ from .trajectory import SCENARIOS, ScenarioConfig
 
 SUMMARY_KEYS = ("mean_nees", "containment_rate", "final_drift_m", "iterations_mean")
 
+# config-file keys: the scalar fields of ScenarioConfig, with their types
 _CONFIG_FIELDS = {
-    "scenario": str,
-    "seed": int,
-    "duration": float,
-    "dt": float,
-    "peak_rate": float,
-    "n_planes": int,
-    "points_per_update": int,
-    "sigma_a": float,
-    "sigma_w": float,
-    "sigma_ba": float,
-    "sigma_bw": float,
-    "sigma_feature": float,
-    "nmax": int,
-    "filter": str,
-    "baseline_mode": str,
+    name: kind
+    for name, kind in typing.get_type_hints(ScenarioConfig).items()
+    if kind in (str, int, float)
 }
 
 

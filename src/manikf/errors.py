@@ -13,10 +13,6 @@ class CutLocusError(ArithmeticError):
     """boxminus is undefined: the two points are (numerically) antipodal."""
 
 
-class SingularityError(ArithmeticError):
-    """A differential was requested at or too close to a chart singularity."""
-
-
 class UpdateSolverError(RuntimeError):
     """The innovation system could not be solved.
 

@@ -1,7 +1,6 @@
 """Trial execution, consistency metrics, and plot-ready CSV/JSON output."""
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -112,7 +111,7 @@ def run_trial(
     sigma3 = np.zeros((k_steps + 1, TANGENT_DIM))
     nees = np.zeros(k_steps + 1)
     iters: List[int] = []
-    est = np.zeros((k_steps + 1, 36)) if keep_estimates else None
+    est = np.zeros((k_steps + 1, man.rep_dim)) if keep_estimates else None
     failed, failure = False, ""
 
     def record(k: int) -> None:
@@ -161,11 +160,6 @@ def run_trial(
         failure=failure,
         est_rep=est,
     )
-
-
-def run_baseline(cfg: ScenarioConfig, trial: int = 0, traj=None) -> TrialRecord:
-    """run_trial with the quaternion baseline regardless of cfg.filter."""
-    return run_trial(dataclasses.replace(cfg, filter="quat"), trial, traj)
 
 
 def gravity_containment(record: TrialRecord) -> float:

@@ -24,30 +24,8 @@ from .so3 import skew
 from .sphere import sphere_basis
 
 GRAVITY = 9.81
-
-# flat-representation slices
-REP = {
-    "p": slice(0, 3),
-    "v": slice(3, 6),
-    "R": slice(6, 15),
-    "ba": slice(15, 18),
-    "bw": slice(18, 21),
-    "g": slice(21, 24),
-    "R_ext": slice(24, 33),
-    "p_ext": slice(33, 36),
-}
-# tangent-space slices (gravity error is 2-dimensional)
-TAN = {
-    "p": slice(0, 3),
-    "v": slice(3, 6),
-    "R": slice(6, 9),
-    "ba": slice(9, 12),
-    "bw": slice(12, 15),
-    "g": slice(15, 17),
-    "R_ext": slice(17, 20),
-    "p_ext": slice(20, 23),
-}
-TANGENT_DIM = 23
+# state block names, in the order of the parts of state_manifold()
+BLOCKS = ("p", "v", "R", "ba", "bw", "g", "R_ext", "p_ext")
 NOISE_DIM = 12
 
 
@@ -83,7 +61,8 @@ class PlaneFeature:
 
 
 def state_manifold(gravity_radius: float = GRAVITY) -> Compound:
-    """The compound state manifold; tangent dimension 23."""
+    """The compound state manifold, one part per name in BLOCKS: the only
+    place the state layout is written down; REP, TAN and CTRL are read off it."""
     return compound(
         Euclidean(3),  # p
         Euclidean(3),  # v
@@ -96,20 +75,17 @@ def state_manifold(gravity_radius: float = GRAVITY) -> Compound:
     )
 
 
+_LAYOUT = state_manifold()
+REP = dict(zip(BLOCKS, _LAYOUT.rep_slices))
+TAN = dict(zip(BLOCKS, _LAYOUT.tan_slices))  # the gravity error is 2-dimensional
+CTRL = dict(zip(BLOCKS, _LAYOUT.ctrl_slices))  # rows of f, the oplus velocity
+TANGENT_DIM = _LAYOUT.dim
+
+
 def make_state(p, v, R, ba, bw, g, R_ext, p_ext) -> np.ndarray:
     """Pack block values (rotations as 3x3 matrices) into the flat vector."""
-    return np.concatenate(
-        [
-            np.asarray(p, dtype=float),
-            np.asarray(v, dtype=float),
-            np.asarray(R, dtype=float).reshape(9),
-            np.asarray(ba, dtype=float),
-            np.asarray(bw, dtype=float),
-            np.asarray(g, dtype=float),
-            np.asarray(R_ext, dtype=float).reshape(9),
-            np.asarray(p_ext, dtype=float),
-        ]
-    )
+    blocks = (p, v, R, ba, bw, g, R_ext, p_ext)
+    return np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks])
 
 
 class ScanRows(NamedTuple):
@@ -173,34 +149,34 @@ def lidar_inertial_model(gravity_radius: float = GRAVITY) -> SystemModel:
     def f(x, u, w):
         a_m, w_m = u[:3], u[3:6]
         rot = x[REP["R"]].reshape(3, 3)
-        out = np.zeros(24)
-        out[0:3] = x[REP["v"]]
-        out[3:6] = rot @ (a_m - x[REP["ba"]] - w[0:3]) + x[REP["g"]]
-        out[6:9] = w_m - x[REP["bw"]] - w[3:6]
-        out[9:12] = w[6:9]
-        out[12:15] = w[9:12]
+        out = np.zeros(man.control_dim)
+        out[CTRL["p"]] = x[REP["v"]]
+        out[CTRL["v"]] = rot @ (a_m - x[REP["ba"]] - w[0:3]) + x[REP["g"]]
+        out[CTRL["R"]] = w_m - x[REP["bw"]] - w[3:6]
+        out[CTRL["ba"]] = w[6:9]
+        out[CTRL["bw"]] = w[9:12]
         return out
 
     def df_dx(x, u):
         a_m = u[:3]
         rot = x[REP["R"]].reshape(3, 3)
         g = x[REP["g"]]
-        out = np.zeros((24, TANGENT_DIM))
-        out[0:3, TAN["v"]] = np.eye(3)
-        out[3:6, TAN["R"]] = -rot @ skew(a_m - x[REP["ba"]])
-        out[3:6, TAN["ba"]] = -rot
+        out = np.zeros((man.control_dim, TANGENT_DIM))
+        out[CTRL["p"], TAN["v"]] = np.eye(3)
+        out[CTRL["v"], TAN["R"]] = -rot @ skew(a_m - x[REP["ba"]])
+        out[CTRL["v"], TAN["ba"]] = -rot
         # d(boxplus(g, dg))/d(dg) at 0
-        out[3:6, TAN["g"]] = -skew(g) @ sphere_basis(g)
-        out[6:9, TAN["bw"]] = -np.eye(3)
+        out[CTRL["v"], TAN["g"]] = -skew(g) @ sphere_basis(g)
+        out[CTRL["R"], TAN["bw"]] = -np.eye(3)
         return out
 
     def df_dw(x, u):
         rot = x[REP["R"]].reshape(3, 3)
-        out = np.zeros((24, NOISE_DIM))
-        out[3:6, 0:3] = -rot
-        out[6:9, 3:6] = -np.eye(3)
-        out[9:12, 6:9] = np.eye(3)
-        out[12:15, 9:12] = np.eye(3)
+        out = np.zeros((man.control_dim, NOISE_DIM))
+        out[CTRL["v"], 0:3] = -rot
+        out[CTRL["R"], 3:6] = -np.eye(3)
+        out[CTRL["ba"], 6:9] = np.eye(3)
+        out[CTRL["bw"], 9:12] = np.eye(3)
         return out
 
     def h(x, v, rows):

@@ -56,9 +56,6 @@ class Manifold:
     def validate_point(self, x: np.ndarray) -> None:
         self._check_shape(x)
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
     def _check_tangent(self, u: np.ndarray, what: str = "tangent") -> None:
         if u.shape != (self.dim,):
             raise DimensionError(f"{what} must have shape ({self.dim},), got {u.shape}")
@@ -99,9 +96,6 @@ class Euclidean(Manifold):
     def diff_v(self, x, u, v):
         return np.eye(self.dim)
 
-    def random_point(self, rng):
-        return rng.standard_normal(self.dim)
-
     def __repr__(self):
         return f"Euclidean({self.dim})"
 
@@ -116,10 +110,6 @@ class SO3(Manifold):
     @staticmethod
     def to_matrix(x: np.ndarray) -> np.ndarray:
         return x.reshape(3, 3)
-
-    @staticmethod
-    def from_matrix(r: np.ndarray) -> np.ndarray:
-        return r.reshape(9).copy()
 
     def boxplus(self, x, u):
         self._check_shape(x)
@@ -148,9 +138,6 @@ class SO3(Manifold):
     def validate_point(self, x):
         self._check_shape(x)
         so3.check_rotation(self.to_matrix(x))
-
-    def random_point(self, rng):
-        return so3.so3_exp(rng.uniform(-np.pi, np.pi) * _unit(rng)).reshape(9)
 
     def __repr__(self):
         return "SO3()"
@@ -183,37 +170,31 @@ class Sphere2(Manifold):
         self._check_control(v)
         return sphere.sphere_oplus(x, v)
 
-    def diff_u(self, x, u, v):
-        self._check_tangent(u)
-        self._check_control(v)
-        rv = so3.so3_exp(v)
-        z = rv @ sphere.sphere_boxplus(x, u, self.radius)
-        lead = sphere.sphere_basis(z).T @ so3.skew(z) / self.radius**2
-        return lead @ rv @ sphere.sphere_m(x, u)
-
-    def diff_v(self, x, u, v):
+    def _lead(self, x, u, v):
+        """boxplus(x, u) and the factor N(z) Exp(v) shared by diff_u and diff_v,
+        with N(z) = B(z)^T skew(z) / r^2 at z = Exp(v) boxplus(x, u) itself."""
         self._check_tangent(u)
         self._check_control(v)
         rv = so3.so3_exp(v)
         xu = sphere.sphere_boxplus(x, u, self.radius)
         z = rv @ xu
         lead = sphere.sphere_basis(z).T @ so3.skew(z) / self.radius**2
-        return -lead @ rv @ so3.skew(xu) @ so3.mat_a(v).T
+        return xu, lead @ rv
+
+    def diff_u(self, x, u, v):
+        _, lead = self._lead(x, u, v)
+        return lead @ sphere.sphere_m(x, u)
+
+    def diff_v(self, x, u, v):
+        xu, lead = self._lead(x, u, v)
+        return -lead @ so3.skew(xu) @ so3.mat_a(v).T
 
     def validate_point(self, x):
         self._check_shape(x)
         sphere.check_sphere(x, self.radius)
 
-    def random_point(self, rng):
-        return self.radius * _unit(rng)
-
     def __repr__(self):
         return f"Sphere2({self.radius})"
-
-
-def _unit(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
 
 
 class Compound(Manifold):
@@ -285,9 +266,6 @@ class Compound(Manifold):
         self._check_shape(x)
         for p, rs in zip(self.parts, self.rep_slices):
             p.validate_point(x[rs])
-
-    def random_point(self, rng):
-        return np.concatenate([p.random_point(rng) for p in self.parts])
 
     def __repr__(self):
         return "Compound(" + ", ".join(repr(p) for p in self.parts) + ")"

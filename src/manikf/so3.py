@@ -105,22 +105,3 @@ def mat_a(u: np.ndarray) -> np.ndarray:
         b = (1.0 - np.cos(theta)) / theta2
         c = (1.0 - np.sin(theta) / theta) / theta2
     return _rodrigues(u, b, c)
-
-
-def mat_a_inv(u: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of mat_a, valid for angles below pi."""
-    theta2 = float(u @ u)
-    theta = np.sqrt(theta2)
-    if theta < SMALL_ANGLE:
-        d = 1.0 / 12.0 + theta2 / 720.0 + theta2 * theta2 / 30240.0
-    else:
-        half = theta / 2.0
-        alpha = half / np.tan(half)
-        d = (1.0 - alpha) / theta2
-    return _rodrigues(u, -0.5, d)
-
-
-def rotation_action_jacobian(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d((x . Exp(u)) a)/du at u = 0 for a rotation x and vector a."""
-    check_rotation(x)
-    return -x @ skew(a)

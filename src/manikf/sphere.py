@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolationError, CutLocusError
-from .so3 import SMALL_ANGLE, mat_a, skew, so3_exp
+from .so3 import mat_a, skew, so3_exp
 
 _E = np.eye(3)
 
@@ -75,43 +75,3 @@ def sphere_m(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     b = sphere_basis(x)
     w = b @ u
     return -so3_exp(w) @ skew(x) @ mat_a(w).T @ b
-
-
-def _theta_coeffs(x: np.ndarray, y: np.ndarray, r: float):
-    cx = skew(y) @ x
-    s = float(np.linalg.norm(cx))
-    c = float(y @ x)
-    theta = np.arctan2(s, c)
-    r2 = r * r
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        c1 = (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0) / r2
-        c2 = (2.0 / 3.0 + t2 / 5.0) / r2
-    else:
-        if c < 0.0 and s < 1e-9 * r2:
-            raise CutLocusError("points are antipodal; the differential diverges")
-        c1 = theta / s
-        c2 = (theta - np.sin(theta) * np.cos(theta)) / (np.sin(theta) ** 3 * r2)
-    return cx, c1, c2
-
-
-def sphere_p(x: np.ndarray, y: np.ndarray, r: float) -> np.ndarray:
-    """Row vector P(x, y), shape (1, 3): the x-gradient of the scaled angle.
-
-    sphere_n decomposes as B(y)^T (c1 skew(y) + (skew(y) x) P(x, y)).
-    """
-    cx, _, c2 = _theta_coeffs(x, y, r)
-    r2 = r * r
-    return ((c2 * (x @ skew(y) @ skew(y)) - y) / (r2 * r2)).reshape(1, 3)
-
-
-def sphere_n(x: np.ndarray, y: np.ndarray, r: float) -> np.ndarray:
-    """d(sphere_boxminus(x, y))/dx, shape (2, 3).
-
-    Diverges at the antipode (theta -> pi); callers stay on the side of
-    the cut locus where boxminus itself is defined.
-    """
-    cx, c1, c2 = _theta_coeffs(x, y, r)
-    r2 = r * r
-    p = (c2 * (x @ skew(y) @ skew(y)) - y) / (r2 * r2)
-    return sphere_basis(y).T @ (c1 * skew(y) + np.outer(cx, p))

@@ -13,7 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ContractViolationError
-from .lidar_inertial import GRAVITY, PlaneFeature, make_state
+from .lidar_inertial import BLOCKS, GRAVITY, TAN, PlaneFeature, make_state
 from .so3 import so3_exp
 
 SCENARIOS = ("static", "circle", "fast-rotation")
@@ -21,7 +21,6 @@ SCENARIOS = ("static", "circle", "fast-rotation")
 # per-block standard deviations for the initial tangent-space covariance:
 # p, v, R, b_a, b_w, g, R_ext, p_ext
 DEFAULT_INIT_SIGMA = (0.1, 0.1, 0.05, 0.02, 0.002, 0.03, 0.03, 0.05)
-_BLOCK_TAN_DIMS = (3, 3, 3, 3, 3, 2, 3, 3)
 
 TRUE_EXT_ROT = (0.10, 0.20, -0.15)  # rotation vector, rad
 TRUE_EXT_POS = (0.10, -0.05, 0.08)  # m
@@ -62,8 +61,8 @@ class ScenarioConfig:
             raise ContractViolationError(
                 f"unknown baseline_mode {self.baseline_mode!r}"
             )
-        if len(self.init_sigma) != 8:
-            raise ContractViolationError("init_sigma needs 8 per-block entries")
+        if len(self.init_sigma) != len(BLOCKS):
+            raise ContractViolationError("init_sigma needs one entry per state block")
         for name in ("points_per_update", "n_planes"):
             if getattr(self, name) < 1:
                 raise ContractViolationError(f"{name} must be at least 1")
@@ -87,10 +86,8 @@ class ScenarioConfig:
         return np.diag(diag / self.dt)
 
     def init_cov(self) -> np.ndarray:
-        diag = np.concatenate(
-            [np.full(d, s * s) for d, s in zip(_BLOCK_TAN_DIMS, self.init_sigma)]
-        )
-        return np.diag(diag)
+        dims = [sl.stop - sl.start for sl in TAN.values()]
+        return np.diag(np.repeat(np.square(self.init_sigma), dims))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -165,7 +162,6 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
     n_ba = cfg.sigma_ba * sq * rng.standard_normal((k_steps, 3))
     n_bw = cfg.sigma_bw * sq * rng.standard_normal((k_steps, 3))
 
-    truth = np.zeros((k_steps + 1, 36))
     imu = np.zeros((k_steps, 6))
     features: List[List[PlaneFeature]] = []
     times = dt * np.arange(k_steps + 1)
@@ -175,7 +171,7 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
     rot = np.eye(3)
     ba = np.zeros(3)
     bw = np.zeros(3)
-    truth[0] = make_state(p, v, rot, ba, bw, g_true, r_ext, p_ext)
+    truth = [make_state(p, v, rot, ba, bw, g_true, r_ext, p_ext)]
 
     for k in range(k_steps):
         t = times[k]
@@ -190,12 +186,13 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
         rot = rot @ so3_exp(dt * w_true)
         ba = ba + dt * n_ba[k]
         bw = bw + dt * n_bw[k]
-        truth[k + 1] = make_state(p, v, rot, ba, bw, g_true, r_ext, p_ext)
+        truth.append(make_state(p, v, rot, ba, bw, g_true, r_ext, p_ext))
 
         features.append(
             _observe(cfg, rng, normals, anchors, bases, p, rot, r_ext, p_ext)
         )
 
+    truth = np.array(truth)
     return Trajectory(cfg=cfg, times=times, truth=truth, imu=imu, features=features)
 
 

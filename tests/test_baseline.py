@@ -4,19 +4,18 @@ import pytest
 
 from manikf.baseline import (
     BREP,
-    GRAVITY,
     N_CONSTRAINTS,
     NOISE_DIM,
     STATE_DIM,
     baseline_model,
-    make_state,
+    from_manifold,
     normalize_state,
     quat_to_rot,
     rot_to_quat,
 )
 from manikf.errors import DimensionError
 from manikf.filter import FilterState, predict
-from manikf.lidar_inertial import PlaneFeature, scan_rows
+from manikf.lidar_inertial import GRAVITY, PlaneFeature, make_state, scan_rows
 from manikf.so3 import so3_exp
 
 from helpers import assert_close, fd_jacobian
@@ -30,7 +29,7 @@ def _random_quat(rng, unit=True):
 def _random_state(rng):
     g = rng.standard_normal(3)
     g = GRAVITY * g / np.linalg.norm(g)
-    return make_state(
+    return from_manifold(make_state(
         p=rng.standard_normal(3),
         v=rng.standard_normal(3),
         R=so3_exp(rng.standard_normal(3)),
@@ -39,7 +38,7 @@ def _random_state(rng):
         g=g,
         R_ext=so3_exp(0.3 * rng.standard_normal(3)),
         p_ext=0.2 * rng.standard_normal(3),
-    )
+    ))
 
 
 def _random_features(rng, n_plane, n_edge=0):

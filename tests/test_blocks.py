@@ -1,5 +1,6 @@
 """Tests for the reusable process blocks."""
 import numpy as np
+import pytest
 
 from manikf.blocks import (
     block_attitude_body,
@@ -9,6 +10,7 @@ from manikf.blocks import (
     block_gravity_body,
     block_gravity_global,
 )
+from manikf.errors import ContractViolationError
 from manikf.filter import FilterState, predict
 from manikf.so3 import so3_exp
 
@@ -43,6 +45,15 @@ def test_euclidean_block_custom_dynamics():
     for _ in range(20):
         x = rng.standard_normal(2)
         assert_close(blk.df_dx(x, None), _fd_df_dx(blk, x, None), tol=1e-6)
+
+
+def test_euclidean_block_custom_dynamics_needs_jacobian():
+    # without df_dx_cont the block had no process Jacobian and predict failed;
+    # a Jacobian without its f_cont was silently replaced by zeros
+    with pytest.raises(ContractViolationError):
+        block_euclidean(2, f_cont=lambda x, u: -x)
+    with pytest.raises(ContractViolationError):
+        block_euclidean(2, df_dx_cont=lambda x, u: -np.eye(2))
 
 
 def test_attitude_global_matches_body():

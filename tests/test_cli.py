@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line interface."""
+import dataclasses
 import json
 
 import pytest
 
+from manikf import cli
 from manikf.cli import main
+from manikf.trajectory import ScenarioConfig
 
 FAST = ["--duration", "0.5", "--dt", "0.01", "--seed", "5"]
 
@@ -82,6 +85,31 @@ def test_unknown_config_key_is_rejected(tmp_path):
     for bad in ({"points_per_update": 0}, {"n_planes": 0}, {"nmax": -1}):
         cfg_file.write_text(json.dumps({"scenario": "circle", **bad}))
         assert main(["simulate", "--config", str(cfg_file), "--out", out]) == 2
+
+
+def test_config_file_sets_every_scalar_field(tmp_path):
+    # JSON ints for float fields must arrive as floats
+    values = {
+        "scenario": ("static", str), "seed": (11, int), "duration": (1, float),
+        "dt": (0.02, float), "peak_rate": (5, float), "n_planes": (7, int),
+        "points_per_update": (4, int), "sigma_a": (0.04, float),
+        "sigma_w": (0.004, float), "sigma_ba": (2e-4, float),
+        "sigma_bw": (2e-5, float), "sigma_feature": (0.03, float),
+        "nmax": (3, int), "filter": ("quat", str), "baseline_mode": ("hard", str),
+    }
+    scalar = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"init_sigma"}
+    assert set(values) == scalar
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({k: v for k, (v, _) in values.items()}))
+    args = cli._build_parser().parse_args(["simulate", "--config", str(cfg_file)])
+    cfg, trials = cli._load_config(args)
+    assert trials == 1
+    for key, (val, kind) in values.items():
+        got = getattr(cfg, key)
+        assert type(got) is kind and got == val, (key, got)
+    # the tuple field is not a config-file key
+    cfg_file.write_text(json.dumps({"init_sigma": [0.1] * 8}))
+    assert main(["simulate", "--config", str(cfg_file)]) == 2
 
 
 def test_numerical_failure_exit_code(tmp_path):

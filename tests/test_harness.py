@@ -9,7 +9,6 @@ from manikf import harness
 from manikf.errors import DimensionError
 from manikf.harness import (
     gravity_containment,
-    run_baseline,
     run_monte_carlo,
     run_trial,
     summarize,
@@ -67,7 +66,7 @@ def test_trials_are_deterministic():
 
 def test_baseline_trial_runs_both_modes():
     for mode in ("hard", "augmented"):
-        rec = run_baseline(_short_cfg(baseline_mode=mode, duration=0.5))
+        rec = run_trial(_short_cfg(filter="quat", baseline_mode=mode, duration=0.5))
         assert not rec.failed
         assert rec.cfg.filter == "quat"
         assert rec.errors.shape[1] == 23

@@ -1,4 +1,4 @@
-"""Rotation-group numerics: exp/log, chart matrices, action derivative."""
+"""Rotation-group numerics: exp/log and the chart matrix A(u)."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,15 +6,13 @@ import scipy.linalg
 from manikf.errors import ContractViolationError
 from manikf.so3 import (
     mat_a,
-    mat_a_inv,
-    rotation_action_jacobian,
     skew,
     so3_exp,
     so3_log,
     vee,
 )
 
-from helpers import assert_close, fd_jacobian
+from helpers import assert_close
 
 
 def random_rotvec(rng, max_angle=np.pi - 1e-3):
@@ -94,14 +92,6 @@ def test_log_rejects_non_rotation():
 
 def test_mat_a_zero():
     assert np.allclose(mat_a(np.zeros(3)), np.eye(3))
-    assert np.allclose(mat_a_inv(np.zeros(3)), np.eye(3))
-
-
-def test_mat_a_inverse_product():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        u = random_rotvec(rng, max_angle=np.pi - 0.01)
-        assert_close(mat_a(u) @ mat_a_inv(u), np.eye(3), tol=1e-9)
 
 
 def test_mat_a_perturbation_identity():
@@ -130,22 +120,3 @@ def test_mat_a_series_branch_continuity():
     assert np.max(np.abs(mat_a(u) - closed_a)) < 1e-12
     closed_exp = scipy.linalg.expm(k)
     assert np.max(np.abs(so3_exp(u) - closed_exp)) < 1e-12
-    assert_close(mat_a(u) @ mat_a_inv(u), np.eye(3), tol=1e-12)
-
-
-def test_rotation_action_jacobian_identity_cases():
-    e3 = np.array([0.0, 0.0, 1.0])
-    assert np.allclose(rotation_action_jacobian(np.eye(3), e3), -skew(e3))
-    assert np.allclose(
-        rotation_action_jacobian(so3_exp(np.array([0.4, -0.2, 0.9])), np.zeros(3)),
-        np.zeros((3, 3)),
-    )
-
-
-def test_rotation_action_jacobian_fd():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        x = so3_exp(random_rotvec(rng))
-        a = rng.standard_normal(3)
-        fd = fd_jacobian(lambda u: (x @ so3_exp(u)) @ a, np.zeros(3))
-        assert np.max(np.abs(fd - rotation_action_jacobian(x, a))) < 1e-6

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from manikf.errors import ContractViolationError, CutLocusError
+from manikf.manifolds import Sphere2
 from manikf.so3 import so3_exp
 from manikf.sphere import (
     check_sphere,
@@ -10,19 +11,13 @@ from manikf.sphere import (
     sphere_boxminus,
     sphere_boxplus,
     sphere_m,
-    sphere_n,
     sphere_oplus,
-    sphere_p,
 )
 
 from helpers import assert_close, fd_jacobian
+from manifold_samples import random_point
 
 RADII = (1.0, 9.81)
-
-
-def random_point(rng, r):
-    v = rng.standard_normal(3)
-    return r * v / np.linalg.norm(v)
 
 
 def test_basis_canonical_axis():
@@ -34,7 +29,7 @@ def test_basis_orthonormal_tangent():
     rng = np.random.default_rng(0)
     for r in RADII:
         for _ in range(500):
-            x = random_point(rng, r)
+            x = random_point(Sphere2(r), rng)
             b = sphere_basis(x)
             assert np.max(np.abs(b.T @ b - np.eye(2))) < 1e-12
             assert np.max(np.abs(b.T @ x)) < 1e-9 * r
@@ -62,7 +57,7 @@ def test_basis_near_axes():
 def test_boxplus_zero():
     rng = np.random.default_rng(2)
     for r in RADII:
-        x = random_point(rng, r)
+        x = random_point(Sphere2(r), rng)
         assert np.allclose(sphere_boxplus(x, np.zeros(2), r), x)
 
 
@@ -70,7 +65,7 @@ def test_boxplus_preserves_radius():
     rng = np.random.default_rng(3)
     for r in RADII:
         for _ in range(200):
-            x = random_point(rng, r)
+            x = random_point(Sphere2(r), rng)
             y = sphere_boxplus(x, rng.uniform(-3.0, 3.0, 2), r)
             assert abs(np.linalg.norm(y) - r) < 1e-9 * r
 
@@ -79,13 +74,13 @@ def test_box_roundtrips():
     rng = np.random.default_rng(4)
     for r in RADII:
         for _ in range(500):
-            x = random_point(rng, r)
+            x = random_point(Sphere2(r), rng)
             u = rng.standard_normal(2)
             u *= rng.uniform(0.0, np.pi - 1e-3) / np.linalg.norm(u)
             assert np.allclose(
                 sphere_boxminus(sphere_boxplus(x, u, r), x, r), u, atol=1e-9
             )
-            y = random_point(rng, r)
+            y = random_point(Sphere2(r), rng)
             if x @ y > -r * r * (1.0 - 1e-9):
                 assert np.allclose(
                     sphere_boxplus(x, sphere_boxminus(y, x, r), r), y, atol=1e-9 * r
@@ -100,7 +95,7 @@ def test_boxminus_quarter_turn_norm():
 def test_boxminus_identity_zero():
     rng = np.random.default_rng(5)
     for r in RADII:
-        x = random_point(rng, r)
+        x = random_point(Sphere2(r), rng)
         assert np.array_equal(sphere_boxminus(x, x, r), np.zeros(2))
 
 
@@ -122,25 +117,15 @@ def test_m_tangency_at_zero():
     rng = np.random.default_rng(6)
     for r in RADII:
         for _ in range(100):
-            x = random_point(rng, r)
+            x = random_point(Sphere2(r), rng)
             assert np.max(np.abs(x @ sphere_m(x, np.zeros(2)))) < 1e-9 * r
-
-
-def test_n_times_m_identity():
-    rng = np.random.default_rng(7)
-    for r in RADII:
-        for _ in range(100):
-            x = random_point(rng, r)
-            assert_close(
-                sphere_n(x, x, r) @ sphere_m(x, np.zeros(2)), np.eye(2), tol=1e-9
-            )
 
 
 def test_m_matches_fd():
     rng = np.random.default_rng(8)
     for r in RADII:
         for _ in range(300):
-            x = random_point(rng, r)
+            x = random_point(Sphere2(r), rng)
             u = rng.standard_normal(2)
             assert_close(
                 sphere_m(x, u),
@@ -148,46 +133,6 @@ def test_m_matches_fd():
                 tol=1e-5,
                 msg=f"M at r={r}",
             )
-
-
-def test_n_matches_fd():
-    rng = np.random.default_rng(9)
-    for r in RADII:
-        count = 0
-        while count < 300:
-            x, y = random_point(rng, r), random_point(rng, r)
-            if x @ y < -0.9 * r * r:
-                continue  # keep away from the cut locus
-            count += 1
-            fd = fd_jacobian(lambda xx: sphere_boxminus(xx, y, r), x)
-            # FD steps leave the sphere; project onto the tangent plane at x
-            proj = np.eye(3) - np.outer(x, x) / (r * r)
-            assert_close(
-                sphere_n(x, y, r) @ proj, fd @ proj, tol=1e-5, msg=f"N at r={r}"
-            )
-
-
-def test_p_consistent_with_n():
-    rng = np.random.default_rng(10)
-    for r in RADII:
-        for _ in range(100):
-            x, y = random_point(rng, r), random_point(rng, r)
-            if x @ y < -0.9 * r * r:
-                continue
-            from manikf.so3 import skew
-
-            rebuilt = sphere_basis(y).T @ (
-                (np.arctan2(np.linalg.norm(skew(y) @ x), y @ x)
-                 / max(np.linalg.norm(skew(y) @ x), 1e-300)) * skew(y)
-                + np.outer(skew(y) @ x, sphere_p(x, y, r))
-            )
-            assert_close(rebuilt, sphere_n(x, y, r), tol=1e-9)
-
-
-def test_n_antipodal_raises():
-    x = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(CutLocusError):
-        sphere_n(-x, x, 1.0)
 
 
 def test_check_sphere():
