@@ -19,12 +19,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .filter import SystemModel
-from .lidar_inertial import (
-    GRAVITY,
-    REP,
-    scan_noise_jacobian,
-    scan_residuals,
-)
+from .lidar_inertial import GRAVITY, REP, scan_residuals
 from .manifolds import Euclidean
 from .so3 import skew
 
@@ -41,6 +36,7 @@ BREP = {
 STATE_DIM = 26
 NOISE_DIM = 12
 N_CONSTRAINTS = 3
+CONSTRAINT_SIGMA = 1e-3  # pseudo-measurement noise of the constraint rows
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
@@ -153,7 +149,7 @@ def sigma3_envelope(P: np.ndarray) -> np.ndarray:
     ])
 
 
-def normalize_state(x: np.ndarray, gravity_radius: float = GRAVITY) -> np.ndarray:
+def normalize_state(x: np.ndarray) -> np.ndarray:
     """Project q, q_ext, g back onto their constraint sets; P is not touched."""
     out = x.copy()
     for key in ("q", "q_ext"):
@@ -164,24 +160,22 @@ def normalize_state(x: np.ndarray, gravity_radius: float = GRAVITY) -> np.ndarra
     gn = np.linalg.norm(out[BREP["g"]])
     if gn < 1e-12:
         raise DimensionError("gravity estimate collapsed to zero")
-    out[BREP["g"]] *= gravity_radius / gn
+    out[BREP["g"]] *= GRAVITY / gn
     return out
 
 
-def baseline_model(
-    augmented: bool = False, gravity_radius: float = GRAVITY
-) -> SystemModel:
+def baseline_model(augmented: bool = False) -> SystemModel:
     """SystemModel on R^26 mirroring the lidar-inertial dynamics.
 
     Measurement context is the same ScanRows as the lidar-inertial model's,
-    and the scan rows come from the shared scan_residuals and
-    scan_noise_jacobian. In augmented mode three constraint rows (with
-    their own unit-gain noise channels) are appended after the scan rows,
-    so the caller's R needs three extra diagonal entries and z three extra
+    and the scan rows come from the shared scan_residuals. The measurement
+    noise is additive, one variance per residual row. In augmented mode the
+    three constraint rows follow the scan rows, so the caller's R needs
+    three extra diagonal entries (CONSTRAINT_SIGMA^2) and z three extra
     zeros.
     """
     man = Euclidean(STATE_DIM)
-    r2 = gravity_radius * gravity_radius
+    r2 = GRAVITY * GRAVITY
     extra = N_CONSTRAINTS if augmented else 0
 
     def f(x, u, w):
@@ -220,13 +214,12 @@ def baseline_model(
     def h(x, v, rows):
         rot = quat_to_rot(x[BREP["q"]])
         r_ext = quat_to_rot(x[BREP["q_ext"]])
-        res = scan_residuals(rot, r_ext, x[BREP["p"]], x[BREP["p_ext"]], v, rows)
+        res = scan_residuals(rot, r_ext, x[BREP["p"]], x[BREP["p_ext"]], rows)
         if not augmented:
-            return res
+            return res + v
         q, qe, g = x[BREP["q"]], x[BREP["q_ext"]], x[BREP["g"]]
-        m3 = rows.p_f.size
         constraints = np.array([q @ q - 1.0, g @ g - r2, qe @ qe - 1.0])
-        return np.concatenate([res, constraints + v[m3 : m3 + N_CONSTRAINTS]])
+        return np.concatenate([res, constraints]) + v
 
     def dh_dx(x, rows):
         q, q_ext = x[BREP["q"]], x[BREP["q_ext"]]
@@ -245,9 +238,7 @@ def baseline_model(
         return out
 
     def dh_dv(x, rows):
-        rot = quat_to_rot(x[BREP["q"]])
-        r_ext = quat_to_rot(x[BREP["q_ext"]])
-        return scan_noise_jacobian(rot, r_ext, rows, extra)
+        return np.eye(len(rows.g) + extra)
 
     return SystemModel(
         manifold=man,

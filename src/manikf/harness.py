@@ -23,8 +23,6 @@ from .lidar_inertial import (
 from .so3 import so3_log
 from .trajectory import ScenarioConfig, Trajectory, generate_trajectory
 
-CONSTRAINT_SIGMA = 1e-3  # pseudo-measurement noise for baseline constraints
-
 
 @dataclass
 class TrialRecord:
@@ -96,7 +94,7 @@ def run_trial(
         x0, p0 = qb.from_manifold(x0), qb.initial_cov(cfg.init_sigma)
         to_native, to_manifold = qb.from_manifold, qb.to_manifold
         project, envelope = qb.normalize_state, qb.sigma3_envelope
-        r_extra = np.full(qb.N_CONSTRAINTS if augmented else 0, CONSTRAINT_SIGMA**2)
+        r_extra = np.full(qb.N_CONSTRAINTS if augmented else 0, qb.CONSTRAINT_SIGMA**2)
     else:
         model = lidar_inertial_model()
         to_native = to_manifold = project = _identity
@@ -132,7 +130,7 @@ def run_trial(
             state.x = project(state.x)
             rows = scan_rows(traj.features[k])
             z = np.zeros(len(rows.g) + r_extra.size)
-            rdiag = np.concatenate([np.full(rows.p_f.size, cfg.sigma_feature**2), r_extra])
+            rdiag = np.concatenate([np.full(len(rows.g), cfg.sigma_feature**2), r_extra])
             state, diag = update(model, state, z, np.diag(rdiag), ctx=rows, config=ucfg)
             state.x = project(state.x)
             iters.append(diag.iterations)

@@ -9,6 +9,7 @@ n_bw] (white measurement noise on the IMU plus bias random walks).
 Measurements are geometric residuals of scanned points against known
 planes or edges; the residual is defined so the measured value is
 identically zero and all information enters through h and its Jacobians.
+The measurement noise is additive on the residual rows.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ class PlaneFeature:
         return sphere_basis(self.u_dir).T
 
 
-def state_manifold(gravity_radius: float = GRAVITY) -> Compound:
+def state_manifold() -> Compound:
     """The compound state manifold, one part per name in BLOCKS: the only
     place the state layout is written down; REP, TAN and CTRL are read off it."""
     return compound(
@@ -69,7 +70,7 @@ def state_manifold(gravity_radius: float = GRAVITY) -> Compound:
         SO3(),  # R
         Euclidean(3),  # b_a
         Euclidean(3),  # b_w
-        Sphere2(gravity_radius),  # g
+        Sphere2(GRAVITY),  # g
         SO3(),  # R_ext
         Euclidean(3),  # p_ext
     )
@@ -115,36 +116,22 @@ def scan_rows(features: Sequence[PlaneFeature]) -> ScanRows:
     )
 
 
-def scan_residuals(rot, r_ext, p, p_ext, v, rows: ScanRows) -> np.ndarray:
-    """Residual rows g_i (R (R_ext (p_f - v) + p_ext) + p - q) of a scan.
-
-    Only the first 3m entries of the noise vector ``v`` are read.
-    """
-    pts = rows.p_f - v[: rows.p_f.size].reshape(-1, 3)
-    w = (pts @ r_ext.T + p_ext) @ rot.T + p - rows.q
+def scan_residuals(rot, r_ext, p, p_ext, rows: ScanRows) -> np.ndarray:
+    """Residual rows g_i (R (R_ext p_f + p_ext) + p - q) of a scan."""
+    w = (rows.p_f @ r_ext.T + p_ext) @ rot.T + p - rows.q
     return np.einsum("ij,ij->i", rows.g, w[rows.owner])
 
 
-def scan_noise_jacobian(rot, r_ext, rows: ScanRows, extra: int = 0) -> np.ndarray:
-    """d(scan_residuals)/dv at v = 0, with ``extra`` unit rows and columns
-    appended for measurement rows that carry their own noise channel."""
-    n, m = len(rows.g), len(rows.p_f)
-    out = np.zeros((n + extra, 3 * m + extra))
-    cols = 3 * rows.owner[:, None] + np.arange(3)
-    out[np.arange(n)[:, None], cols] = -(rows.g @ rot @ r_ext)
-    out[n:, 3 * m :] = np.eye(extra)
-    return out
-
-
-def lidar_inertial_model(gravity_radius: float = GRAVITY) -> SystemModel:
+def lidar_inertial_model() -> SystemModel:
     """SystemModel for the IMU process and plane/edge measurements.
 
     The per-update measurement context is the ScanRows of the update's
-    features (see scan_rows); the measurement noise is one isotropic
-    3-vector per scanned point, so the caller's R must be 3m x 3m for m
-    features.
+    features (see scan_rows). The measurement noise is additive, one
+    variance per residual row (z = h0(x) + v), so the caller's R is
+    len(rows.g) square. Isotropic point noise of variance s^2 is exactly
+    s^2 per row: each feature's rows g R R_ext are orthonormal.
     """
-    man = state_manifold(gravity_radius)
+    man = state_manifold()
 
     def f(x, u, w):
         a_m, w_m = u[:3], u[3:6]
@@ -182,7 +169,7 @@ def lidar_inertial_model(gravity_radius: float = GRAVITY) -> SystemModel:
     def h(x, v, rows):
         rot = x[REP["R"]].reshape(3, 3)
         r_ext = x[REP["R_ext"]].reshape(3, 3)
-        return scan_residuals(rot, r_ext, x[REP["p"]], x[REP["p_ext"]], v, rows)
+        return scan_residuals(rot, r_ext, x[REP["p"]], x[REP["p_ext"]], rows) + v
 
     def dh_dx(x, rows):
         rot = x[REP["R"]].reshape(3, 3)
@@ -197,9 +184,7 @@ def lidar_inertial_model(gravity_radius: float = GRAVITY) -> SystemModel:
         return out
 
     def dh_dv(x, rows):
-        rot = x[REP["R"]].reshape(3, 3)
-        r_ext = x[REP["R_ext"]].reshape(3, 3)
-        return scan_noise_jacobian(rot, r_ext, rows)
+        return np.eye(len(rows.g))
 
     return SystemModel(
         manifold=man,

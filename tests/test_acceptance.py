@@ -105,7 +105,7 @@ def test_all_jacobians_match_finite_differences():
         _check_jac(model.df_dx(x, u), fd_jacobian(fx, np.zeros(TANGENT_DIM)), "li df_dx")
         _check_jac(model.df_dw(x, u), fd_jacobian(fw, np.zeros(NOISE_DIM)), "li df_dw")
         rows = scan_rows(_random_features(rng, 4, n_edge=(1 if k % 5 == 0 else 0)))
-        nv = 3 * len(rows.p_f)
+        nv = len(rows.g)
         hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), rows))
         hv = lambda v: np.asarray(model.h(x, v, rows))
         _check_jac(model.dh_dx(x, rows), fd_jacobian(hx, np.zeros(TANGENT_DIM)),
@@ -125,7 +125,7 @@ def test_all_jacobians_match_finite_differences():
             _check_jac(bmodel.df_dw(x, u), fd_jacobian(fw, np.zeros(B_NOISE_DIM)),
                        "baseline df_dw")
             rows = scan_rows(_random_features(rng, 3))
-            nv = 3 * len(rows.p_f) + (N_CONSTRAINTS if augmented else 0)
+            nv = len(rows.g) + (N_CONSTRAINTS if augmented else 0)
             hx = lambda e: np.asarray(bmodel.h(x + e, np.zeros(nv), rows))
             hv = lambda v: np.asarray(bmodel.h(x, v, rows))
             _check_jac(bmodel.dh_dx(x, rows), fd_jacobian(hx, np.zeros(B_STATE_DIM)),

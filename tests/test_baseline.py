@@ -121,7 +121,7 @@ def test_measurement_jacobians_match_fd(augmented):
             x[BREP["q"]] *= 1.02
             x[BREP["g"]] *= 0.99
             rows = scan_rows(_random_features(rng, n_plane, n_edge))
-            nv = 3 * len(rows.p_f) + (N_CONSTRAINTS if augmented else 0)
+            nv = len(rows.g) + (N_CONSTRAINTS if augmented else 0)
             hx = lambda e: np.asarray(model.h(x + e, np.zeros(nv), rows))
             hv = lambda v: np.asarray(model.h(x, v, rows))
             assert_close(model.dh_dx(x, rows),
@@ -138,10 +138,10 @@ def test_augmented_rows_and_noise_dim():
     x = _random_state(rng)
     plain = baseline_model(augmented=False)
     aug = baseline_model(augmented=True)
-    assert plain.dh_dv(x, rows).shape[1] == 12
-    assert aug.dh_dv(x, rows).shape[1] == 12 + N_CONSTRAINTS
-    h_plain = plain.h(x, np.zeros(12), rows)
-    h_aug = aug.h(x, np.zeros(15), rows)
+    assert plain.dh_dv(x, rows).shape == (4, 4)
+    assert aug.dh_dv(x, rows).shape == (4 + N_CONSTRAINTS, 4 + N_CONSTRAINTS)
+    h_plain = plain.h(x, np.zeros(4), rows)
+    h_aug = aug.h(x, np.zeros(4 + N_CONSTRAINTS), rows)
     assert_close(h_aug[:4], h_plain, tol=1e-12)
     # exactly on the constraint sets the extra rows vanish
     assert np.max(np.abs(h_aug[4:])) < 1e-9
@@ -170,7 +170,7 @@ def test_feature_paths_agree():
     planes = _random_features(rng, 5)
     rows_m = scan_rows(planes + _random_features(rng, 0, 1))
     rows_p = scan_rows(planes)
-    nv_m, nv_p = (3 * len(r.p_f) + N_CONSTRAINTS for r in (rows_m, rows_p))
+    nv_m, nv_p = (len(r.g) + N_CONSTRAINTS for r in (rows_m, rows_p))
     h_m = model.h(x, np.zeros(nv_m), rows_m)
     h_p = model.h(x, np.zeros(nv_p), rows_p)
     assert_close(h_m[:5], h_p[:5], tol=1e-12)

@@ -131,10 +131,10 @@ def test_point_on_plane_gives_zero_residual():
     feats = [ft for pair in zip(planes, edges) for ft in pair] + planes[len(edges):]
     rows = scan_rows(feats)
     assert len(rows.g) == 5 + 2 * 4
-    res = model.h(x, np.zeros(rows.p_f.size), rows)
+    res = model.h(x, np.zeros(len(rows.g)), rows)
     assert np.max(np.abs(res)) < 1e-10
     bres = baseline_model(augmented=False).h(
-        from_manifold(x), np.zeros(rows.p_f.size), rows)
+        from_manifold(x), np.zeros(len(rows.g)), rows)
     assert np.max(np.abs(bres)) < 1e-10
 
 
@@ -148,7 +148,7 @@ def test_update_with_edges_succeeds():
         x = _random_state(rng)
         planes, edges = _features_on_map(rng, x, 10, 3)
         rows = scan_rows(planes + edges)
-        r = sigma**2 * np.eye(rows.p_f.size)
+        r = sigma**2 * np.eye(len(rows.g))
         state = FilterState(x, 0.01 * np.eye(TANGENT_DIM))
         out, _ = update(model, state, np.zeros(len(rows.g)), r, ctx=rows)
         np.linalg.cholesky(out.P)
@@ -162,16 +162,16 @@ def test_plane_and_edge_paths_agree():
     planes = _random_features(rng, 6)
     mixed = planes + _random_features(rng, 0, 1)
     rows_m, rows_p = scan_rows(mixed), scan_rows(planes)
-    v = 0.01 * rng.standard_normal(3 * len(mixed))
+    v = 0.01 * rng.standard_normal(len(rows_m.g))
     h_mixed = model.h(x, v, rows_m)
-    h_planes = model.h(x, v[: 3 * len(planes)], rows_p)
+    h_planes = model.h(x, v[: len(planes)], rows_p)
     assert_close(h_mixed[: len(planes)], h_planes, tol=1e-12)
     hx_mixed = model.dh_dx(x, rows_m)
     hx_planes = model.dh_dx(x, rows_p)
     assert_close(hx_mixed[: len(planes)], hx_planes, tol=1e-12, floor=1e-14)
     hv_mixed = model.dh_dv(x, rows_m)
     hv_planes = model.dh_dv(x, rows_p)
-    assert_close(hv_mixed[: len(planes), : 3 * len(planes)], hv_planes,
+    assert_close(hv_mixed[: len(planes), : len(planes)], hv_planes,
                  tol=1e-12, floor=1e-14)
 
 
@@ -215,7 +215,7 @@ def test_measurement_jacobians_match_fd():
         for _ in range(5):
             x = _random_state(rng)
             rows = scan_rows(_random_features(rng, n_plane, n_edge))
-            nv = rows.p_f.size
+            nv = len(rows.g)
             hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), rows))
             hv = lambda v: np.asarray(model.h(x, v, rows))
             assert_close(model.dh_dx(x, rows),
@@ -224,6 +224,24 @@ def test_measurement_jacobians_match_fd():
             assert_close(model.dh_dv(x, rows),
                          fd_jacobian(hv, np.zeros(nv)),
                          tol=1e-5, floor=1e-7)
+
+
+def test_point_noise_is_unit_variance_per_row():
+    # isotropic noise sigma^2 I on the scanned points is sigma^2 I on the
+    # residual rows: the rows' Jacobian J in the points has J J^T = I
+    rng = np.random.default_rng(19)
+    model = lidar_inertial_model()
+    for n_plane, n_edge in ((6, 0), (3, 3), (0, 4)):
+        for _ in range(5):
+            x = _random_state(rng)
+            rows = scan_rows(_random_features(rng, n_plane, n_edge))
+            v0 = np.zeros(len(rows.g))
+            hp = lambda pf: np.asarray(
+                model.h(x, v0, rows._replace(p_f=pf.reshape(-1, 3))))
+            # h is affine in the points, so a wide step is exact up to rounding
+            jac = fd_jacobian(hp, rows.p_f.reshape(-1), eps=1e-3)
+            assert jac.shape == (len(rows.g), rows.p_f.size)
+            assert_close(jac @ jac.T, np.eye(len(rows.g)), tol=1e-9)
 
 
 def test_measurement_jacobian_sparsity():

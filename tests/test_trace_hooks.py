@@ -2,13 +2,16 @@
 
 ``perfbench/tracing.py`` replaces functions of the already-imported package
 by name; a renamed or deleted function breaks only a traced benchmark run,
-so this test installs and restores the hooks on the modules the suite uses.
+so these tests install and restore the hooks on the modules the suite uses,
+and run both traced models through one predict and update.
 The package is not re-imported: other test modules hold its classes.
 """
 import importlib
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = (
@@ -24,10 +27,14 @@ def _load_tracing():
     return module
 
 
+def _prog():
+    # import_module hands back the modules the other tests already imported
+    return SimpleNamespace(**{m: importlib.import_module("manikf." + m) for m in MODULES})
+
+
 def test_trace_hooks_install_and_restore():
     tracing = _load_tracing()
-    # import_module hands back the modules the other tests already imported
-    prog = SimpleNamespace(**{m: importlib.import_module("manikf." + m) for m in MODULES})
+    prog = _prog()
     owners = [*vars(prog).values(), prog.manifolds.Compound]
     before = [dict(vars(owner)) for owner in owners]
     tracer = tracing.Tracer()
@@ -40,3 +47,36 @@ def test_trace_hooks_install_and_restore():
         now = dict(vars(owner))
         assert now.keys() == saved.keys(), owner
         assert all(now[k] is v for k, v in saved.items()), owner
+
+
+def test_traced_models_predict_and_update():
+    tracing = _load_tracing()
+    prog = _prog()
+    li, qb, filt = prog.lidar_inertial, prog.baseline, prog.filter
+    rng = np.random.default_rng(0)
+    rows = li.scan_rows([
+        li.PlaneFeature(p_f=rng.standard_normal(3), u_dir=np.eye(3)[k % 3],
+                        q=rng.standard_normal(3), kind="plane" if k < 4 else "edge")
+        for k in range(6)
+    ])
+    z3, eye = np.zeros(3), np.eye(3)
+    x = li.make_state(z3, z3, eye, z3, z3, [0.0, 0.0, -li.GRAVITY], eye, z3)
+    u = np.array([0.0, 0.0, li.GRAVITY, 0.01, 0.0, 0.0])
+    tracer = tracing.Tracer()
+    with tracer.installed(prog):
+        # the factories as the trial loop finds them, replaced by the tracer
+        models = (
+            (prog.harness.lidar_inertial_model(), x, 0),
+            (qb.baseline_model(augmented=True), qb.from_manifold(x), qb.N_CONSTRAINTS),
+        )
+        for model, x0, extra in models:
+            state = filt.FilterState(x0, 0.01 * np.eye(model.manifold.dim))
+            state = filt.predict(model, state, u, 0.01, 1e-4 * np.eye(model.noise_dim))
+            r = np.diag(np.concatenate([
+                np.full(len(rows.g), 0.02**2), np.full(extra, qb.CONSTRAINT_SIGMA**2)
+            ]))
+            state, _ = filt.update(model, state, np.zeros(len(r)), r, ctx=rows)
+            np.linalg.cholesky(state.P)
+    called = {tracer.names[i] for i in tracer.spans()[0]}
+    for name in ("f", "df_dx", "df_dw", "h", "dh_dx", "dh_dv"):
+        assert "model." + name in called, name
