@@ -80,18 +80,8 @@ def _omega(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _drot_dq(q: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d(R(q) a)/dq, shape 3x4, for the quadratic (non-unit) R(q)."""
-    w, v = q[0], q[1:]
-    col_w = 2.0 * (w * a + np.cross(v, a))
-    block = 2.0 * (
-        -np.outer(a, v) + np.outer(v, a) + (v @ a) * np.eye(3) - w * skew(a)
-    )
-    return np.hstack([col_w.reshape(3, 1), block])
-
-
 def _rows_drot_dq(q: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Batched u_i^T d(R(q) s_i)/dq, shape (m, 4)."""
+    """Batched u_i^T d(R(q) s_i)/dq, shape (m, 4), for the quadratic (non-unit) R(q)."""
     w, v = q[0], q[1:]
     us = np.einsum("ij,ij->i", u, s)
     out = np.empty((u.shape[0], 4))
@@ -195,7 +185,7 @@ def baseline_model(augmented: bool = False) -> SystemModel:
         a = a_m - x[BREP["ba"]]
         out = np.zeros((STATE_DIM, STATE_DIM))
         out[BREP["p"], BREP["v"]] = np.eye(3)
-        out[BREP["v"], BREP["q"]] = _drot_dq(q, a)
+        out[BREP["v"], BREP["q"]] = _rows_drot_dq(q, np.eye(3), np.tile(a, (3, 1)))
         out[BREP["v"], BREP["ba"]] = -quat_to_rot(q)
         out[BREP["v"], BREP["g"]] = np.eye(3)
         out[BREP["q"], BREP["q"]] = 0.5 * _omega(w_m - x[BREP["bw"]])
@@ -245,7 +235,6 @@ def baseline_model(augmented: bool = False) -> SystemModel:
         f=f,
         df_dx=df_dx,
         df_dw=df_dw,
-        noise_dim=NOISE_DIM,
         h=h,
         dh_dx=dh_dx,
         dh_dv=dh_dv,

@@ -28,7 +28,8 @@ class SystemModel:
 
     ``f(x, u, w)`` returns the velocity vector (length
     ``manifold.control_dim``); ``df_dx``/``df_dw`` are its Jacobians at
-    w = 0 with respect to the state error and the noise. ``h(x, v, ctx)``
+    w = 0 with respect to the state error and the noise, and the process
+    noise w has as many entries as ``df_dw`` has columns. ``h(x, v, ctx)``
     returns the predicted (Euclidean) measurement; ``ctx`` is opaque
     per-update context for measurement models whose dimension changes step
     to step; ``dh_dx``/``dh_dv`` are the Jacobians at v = 0. The measurement
@@ -40,7 +41,6 @@ class SystemModel:
     f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     df_dx: Callable[[np.ndarray, np.ndarray], np.ndarray]
     df_dw: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    noise_dim: int = 0
     h: Optional[Callable[[np.ndarray, np.ndarray, Any], np.ndarray]] = None
     dh_dx: Optional[Callable[[np.ndarray, Any], np.ndarray]] = None
     dh_dv: Optional[Callable[[np.ndarray, Any], np.ndarray]] = None
@@ -92,9 +92,11 @@ def predict(
     through F_x = G_x + dt * G_f * df_dx and F_w = dt * G_f * df_dw, so the
     retraction and the velocity action are linearized jointly; G_x and G_f
     are the chart Jacobians diff_u/diff_v of the step x' = oplus(x, dx).
+    Q must be square with the column count of df_dw, else DimensionError.
     """
     man = model.manifold
-    q = model.noise_dim
+    df_dw = np.asarray(model.df_dw(state.x, u), dtype=float)
+    q = df_dw.shape[1]
     if Q.shape != (q, q):
         raise DimensionError(f"Q must be {(q, q)}, got {Q.shape}")
     dx = dt * np.asarray(model.f(state.x, u, np.zeros(q)), dtype=float)
@@ -103,7 +105,7 @@ def predict(
     zero_u = np.zeros(man.dim)
     gx, gf = man.diff_u(state.x, zero_u, dx), man.diff_v(state.x, zero_u, dx)
     fx = gx + dt * gf @ np.asarray(model.df_dx(state.x, u), dtype=float)
-    fw = dt * gf @ np.asarray(model.df_dw(state.x, u), dtype=float)
+    fw = dt * gf @ df_dw
     p = fx @ state.P @ fx.T + fw @ Q @ fw.T
     return FilterState(man.oplus(state.x, dx), 0.5 * (p + p.T))
 

@@ -191,7 +191,6 @@ def lidar_inertial_model() -> SystemModel:
         f=f,
         df_dx=df_dx,
         df_dw=df_dw,
-        noise_dim=NOISE_DIM,
         h=h,
         dh_dx=dh_dx,
         dh_dv=dh_dv,

@@ -158,7 +158,7 @@ class Sphere2(Manifold):
     def boxplus(self, x, u):
         self._check_shape(x)
         self._check_tangent(u)
-        return sphere.sphere_boxplus(x, u, self.radius)
+        return sphere.sphere_boxplus(x, u)
 
     def boxminus(self, y, x):
         self._check_shape(y)
@@ -176,7 +176,7 @@ class Sphere2(Manifold):
         self._check_tangent(u)
         self._check_control(v)
         rv = so3.so3_exp(v)
-        xu = sphere.sphere_boxplus(x, u, self.radius)
+        xu = sphere.sphere_boxplus(x, u)
         z = rv @ xu
         lead = sphere.sphere_basis(z).T @ so3.skew(z) / self.radius**2
         return xu, lead @ rv
@@ -214,57 +214,41 @@ class Compound(Manifold):
         self.rep_slices = _slices(p.rep_dim for p in self.parts)
         self.tan_slices = _slices(p.dim for p in self.parts)
         self.ctrl_slices = _slices(p.control_dim for p in self.parts)
-
-    def _zip(self, x, u=None, v=None):
-        for part, rs, ts, cs in zip(
-            self.parts, self.rep_slices, self.tan_slices, self.ctrl_slices
-        ):
-            yield (
-                part,
-                x[rs],
-                None if u is None else u[ts],
-                None if v is None else v[cs],
-            )
+        # (part, rep slice, tangent slice, velocity slice), read by every operator
+        self._table = tuple(
+            zip(self.parts, self.rep_slices, self.tan_slices, self.ctrl_slices)
+        )
 
     def boxplus(self, x, u):
         self._check_shape(x)
         self._check_tangent(u)
-        return np.concatenate(
-            [p.boxplus(xb, ub) for p, xb, ub, _ in self._zip(x, u=u)]
-        )
+        return np.concatenate([p.boxplus(x[rs], u[ts]) for p, rs, ts, _ in self._table])
 
     def boxminus(self, y, x):
         self._check_shape(y)
         self._check_shape(x)
-        return np.concatenate(
-            [
-                p.boxminus(y[rs], x[rs])
-                for p, rs in zip(self.parts, self.rep_slices)
-            ]
-        )
+        return np.concatenate([p.boxminus(y[rs], x[rs]) for p, rs, _, _ in self._table])
 
     def oplus(self, x, v):
         self._check_shape(x)
         self._check_control(v)
-        return np.concatenate([p.oplus(xb, vb) for p, xb, _, vb in self._zip(x, v=v)])
+        return np.concatenate([p.oplus(x[rs], v[cs]) for p, rs, _, cs in self._table])
 
     def diff_u(self, x, u, v):
         out = np.zeros((self.dim, self.dim))
-        for (p, xb, ub, vb), ts in zip(self._zip(x, u=u, v=v), self.tan_slices):
-            out[ts, ts] = p.diff_u(xb, ub, vb)
+        for p, rs, ts, cs in self._table:
+            out[ts, ts] = p.diff_u(x[rs], u[ts], v[cs])
         return out
 
     def diff_v(self, x, u, v):
         out = np.zeros((self.dim, self.control_dim))
-        for (p, xb, ub, vb), ts, cs in zip(
-            self._zip(x, u=u, v=v), self.tan_slices, self.ctrl_slices
-        ):
-            out[ts, cs] = p.diff_v(xb, ub, vb)
+        for p, rs, ts, cs in self._table:
+            out[ts, cs] = p.diff_v(x[rs], u[ts], v[cs])
         return out
 
     def validate_point(self, x):
         self._check_shape(x)
-        for p, rs in zip(self.parts, self.rep_slices):
+        for p, rs, _, _ in self._table:
             p.validate_point(x[rs])
 
     def __repr__(self):

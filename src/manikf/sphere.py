@@ -26,24 +26,23 @@ def check_sphere(x: np.ndarray, r: float, tol: float = 1e-6) -> None:
 def sphere_basis(x: np.ndarray) -> np.ndarray:
     """Orthonormal tangent basis B(x), shape (3, 2), with B^T x = 0.
 
-    The basis is the rotation carrying the closest coordinate axis onto
-    x/|x| applied to the two remaining axes; the axis choice keeps the
-    construction away from the rotation's cut locus for every x.
+    The basis is the smallest rotation carrying the axis e_i of x's largest
+    component onto n = x/|x|, applied to the two remaining axes e_j, e_k.
+    With w = cross(e_i, n) and c = n_i that rotation is
+    c I + skew(w) + w w^T / (1 + c).
+    The largest component of a unit vector is at least -1/sqrt(3), so
+    1 + c >= 1 - 1/sqrt(3) > 0.42 and no x needs a special case.
     """
-    xn = x / np.linalg.norm(x)
-    i = int(np.argmax(xn))
-    e = _E[i]
-    c = skew(e) @ xn
-    s = float(np.linalg.norm(c))
-    if s < 1e-12:
-        rot = _E
-    else:
-        rot = so3_exp((c / s) * np.arctan2(s, float(e @ xn)))
+    n = x / np.linalg.norm(x)
+    i = int(np.argmax(n))
     j, k = (i + 1) % 3, (i + 2) % 3
-    return rot @ _E[:, [j, k]]
+    w = np.zeros(3)
+    w[j], w[k] = -n[k], n[j]
+    rot = n[i] * _E + skew(w) + np.outer(w, w) / (1.0 + n[i])
+    return rot[:, [j, k]]
 
 
-def sphere_boxplus(x: np.ndarray, u: np.ndarray, r: float) -> np.ndarray:
+def sphere_boxplus(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Move x along tangent coordinates u (radians): Exp(B(x) u) x."""
     return so3_exp(sphere_basis(x) @ u) @ x
 

@@ -7,7 +7,7 @@ have their nominal chi-square reference.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -88,11 +88,6 @@ class ScenarioConfig:
     def init_cov(self) -> np.ndarray:
         dims = [sl.stop - sl.start for sl in TAN.values()]
         return np.diag(np.repeat(np.square(self.init_sigma), dims))
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["init_sigma"] = list(self.init_sigma)
-        return d
 
 
 @dataclass

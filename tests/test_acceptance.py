@@ -147,8 +147,8 @@ def test_all_jacobians_match_finite_differences():
         for _ in range(points):
             x = random_point(bman, rng)
             u = draw_u()
-            fx = lambda e: np.asarray(
-                blk.f(bman.boxplus(x, e), u, np.zeros(blk.noise_dim)))
+            w = np.zeros(blk.df_dw(x, u).shape[1])
+            fx = lambda e: np.asarray(blk.f(bman.boxplus(x, e), u, w))
             _check_jac(blk.df_dx(x, u), fd_jacobian(fx, np.zeros(bman.dim)),
                        "block df_dx")
 
@@ -226,7 +226,6 @@ def test_linear_problem_reduces_to_textbook_kf():
         f=lambda x, u, w: a @ x + u + w,
         df_dx=lambda x, u: a,
         df_dw=lambda x, u: np.eye(n),
-        noise_dim=n,
         h=lambda x, v, ctx: c @ x + v,
         dh_dx=lambda x, ctx: c,
         dh_dv=lambda x, ctx: np.eye(m),

@@ -25,7 +25,7 @@ def _step(block, x, u, dt):
 
 def _fd_df_dx(block, x, u):
     man = block.manifold
-    w = np.zeros(block.noise_dim)
+    w = np.zeros(block.df_dw(x, u).shape[1])
     fun = lambda e: np.asarray(block.f(man.boxplus(x, e), u, w), dtype=float)
     return fd_jacobian(fun, np.zeros(man.dim))
 

@@ -42,7 +42,6 @@ def _linear_model(a, c, n, m):
         f=lambda x, u, w: a @ x + u + w,
         df_dx=lambda x, u: a,
         df_dw=lambda x, u: np.eye(n),
-        noise_dim=n,
         h=lambda x, v, ctx: c @ x + v,
         dh_dx=lambda x, ctx: c,
         dh_dv=lambda x, ctx: np.eye(m),
@@ -143,7 +142,6 @@ def _so3_vector_model(refs):
         f=lambda x, u, w: u + w,
         df_dx=lambda x, u: np.zeros((3, 3)),
         df_dw=lambda x, u: np.eye(3),
-        noise_dim=3,
         h=h,
         dh_dx=dh_dx,
         dh_dv=lambda x, ctx: np.eye(m),
@@ -232,7 +230,6 @@ def test_compound_update_decouples_independent_blocks():
         f=lambda x, u, w: a @ x + u + w,
         df_dx=lambda x, u: a,
         df_dw=lambda x, u: np.eye(n1 + n2),
-        noise_dim=n1 + n2,
         h=lambda x, v, ctx: c @ x + v,
         dh_dx=lambda x, ctx: c,
         dh_dv=lambda x, ctx: np.eye(3),
@@ -274,7 +271,6 @@ def test_singular_innovation_raises():
         f=lambda x, u, w: u + w,
         df_dx=lambda x, u: np.zeros((n, n)),
         df_dw=lambda x, u: np.eye(n),
-        noise_dim=n,
         h=lambda x, v, ctx: c @ x,
         dh_dx=lambda x, ctx: c,
         dh_dv=lambda x, ctx: np.zeros((2, 2)),

@@ -66,12 +66,13 @@ def test_traced_models_predict_and_update():
     with tracer.installed(prog):
         # the factories as the trial loop finds them, replaced by the tracer
         models = (
-            (prog.harness.lidar_inertial_model(), x, 0),
-            (qb.baseline_model(augmented=True), qb.from_manifold(x), qb.N_CONSTRAINTS),
+            (prog.harness.lidar_inertial_model(), x, 0, li.NOISE_DIM),
+            (qb.baseline_model(augmented=True), qb.from_manifold(x), qb.N_CONSTRAINTS,
+             qb.NOISE_DIM),
         )
-        for model, x0, extra in models:
+        for model, x0, extra, noise_dim in models:
             state = filt.FilterState(x0, 0.01 * np.eye(model.manifold.dim))
-            state = filt.predict(model, state, u, 0.01, 1e-4 * np.eye(model.noise_dim))
+            state = filt.predict(model, state, u, 0.01, 1e-4 * np.eye(noise_dim))
             r = np.diag(np.concatenate([
                 np.full(len(rows.g), 0.02**2), np.full(extra, qb.CONSTRAINT_SIGMA**2)
             ]))
