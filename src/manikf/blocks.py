@@ -107,11 +107,11 @@ def block_bearing_landmark(
         x, rho = state[:3], state[3]
         v = np.asarray(u[1], dtype=float)
         depth, dp = d(rho), d_prime(rho)
-        m0 = -skew(x) @ sphere_basis(x)  # d(boxplus)/du at 0
+        b, sx = sphere_basis(x), skew(x)
         out = np.zeros((4, 3))
-        out[:3, :2] = -(skew(v) @ skew(x) @ sphere_basis(x)) / depth
-        out[:3, 2] = (dp / depth**2) * (skew(x) @ v)
-        out[3, :2] = -(v @ m0) / dp
+        out[:3, :2] = -(skew(v) @ sx @ b) / depth
+        out[:3, 2] = (dp / depth**2) * (sx @ v)
+        out[3, :2] = (v @ (sx @ b)) / dp  # -sx @ b is d(boxplus)/du at 0
         out[3, 2] = (x @ v) * d_second(rho) / dp**2
         return out
 

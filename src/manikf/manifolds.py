@@ -12,8 +12,8 @@ geometry:
 
 ``diff_u`` and ``diff_v`` are the Jacobians of ``boxminus(oplus(boxplus(x, u),
 v), y)`` with respect to u and v, evaluated at the point ``y = oplus(
-boxplus(x, u), v)`` itself. Both the process linearization and the
-covariance reset of the filter are instances of these two maps.
+boxplus(x, u), v)`` itself; the filter's process linearization and covariance
+reset both use them, and ``Sphere2`` writes them in closed form.
 """
 from __future__ import annotations
 
@@ -56,9 +56,9 @@ class Manifold:
     def validate_point(self, x: np.ndarray) -> None:
         self._check_shape(x)
 
-    def _check_tangent(self, u: np.ndarray, what: str = "tangent") -> None:
+    def _check_tangent(self, u: np.ndarray) -> None:
         if u.shape != (self.dim,):
-            raise DimensionError(f"{what} must have shape ({self.dim},), got {u.shape}")
+            raise DimensionError(f"tangent must have shape ({self.dim},), got {u.shape}")
 
     def _check_control(self, v: np.ndarray) -> None:
         if v.shape != (self.control_dim,):
@@ -85,16 +85,12 @@ class Euclidean(Manifold):
         self._check_shape(x)
         return y - x
 
-    def oplus(self, x, v):
-        self._check_shape(x)
-        self._check_control(v)
-        return x + v
+    oplus = boxplus
 
     def diff_u(self, x, u, v):
         return np.eye(self.dim)
 
-    def diff_v(self, x, u, v):
-        return np.eye(self.dim)
+    diff_v = diff_u
 
     def __repr__(self):
         return f"Euclidean({self.dim})"
@@ -121,10 +117,7 @@ class SO3(Manifold):
         self._check_shape(x)
         return so3.so3_log(self.to_matrix(x).T @ self.to_matrix(y))
 
-    def oplus(self, x, v):
-        self._check_shape(x)
-        self._check_control(v)
-        return (self.to_matrix(x) @ so3.so3_exp(v)).reshape(9)
+    oplus = boxplus
 
     def diff_u(self, x, u, v):
         self._check_tangent(u)
@@ -144,7 +137,15 @@ class SO3(Manifold):
 
 
 class Sphere2(Manifold):
-    """Sphere of radius r in R^3; tangent is R^2, velocities act by rotation."""
+    """Sphere of radius r in R^3; tangent is R^2, velocities act by rotation.
+
+    No chart operator reads the radius; only ``validate_point`` does. With
+    w = B(x) u, z = Exp(v) Exp(w) x and A = ``so3.mat_a``, chaining the
+    derivative B(z)^T skew(z) / r^2 of boxminus(., z) at z with that of z gives
+    diff_u = B(z)^T Exp(v) A(w) B(x) and diff_v = B(z)^T Exp(v) A(v)^T, by
+    skew(z) Exp(v) Exp(w) = Exp(v) Exp(w) skew(x), skew(x)^2 = x x^T - r^2 I,
+    B(z)^T z = 0 and Exp(w) A(w)^T = A(w).
+    """
 
     dim = 2
     rep_dim = 3
@@ -163,31 +164,28 @@ class Sphere2(Manifold):
     def boxminus(self, y, x):
         self._check_shape(y)
         self._check_shape(x)
-        return sphere.sphere_boxminus(y, x, self.radius)
+        return sphere.sphere_boxminus(y, x)
 
     def oplus(self, x, v):
         self._check_shape(x)
         self._check_control(v)
         return sphere.sphere_oplus(x, v)
 
-    def _lead(self, x, u, v):
-        """boxplus(x, u) and the factor N(z) Exp(v) shared by diff_u and diff_v,
-        with N(z) = B(z)^T skew(z) / r^2 at z = Exp(v) boxplus(x, u) itself."""
+    def diff_u(self, x, u, v):
+        self._check_tangent(u)
+        self._check_control(v)
+        b = sphere.sphere_basis(x)
+        w = b @ u
+        rv = so3.so3_exp(v)
+        z = rv @ so3.so3_exp(w) @ x
+        return sphere.sphere_basis(z).T @ rv @ so3.mat_a(w) @ b
+
+    def diff_v(self, x, u, v):
         self._check_tangent(u)
         self._check_control(v)
         rv = so3.so3_exp(v)
-        xu = sphere.sphere_boxplus(x, u)
-        z = rv @ xu
-        lead = sphere.sphere_basis(z).T @ so3.skew(z) / self.radius**2
-        return xu, lead @ rv
-
-    def diff_u(self, x, u, v):
-        _, lead = self._lead(x, u, v)
-        return lead @ sphere.sphere_m(x, u)
-
-    def diff_v(self, x, u, v):
-        xu, lead = self._lead(x, u, v)
-        return -lead @ so3.skew(xu) @ so3.mat_a(v).T
+        z = rv @ sphere.sphere_boxplus(x, u)
+        return sphere.sphere_basis(z).T @ rv @ so3.mat_a(v).T
 
     def validate_point(self, x):
         self._check_shape(x)

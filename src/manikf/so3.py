@@ -11,6 +11,7 @@ import numpy as np
 from .errors import ContractViolationError
 
 SMALL_ANGLE = 1e-4
+ROTATION_TOL = 1e-6  # orthonormality and determinant error check_rotation accepts
 
 _I3 = np.eye(3)
 
@@ -52,12 +53,12 @@ def so3_exp(w: np.ndarray) -> np.ndarray:
     return _rodrigues(w, a, b)
 
 
-def check_rotation(r: np.ndarray, tol: float = 1e-6) -> None:
+def check_rotation(r: np.ndarray) -> None:
     """Raise unless r is orthonormal with determinant +1."""
     if r.shape != (3, 3):
         raise ContractViolationError(f"rotation must be 3x3, got {r.shape}")
     err = np.linalg.norm(r.T @ r - _I3)
-    if err > tol or abs(np.linalg.det(r) - 1.0) > tol:
+    if err > ROTATION_TOL or abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:
         raise ContractViolationError(
             f"matrix is not a rotation (orthonormality error {err:.2e})"
         )

@@ -11,15 +11,16 @@ import numpy as np
 from .errors import ContractViolationError, CutLocusError
 from .so3 import mat_a, skew, so3_exp
 
+RADIUS_TOL = 1e-6  # relative norm error check_sphere accepts
 _E = np.eye(3)
 
 
-def check_sphere(x: np.ndarray, r: float, tol: float = 1e-6) -> None:
+def check_sphere(x: np.ndarray, r: float) -> None:
     """Raise unless x lies on the sphere of radius r."""
     if x.shape != (3,):
         raise ContractViolationError(f"sphere point must be a 3-vector, got {x.shape}")
     n = float(np.linalg.norm(x))
-    if abs(n - r) > tol * max(r, 1.0):
+    if abs(n - r) > RADIUS_TOL * max(r, 1.0):
         raise ContractViolationError(f"point norm {n:.6g} != radius {r:.6g}")
 
 
@@ -47,7 +48,7 @@ def sphere_boxplus(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return so3_exp(sphere_basis(x) @ u) @ x
 
 
-def sphere_boxminus(y: np.ndarray, x: np.ndarray, r: float) -> np.ndarray:
+def sphere_boxminus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Tangent coordinates at x pointing to y; inverse of sphere_boxplus.
 
     Undefined at the antipode of x, where every direction is a shortest
@@ -56,12 +57,11 @@ def sphere_boxminus(y: np.ndarray, x: np.ndarray, r: float) -> np.ndarray:
     cx = skew(x) @ y
     s = float(np.linalg.norm(cx))
     c = float(x @ y)
-    theta = np.arctan2(s, c)
-    if s < 1e-9 * r * r:
+    if s < 1e-9 * float(x @ x):
         if c < 0.0:
             raise CutLocusError("points are antipodal; boxminus is undefined")
         return np.zeros(2)
-    return sphere_basis(x).T @ ((theta / s) * cx)
+    return sphere_basis(x).T @ ((np.arctan2(s, c) / s) * cx)
 
 
 def sphere_oplus(x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -102,17 +102,34 @@ def test_diff_u_identity_cases():
     assert np.allclose(sph.diff_u(x, np.zeros(2), np.zeros(3)), np.eye(2), atol=1e-12)
 
 
+def with_norm(rng, n, norm):
+    u = rng.standard_normal(n)
+    return norm * u / np.linalg.norm(u)
+
+
 def test_diffs_match_fd():
     rng = np.random.default_rng(5)
+    switch_rng = np.random.default_rng(55)
     for man in make_manifolds():
-        for _ in range(150):
-            x = random_point(man, rng)
-            u = 0.6 * rng.standard_normal(man.dim)
-            v = 0.6 * rng.standard_normal(man.control_dim)
+        cases = [
+            (random_point(man, rng), 0.6 * rng.standard_normal(man.dim),
+             0.6 * rng.standard_normal(man.control_dim))
+            for _ in range(150)
+        ]
+        # the filter's own calls, on both sides of SMALL_ANGLE = 1e-4:
+        # u = 0 in predict, v = 0 in the update's J and L
+        for norm in (5e-5, 2e-4, 2.5):
+            for _ in range(10):
+                x = random_point(man, switch_rng)
+                cases.append((x, np.zeros(man.dim),
+                              with_norm(switch_rng, man.control_dim, norm)))
+                cases.append((x, with_norm(switch_rng, man.dim, norm),
+                              np.zeros(man.control_dim)))
+        for x, u, v in cases:
             assert_close(man.diff_u(x, u, v), fd_diff_u(man, x, u, v),
-                         tol=1e-5, msg=f"diff_u {man}")
+                         tol=1e-5, msg=f"diff_u {man} |u|={np.linalg.norm(u):.1e}")
             assert_close(man.diff_v(x, u, v), fd_diff_v(man, x, u, v),
-                         tol=1e-5, msg=f"diff_v {man}")
+                         tol=1e-5, msg=f"diff_v {man} |v|={np.linalg.norm(v):.1e}")
 
 
 def test_dimension_errors():
