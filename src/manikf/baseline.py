@@ -21,7 +21,7 @@ from .errors import DimensionError
 from .filter import SystemModel
 from .lidar_inertial import GRAVITY, REP, scan_residuals
 from .manifolds import Euclidean
-from .so3 import skew
+from .so3 import cross_rows, skew
 
 BREP = {
     "p": slice(0, 3),
@@ -84,14 +84,10 @@ def _rows_drot_dq(q: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Batched u_i^T d(R(q) s_i)/dq, shape (m, 4), for the quadratic (non-unit) R(q)."""
     w, v = q[0], q[1:]
     us = np.einsum("ij,ij->i", u, s)
+    uxs = cross_rows(u, s)
     out = np.empty((u.shape[0], 4))
-    out[:, 0] = 2.0 * (w * us + np.einsum("ij,ij->i", u, np.cross(v, s)))
-    out[:, 1:] = 2.0 * (
-        -us[:, None] * v
-        + (u @ v)[:, None] * s
-        + (s @ v)[:, None] * u
-        - w * np.cross(u, s)
-    )
+    out[:, 0] = 2.0 * (w * us - uxs @ v)  # u . (v x s) = -v . (u x s)
+    out[:, 1:] = 2.0 * ((u @ v)[:, None] * s + (s @ v)[:, None] * u - us[:, None] * v - w * uxs)
     return out
 
 
@@ -158,11 +154,9 @@ def baseline_model(augmented: bool = False) -> SystemModel:
     """SystemModel on R^26 mirroring the lidar-inertial dynamics.
 
     Measurement context is the same ScanRows as the lidar-inertial model's,
-    and the scan rows come from the shared scan_residuals. The measurement
-    noise is additive, one variance per residual row. In augmented mode the
-    three constraint rows follow the scan rows, so the caller's R needs
-    three extra diagonal entries (CONSTRAINT_SIGMA^2) and z three extra
-    zeros.
+    and the scan rows come from the shared scan_residuals. In augmented mode
+    the three constraint rows follow the scan rows, so the caller's R needs
+    three extra diagonal entries (CONSTRAINT_SIGMA^2) and z three extra zeros.
     """
     man = Euclidean(STATE_DIM)
     r2 = GRAVITY * GRAVITY

@@ -88,6 +88,8 @@ def _load_config(args) -> tuple:
         raise ContractViolationError(f"trials must be at least 1, got {trials}")
     cfg = ScenarioConfig(**values)
     cfg.validate()
+    if cfg.sigma_feature <= 0.0:  # the update weighs each scan row by 1/sigma_feature
+        raise ContractViolationError("sigma_feature must be positive")
     return cfg, (1 if trials is None else trials)
 
 

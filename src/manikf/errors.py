@@ -14,11 +14,8 @@ class CutLocusError(ArithmeticError):
 
 
 class UpdateSolverError(RuntimeError):
-    """The innovation system could not be solved.
-
-    Carries the condition-number estimate of the innovation matrix so the
-    caller can tell ill-conditioning from outright rank loss.
-    """
+    """The update's prior covariance P has no Cholesky factor (``condition``
+    is cond(P), infinite if P is singular), or h returned non-finite values."""
 
     def __init__(self, message, condition=float("inf")):
         super().__init__(f"{message} (cond ~ {condition:.3e})")

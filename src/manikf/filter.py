@@ -3,7 +3,7 @@
 The system is the discrete recursion
 
     x_{k+1} = oplus(x_k, dt * f(x_k, u_k, w_k)),    w_k ~ N(0, Q)
-    z_k     = h(x_k, v_k),                          v_k ~ N(0, R)
+    z_k     = h(x_k, 0) + v_k,                      v_k ~ N(0, R), R diagonal
 
 with the state on any :class:`~.manifolds.Manifold` and Euclidean
 measurements. The covariance lives in the tangent space at the current
@@ -32,8 +32,9 @@ class SystemModel:
     noise w has as many entries as ``df_dw`` has columns. ``h(x, v, ctx)``
     returns the predicted (Euclidean) measurement; ``ctx`` is opaque
     per-update context for measurement models whose dimension changes step
-    to step; ``dh_dx``/``dh_dv`` are the Jacobians at v = 0. The measurement
-    noise v has the length of the R passed to ``update``. A process-only
+    to step. The noise is additive, h(x, v) = h(x, 0) + v, one variance per
+    row in ``update``'s diagonal R: ``dh_dx`` is the Jacobian at v = 0 and
+    ``dh_dv`` the identity (``update`` never calls it). A process-only
     model leaves the measurement maps ``None``.
     """
 
@@ -110,15 +111,6 @@ def predict(
     return FilterState(man.oplus(state.x, dx), 0.5 * (p + p.T))
 
 
-def _spd_solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
-    except scipy.linalg.LinAlgError as exc:
-        raise UpdateSolverError(
-            f"{what} could not be factorized", condition=float(np.linalg.cond(a))
-        ) from exc
-
-
 def update(
     model: SystemModel,
     state: FilterState,
@@ -130,28 +122,37 @@ def update(
     """Iterated measurement update; returns (new FilterState, diagnostics).
 
     Each iterate relinearizes h at the current estimate while keeping the
-    prior fixed; the prior covariance is re-expressed in the chart at the
-    iterate through J before the gain is formed. After the loop the
-    posterior covariance is transported into the chart at the final
-    estimate through L. J and L are both diff_u at zero velocity. The
-    measurement noise v has the length of R. A ``z`` that does not have the
-    shape of h's output, or a non-square R, raises DimensionError; a
-    non-finite residual or Jacobian raises UpdateSolverError before
-    anything is factorized.
+    prior fixed; the prior is re-expressed in the chart at the iterate
+    through J, and the posterior moved into the chart at the final estimate
+    through L (both diff_u at zero velocity). The gain is in square-root
+    information form, so nothing m x m is formed: with P = L_P L_P^T,
+    B = J L_P, w = 1/sigma, A = (w H) B and M = I + A^T A, the step is
+    dxo = -J dxj + B M^-1 A^T (w r + (w H) J dxj) and the posterior is
+    B M^-1 B^T: the innovation form rewritten by the push-through identity.
+    A non-diagonal R, a non-positive variance or a ``z`` not shaped like
+    h's output raises DimensionError; a P that Cholesky cannot factor, or a
+    non-finite residual or Jacobian, raises UpdateSolverError.
     """
     if config is None:
         config = UpdateConfig()
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise DimensionError(f"R must be square, got {R.shape}")
+    var = np.diagonal(R)
+    if not (var > 0.0).all() or np.count_nonzero(R) != var.size:
+        raise DimensionError("R must be diagonal with positive variances")
     man = model.manifold
     n = man.dim
-    x_prior, p_prior = state.x, state.P
-    vzero = np.zeros(R.shape[0])
+    try:
+        l_prior = np.linalg.cholesky(state.P)
+    except np.linalg.LinAlgError as exc:
+        cond = float(np.linalg.cond(state.P))
+        raise UpdateSolverError("prior covariance could not be factorized", cond) from exc
+    w = 1.0 / np.sqrt(var)
+    vzero = np.zeros(var.size)
     zero_c = np.zeros(man.control_dim)
-    eye_n = np.eye(n)
     diag = UpdateDiagnostics()
 
-    xj = x_prior
+    xj = state.x
     j = -1
     while True:
         j += 1
@@ -160,19 +161,18 @@ def update(
             raise DimensionError(f"z must have shape {hx.shape}, got {z.shape}")
         r = z - hx
         h_mat = np.asarray(model.dh_dx(xj, ctx), dtype=float)
-        d_mat = np.asarray(model.dh_dv(xj, ctx), dtype=float)
-        r_bar = d_mat @ R @ d_mat.T
-        if not (np.isfinite(r).all() and np.isfinite(h_mat).all() and np.isfinite(r_bar).all()):
+        if not (np.isfinite(r).all() and np.isfinite(h_mat).all()):
             raise UpdateSolverError("measurement model returned non-finite values")
-        if xj is x_prior:
-            dxj, jmat, pj = np.zeros(n), eye_n, p_prior
+        if xj is state.x:
+            jdx, b = np.zeros(n), l_prior
         else:
-            dxj = man.boxminus(xj, x_prior)
-            jmat = man.diff_u(x_prior, dxj, zero_c)
-            pj = jmat @ p_prior @ jmat.T
-        s = h_mat @ pj @ h_mat.T + r_bar
-        k = _spd_solve(s, h_mat @ pj, "innovation matrix").T
-        dxo = -jmat @ dxj + k @ (r + h_mat @ jmat @ dxj)
+            dxj = man.boxminus(xj, state.x)
+            jmat = man.diff_u(state.x, dxj, zero_c)
+            jdx, b = jmat @ dxj, jmat @ l_prior
+        wh = w[:, None] * h_mat
+        a = wh @ b
+        m_fac = scipy.linalg.cho_factor(np.eye(n) + a.T @ a, lower=True)
+        dxo = b @ scipy.linalg.cho_solve(m_fac, a.T @ (w * r + wh @ jdx)) - jdx
         x_next = man.boxplus(xj, dxo)
         if float(np.linalg.norm(dxo)) < CONVERGENCE_TOL:
             diag.converged = True
@@ -180,8 +180,9 @@ def update(
             break
         xj = x_next
 
-    p_plus = (eye_n - k @ h_mat) @ pj
-    lmat = man.diff_u(xj, dxo, zero_c)
-    p_final = lmat @ p_plus @ lmat.T
+    # P+ = B M^-1 B^T = C^T C with C = L_M^-1 B^T; L moves it to the chart at x_next.
+    # BLAS trsm, as LAPACK trtrs (solve_triangular) stalled for ms with 2 BLAS threads.
+    g = man.diff_u(xj, dxo, zero_c) @ scipy.linalg.blas.dtrsm(1.0, m_fac[0], b.T, lower=1).T
+    p_final = g @ g.T
     diag.iterations = j
     return FilterState(x_next, 0.5 * (p_final + p_final.T)), diag

@@ -9,7 +9,6 @@ n_bw] (white measurement noise on the IMU plus bias random walks).
 Measurements are geometric residuals of scanned points against known
 planes or edges; the residual is defined so the measured value is
 identically zero and all information enters through h and its Jacobians.
-The measurement noise is additive on the residual rows.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import ContractViolationError, DimensionError
 from .filter import SystemModel
 from .manifolds import Compound, Euclidean, SO3, Sphere2, compound
-from .so3 import skew
+from .so3 import cross_rows, skew
 from .sphere import sphere_basis
 
 GRAVITY = 9.81
@@ -126,10 +125,9 @@ def lidar_inertial_model() -> SystemModel:
     """SystemModel for the IMU process and plane/edge measurements.
 
     The per-update measurement context is the ScanRows of the update's
-    features (see scan_rows). The measurement noise is additive, one
-    variance per residual row (z = h0(x) + v), so the caller's R is
-    len(rows.g) square. Isotropic point noise of variance s^2 is exactly
-    s^2 per row: each feature's rows g R R_ext are orthonormal.
+    features (see scan_rows), so the caller's diagonal R is len(rows.g)
+    square. Isotropic point noise of variance s^2 is exactly s^2 per row:
+    each feature's rows g R R_ext are orthonormal.
     """
     man = state_manifold()
 
@@ -178,8 +176,8 @@ def lidar_inertial_model() -> SystemModel:
         a = rows.g @ rot  # row blocks g R
         out = np.zeros((len(rows.g), TANGENT_DIM))
         out[:, TAN["p"]] = rows.g
-        out[:, TAN["R"]] = -np.cross(a, s[rows.owner])  # rows -g R skew(s)
-        out[:, TAN["R_ext"]] = -np.cross(a @ r_ext, rows.p_f[rows.owner])
+        out[:, TAN["R"]] = cross_rows(s[rows.owner], a)  # rows -g R skew(s)
+        out[:, TAN["R_ext"]] = cross_rows(rows.p_f[rows.owner], a @ r_ext)
         out[:, TAN["p_ext"]] = a
         return out
 

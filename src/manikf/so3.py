@@ -22,6 +22,12 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a_i x b_i of two (m, 3) arrays; np.cross costs 2-3x more."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def vee(m: np.ndarray) -> np.ndarray:
     """Inverse of skew for an (anti)symmetrized matrix."""
     return np.array([m[2, 1], m[0, 2], m[1, 0]])

@@ -2,9 +2,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from manikf import cli
+from manikf import cli, harness
 from manikf.cli import main
 from manikf.trajectory import ScenarioConfig
 
@@ -82,7 +83,8 @@ def test_unknown_config_key_is_rejected(tmp_path):
     cfg_file.write_text(json.dumps({"scenario": "static", "trials": 0}))
     assert main(["montecarlo", "--config", str(cfg_file), "--out", out]) == 2
     # sizes that would crash the run or be silently clamped
-    for bad in ({"points_per_update": 0}, {"n_planes": 0}, {"nmax": -1}):
+    for bad in ({"points_per_update": 0}, {"n_planes": 0}, {"nmax": -1},
+                {"sigma_feature": 0.0}):
         cfg_file.write_text(json.dumps({"scenario": "circle", **bad}))
         assert main(["simulate", "--config", str(cfg_file), "--out", out]) == 2
 
@@ -112,14 +114,13 @@ def test_config_file_sets_every_scalar_field(tmp_path):
     assert main(["simulate", "--config", str(cfg_file)]) == 2
 
 
-def test_numerical_failure_exit_code(tmp_path):
+def test_numerical_failure_exit_code(tmp_path, monkeypatch):
+    # a measurement model that returns NaN fails the first update
+    factory = harness.lidar_inertial_model
+    monkeypatch.setattr(harness, "lidar_inertial_model", lambda: dataclasses.replace(
+        factory(), h=lambda x, v, ctx: np.full(len(ctx.g), np.nan)))
     cfg_file = tmp_path / "cfg.json"
-    # zero feature noise with an over-determined residual makes the
-    # innovation matrix singular on the very first update
-    cfg_file.write_text(json.dumps(
-        {"scenario": "circle", "duration": 0.2, "dt": 0.01,
-         "sigma_feature": 0.0, "points_per_update": 30}
-    ))
+    cfg_file.write_text(json.dumps({"scenario": "circle", "duration": 0.2, "dt": 0.01}))
     out = tmp_path / "fail"
     rc = main(["simulate", "--config", str(cfg_file), "--out", str(out)])
     assert rc == 3

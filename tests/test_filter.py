@@ -262,21 +262,48 @@ def test_compound_update_decouples_independent_blocks():
         assert np.max(np.abs(sj.P[:n1, n1:])) < 1e-10
 
 
-def test_singular_innovation_raises():
-    # duplicate noise-free measurement rows make S exactly singular
-    n = 2
-    c = np.array([[1.0, 0.0], [1.0, 0.0]])
-    model = SystemModel(
-        manifold=Euclidean(n),
-        f=lambda x, u, w: u + w,
-        df_dx=lambda x, u: np.zeros((n, n)),
-        df_dw=lambda x, u: np.eye(n),
-        h=lambda x, v, ctx: c @ x,
-        dh_dx=lambda x, ctx: c,
-        dh_dv=lambda x, ctx: np.zeros((2, 2)),
-    )
-    state = FilterState(np.zeros(n), np.eye(n))
+def test_indefinite_prior_raises():
+    # the gain starts from the Cholesky factor of P, which an indefinite P lacks
+    model = _linear_model(np.zeros((2, 2)), np.eye(2), 2, 2)
+    state = FilterState(np.zeros(2), np.diag([1.0, -1.0]))
     with pytest.raises(UpdateSolverError) as exc:
-        update(model, state, np.array([1.0, 1.0]), np.eye(2))
-    assert exc.value.condition is None or exc.value.condition > 1e12
+        update(model, state, np.ones(2), np.eye(2))
+    assert np.isfinite(exc.value.condition)
 
+
+def test_update_rejects_correlated_or_nonpositive_noise():
+    # the gain weighs each row by 1/sigma, so R must be a positive diagonal
+    model = _linear_model(np.zeros((2, 2)), np.eye(2), 2, 2)
+    state = FilterState(np.zeros(2), np.eye(2))
+    for r in (np.array([[1.0, 0.1], [0.1, 1.0]]), np.diag([1.0, 0.0]), np.diag([1.0, -1.0])):
+        with pytest.raises(DimensionError):
+            update(model, state, np.ones(2), r)
+
+
+@pytest.mark.parametrize("m", [1, 10, 23, 200])
+def test_single_linearization_matches_innovation_form(m):
+    """The square-root information gain equals the dense innovation form.
+
+    Each form rounds with eps times its own condition number: cond(S) for
+    S = H P H^T + R, and 1 + the largest prior/posterior variance ratio for
+    the information matrix. Prior eigenvalues in [1e-4, 1e-2], the scale of
+    the filters' covariances, keep the two within ~3e-11 of each other, so
+    1e-10 checks the algebra rather than rounding (with a unit-scale prior
+    they differ by up to ~1e-8). Row variances span 1e-6 to 1.
+    """
+    n = 23
+    rng = np.random.default_rng(m)
+    for _ in range(10):
+        c = rng.standard_normal((m, n))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        p = q @ np.diag(10.0 ** rng.uniform(-4.0, -2.0, n)) @ q.T
+        r = np.diag(10.0 ** rng.uniform(-6.0, 0.0, m))
+        x, z = rng.standard_normal(n), rng.standard_normal(m)
+        model = _linear_model(np.zeros((n, n)), c, n, m)
+        out, _ = update(model, FilterState(x, p), z, r, config=UpdateConfig(max_iterations=0))
+        s = c @ p @ c.T + r
+        k = np.linalg.solve(s, c @ p).T
+        assert_close(out.x, x + k @ (z - c @ x), tol=1e-10, floor=0.0)
+        assert_close(out.P, (np.eye(n) - k @ c) @ p, tol=1e-10, floor=0.0)
+        assert np.array_equal(out.P, out.P.T)
+        np.linalg.cholesky(out.P)

@@ -74,12 +74,11 @@ def test_baseline_trial_runs_both_modes():
 
 
 def test_failure_is_recorded_not_raised():
-    # zero feature noise with more residual rows than state dimensions makes
-    # the innovation matrix exactly singular
-    cfg = _short_cfg(sigma_feature=0.0, points_per_update=30, duration=0.2)
+    # zero prior variance on the extrinsics leaves P without a Cholesky factor
+    cfg = _short_cfg(init_sigma=(0.1, 0.1, 0.05, 0.02, 0.002, 0.03, 0.0, 0.0), duration=0.2)
     rec = run_trial(cfg)
     assert rec.failed
-    assert "step 1" in rec.failure
+    assert rec.failure.startswith("step 1: prior covariance could not be factorized")
     assert rec.errors.shape[0] == 1  # truncated at the failure
 
 
@@ -92,6 +91,12 @@ def _with_measurement(monkeypatch, wrap):
         return dataclasses.replace(model, h=wrap(model.h))
 
     monkeypatch.setattr(harness, "lidar_inertial_model", patched)
+
+
+def test_zero_feature_noise_raises():
+    # the update weighs each scan row by 1/sigma_feature: zero is a caller error
+    with pytest.raises(DimensionError):
+        run_trial(_short_cfg(sigma_feature=0.0, duration=0.2))
 
 
 def test_malformed_model_raises(monkeypatch):

@@ -5,6 +5,7 @@ import scipy.linalg
 
 from manikf.errors import ContractViolationError
 from manikf.so3 import (
+    cross_rows,
     mat_a,
     skew,
     so3_exp,
@@ -26,6 +27,13 @@ def test_skew_vee_roundtrip():
     assert np.allclose(k, -k.T)
     assert np.allclose(vee(k), v)
     assert np.allclose(k @ np.array([0.5, 0.1, -0.4]), np.cross(v, [0.5, 0.1, -0.4]))
+
+
+def test_cross_rows_matches_numpy():
+    rng = np.random.default_rng(2)
+    for m in (1, 10, 200):
+        a, b = rng.standard_normal((m, 3)), rng.standard_normal((m, 3))
+        assert_close(cross_rows(a, b), np.cross(a, b), tol=1e-15, floor=1e-15)
 
 
 def test_exp_zero_is_identity():
