@@ -109,6 +109,8 @@ def mat_a(u: np.ndarray) -> np.ndarray:
         b = 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0
         c = 1.0 / 6.0 - theta2 / 120.0 + theta2 * theta2 / 5040.0
     else:
-        b = (1.0 - np.cos(theta)) / theta2
+        # 1 - cos(theta) cancels for small theta, and b scales skew(u) ~ theta
+        s = np.sin(0.5 * theta)
+        b = 2.0 * s * s / theta2
         c = (1.0 - np.sin(theta) / theta) / theta2
     return _rodrigues(u, b, c)

@@ -178,6 +178,59 @@ def test_iterated_update_converges_on_attitude():
         assert np.all(np.diff(costs) <= 1e-9 + 0.05 * costs[:-1])
 
 
+def _curved_model(scale):
+    """A nonlinear measurement of Euclidean(3) with the state in units 1/scale."""
+
+    def h(x, v, ctx):
+        a, b, c = x / scale
+        return np.array([a + 0.5 * b * b, np.sin(b) + c, a * c, np.exp(0.3 * c)]) + v
+
+    def dh_dx(x, ctx):
+        a, b, c = x / scale
+        return np.array([
+            [1.0, b, 0.0],
+            [0.0, np.cos(b), 1.0],
+            [c, 0.0, a],
+            [0.0, 0.0, 0.3 * np.exp(0.3 * c)],
+        ]) / scale
+
+    return SystemModel(
+        manifold=Euclidean(3),
+        f=lambda x, u, w: u + w,
+        df_dx=lambda x, u: np.zeros((3, 3)),
+        df_dw=lambda x, u: np.eye(3),
+        h=h,
+        dh_dx=dh_dx,
+        dh_dv=lambda x, ctx: np.eye(4),
+    )
+
+
+def test_stopping_rule_is_scale_free():
+    # the step is measured against the posterior, so rescaling the state's
+    # units (x -> s x, P -> s^2 P) must stop every update at the same index
+    s, nmax = 1e3, 10
+    unit, scaled = _curved_model(1.0), _curved_model(s)
+    r = 0.02**2 * np.eye(4)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        truth = rng.uniform(-1.0, 1.0, 3)
+        x0 = truth + 0.3 * rng.standard_normal(3)
+        p0 = 0.3**2 * np.eye(3)
+        z = unit.h(truth, np.zeros(4), None) + 0.02 * rng.standard_normal(4)
+        cfg = UpdateConfig(max_iterations=nmax)
+        out_u, diag_u = update(unit, FilterState(x0, p0), z, r, config=cfg)
+        out_s, diag_s = update(scaled, FilterState(s * x0, s * s * p0), z, r, config=cfg)
+        assert (diag_s.iterations, diag_s.converged) == (diag_u.iterations, diag_u.converged)
+        assert diag_u.converged and 1 <= diag_u.iterations < nmax
+        assert_close(out_s.x, s * out_u.x, tol=1e-9, floor=0.0)
+        # an absolute 1e-6 bound on the step would not have stopped here in
+        # the scaled units: the last step taken is far longer than that
+        k = diag_s.iterations
+        before = update(scaled, FilterState(s * x0, s * s * p0), z, r,
+                        config=UpdateConfig(max_iterations=k - 1))[0].x
+        assert np.linalg.norm(out_s.x - before) > 1e-6
+
+
 def test_update_respects_iteration_cap():
     refs = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])]
     model = _so3_vector_model(refs)
@@ -269,6 +322,17 @@ def test_indefinite_prior_raises():
     with pytest.raises(UpdateSolverError) as exc:
         update(model, state, np.ones(2), np.eye(2))
     assert np.isfinite(exc.value.condition)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_prior_raises(bad):
+    # numpy factors a NaN P into a NaN factor without raising
+    model = _linear_model(np.zeros((2, 2)), np.eye(2), 2, 2)
+    p = np.eye(2)
+    p[0, 0] = bad
+    with pytest.raises(UpdateSolverError) as exc:
+        update(model, FilterState(np.zeros(2), p), np.ones(2), np.eye(2))
+    assert np.isinf(exc.value.condition)
 
 
 def test_update_rejects_correlated_or_nonpositive_noise():

@@ -1,4 +1,5 @@
 """Rotation-group numerics: exp/log and the chart matrix A(u)."""
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -128,3 +129,27 @@ def test_mat_a_series_branch_continuity():
     assert np.max(np.abs(mat_a(u) - closed_a)) < 1e-12
     closed_exp = scipy.linalg.expm(k)
     assert np.max(np.abs(so3_exp(u) - closed_exp)) < 1e-12
+
+
+def _mat_a_50_digits(u):
+    """A(u) = I + b skew(u) + c skew(u)^2 in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        x, y, z = (mpmath.mpf(float(t)) for t in u)
+        theta2 = x * x + y * y + z * z
+        theta = mpmath.sqrt(theta2)
+        b = (1 - mpmath.cos(theta)) / theta2
+        c = (theta - mpmath.sin(theta)) / (theta2 * theta)
+        k = mpmath.matrix([[0, -z, y], [z, 0, -x], [-y, x, 0]])
+        a = mpmath.eye(3) + b * k + c * (k * k)
+        return np.array([[float(a[i, j]) for j in range(3)] for i in range(3)])
+
+
+@pytest.mark.parametrize("theta", [1.01e-4, 2e-4, 1e-2])
+def test_mat_a_closed_form_is_accurate_above_switch(theta):
+    # b = (1 - cos theta)/theta^2 would cancel to ~1e-16/theta^2 here, and it
+    # multiplies skew(u) of size theta: ~5e-13 just above SMALL_ANGLE
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        v = rng.standard_normal(3)
+        u = theta * v / np.linalg.norm(v)
+        assert np.max(np.abs(mat_a(u) - _mat_a_50_digits(u))) < 1e-15
