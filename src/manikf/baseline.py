@@ -11,7 +11,8 @@ constraints are enforced from outside:
 * the ``augmented`` measurement mode appends the constraint residuals
   q^T q - 1, g^T g - r^2, q_ext^T q_ext - 1 as pseudo-measurements.
 
-Quaternions are Hamilton convention, stored [w, x, y, z].
+Quaternions are Hamilton convention, stored [w, x, y, z]. Errors are taken in
+the 23-dim tangent space, with P mapped there by ``tangent_cov``.
 """
 from __future__ import annotations
 
@@ -19,9 +20,10 @@ import numpy as np
 
 from .errors import DimensionError
 from .filter import SystemModel
-from .lidar_inertial import GRAVITY, REP, scan_residuals
+from .lidar_inertial import GRAVITY, REP, TAN, TANGENT_DIM, scan_residuals
 from .manifolds import Euclidean
 from .so3 import cross_rows, skew
+from .sphere import sphere_basis
 
 BREP = {
     "p": slice(0, 3),
@@ -110,29 +112,27 @@ def to_manifold(x26: np.ndarray) -> np.ndarray:
 
 def initial_cov(init_sigma) -> np.ndarray:
     """Map the per-block tangent sigmas (p, v, R, b_a, b_w, g, R_ext, p_ext)
-    onto the R^26 state.
-
-    Quaternion components get half the rotation sigma (small-angle factor),
-    gravity components the tangent sigma scaled by the gravity norm.
-    """
+    onto the R^26 state: half the sigma on quaternions and GRAVITY times it on
+    gravity, so that for unit q and |g| = GRAVITY tangent_cov maps this prior
+    exactly onto the manifold filter's tangent prior."""
     scale = (1.0, 1.0, 0.5, 1.0, 1.0, GRAVITY, 0.5, 1.0)
     var = [(k * s) ** 2 for k, s in zip(scale, init_sigma)]
     return np.diag(np.repeat(var, [sl.stop - sl.start for sl in BREP.values()]))
 
 
-def sigma3_envelope(P: np.ndarray) -> np.ndarray:
-    """A naive 3-sigma envelope in the 23-dim lidar-inertial tangent space.
-
-    The Euclidean diag(P) has no exact tangent meaning: rotation rows use
-    the small-angle 2x scaling of the quaternion's vector part, gravity rows
-    the first two components over the gravity norm.
-    """
-    s = 3.0 * np.sqrt(np.maximum(np.diag(P), 0.0))
-    return np.concatenate([
-        s[BREP["p"]], s[BREP["v"]], 2.0 * s[BREP["q"]][1:], s[BREP["ba"]],
-        s[BREP["bw"]], s[BREP["g"]][:2] / GRAVITY, 2.0 * s[BREP["q_ext"]][1:],
-        s[BREP["p_ext"]],
-    ])
+def tangent_cov(x: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """P in the 23-dim lidar-inertial tangent space: G P G^T, where
+    G = d[to_manifold(x + d) boxminus to_manifold(x)]/dd is 2 xi(q)^T on unit
+    quaternions, B(g)^T skew(g) / |g|^2 on gravity and I elsewhere. G drops the
+    radial directions, and since boxminus compares rotations, q and -q agree."""
+    g = x[BREP["g"]]
+    G = np.zeros((TANGENT_DIM, STATE_DIM))
+    for key in ("p", "v", "ba", "bw", "p_ext"):
+        G[TAN[key], BREP[key]] = np.eye(3)
+    G[TAN["R"], BREP["q"]] = 2.0 * _xi(x[BREP["q"]]).T
+    G[TAN["R_ext"], BREP["q_ext"]] = 2.0 * _xi(x[BREP["q_ext"]]).T
+    G[TAN["g"], BREP["g"]] = sphere_basis(g).T @ skew(g) / (g @ g)
+    return G @ P @ G.T
 
 
 def normalize_state(x: np.ndarray) -> np.ndarray:

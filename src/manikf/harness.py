@@ -33,8 +33,8 @@ class TrialRecord:
     times: np.ndarray
     truth: np.ndarray  # (K+1, 36) manifold representation
     errors: np.ndarray  # (K+1, 23) tangent error truth boxminus estimate
-    sigma3: np.ndarray  # (K+1, 23) 3-sigma envelope from diag(P)
-    nees: np.ndarray  # (K+1,)
+    sigma3: np.ndarray  # (K+1, 23) 3-sigma envelope from the tangent covariance
+    nees: np.ndarray  # (K+1,) errors against the tangent covariance
     iterations: List[int]
     final_drift: float
     final_ext_rot_deg: float
@@ -63,6 +63,10 @@ def _identity(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _own_cov(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return p  # the manifold filter's P is already the tangent covariance
+
+
 def _sigma3(p: np.ndarray) -> np.ndarray:
     return 3.0 * np.sqrt(np.maximum(np.diag(p), 0.0))
 
@@ -76,12 +80,11 @@ def run_trial(
     """Run the selected filter over one simulated trajectory.
 
     Both filters share one loop. The quaternion baseline brings its own
-    model, initial state and covariance, renormalizes its state after every
-    predict and update, and converts to the manifold representation, where
-    errors, their 3-sigma envelope and the final metrics are reported in the
-    shared 23-dim tangent space. NEES is taken in each filter's own state
-    space. Numerical failures end the trial as a failed record; any other
-    exception propagates.
+    model, initial state and covariance, and renormalizes its state after
+    every predict and update. Both filters' errors, 3-sigma envelopes, NEES
+    and final metrics are taken in the shared 23-dim tangent space, where
+    ``baseline.tangent_cov`` maps the baseline's P. Numerical failures end
+    the trial as a failed record; any other exception propagates.
     """
     cfg.validate()
     if traj is None:
@@ -92,13 +95,11 @@ def run_trial(
         augmented = cfg.baseline_mode == "augmented"
         model = qb.baseline_model(augmented=augmented)
         x0, p0 = qb.from_manifold(x0), qb.initial_cov(cfg.init_sigma)
-        to_native, to_manifold = qb.from_manifold, qb.to_manifold
-        project, envelope = qb.normalize_state, qb.sigma3_envelope
+        to_manifold, project, tangent_cov = qb.to_manifold, qb.normalize_state, qb.tangent_cov
         r_extra = np.full(qb.N_CONSTRAINTS if augmented else 0, qb.CONSTRAINT_SIGMA**2)
     else:
         model = lidar_inertial_model()
-        to_native = to_manifold = project = _identity
-        envelope = _sigma3
+        to_manifold, project, tangent_cov = _identity, _identity, _own_cov
         r_extra = np.zeros(0)
     qmat = cfg.process_noise()
     ucfg = UpdateConfig(max_iterations=cfg.nmax)
@@ -113,12 +114,10 @@ def run_trial(
     failed, failure = False, ""
 
     def record(k: int) -> None:
-        err = model.manifold.boxminus(to_native(traj.truth[k]), state.x)
         xm = to_manifold(state.x)
-        # for the manifold filter the NEES error is already the tangent error
-        errors[k] = err if xm is state.x else man.boxminus(traj.truth[k], xm)
-        sigma3[k] = envelope(state.P)
-        nees[k] = _nees(err, state.P)
+        errors[k] = man.boxminus(traj.truth[k], xm)
+        p = tangent_cov(state.x, state.P)
+        sigma3[k], nees[k] = _sigma3(p), _nees(errors[k], p)
         if est is not None:
             est[k] = xm
 

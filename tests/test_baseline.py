@@ -12,10 +12,12 @@ from manikf.baseline import (
     normalize_state,
     quat_to_rot,
     rot_to_quat,
+    tangent_cov,
+    to_manifold,
 )
 from manikf.errors import DimensionError
 from manikf.filter import FilterState, predict
-from manikf.lidar_inertial import GRAVITY, PlaneFeature, make_state, scan_rows
+from manikf.lidar_inertial import GRAVITY, PlaneFeature, make_state, scan_rows, state_manifold
 from manikf.so3 import so3_exp
 
 from helpers import assert_close, fd_jacobian
@@ -176,3 +178,31 @@ def test_feature_paths_agree():
     assert_close(h_m[:5], h_p[:5], tol=1e-12)
     assert_close(model.dh_dx(x, rows_m)[:5], model.dh_dx(x, rows_p)[:5],
                  tol=1e-12, floor=1e-14)
+
+
+def test_tangent_cov_is_the_boxminus_jacobian():
+    # G P G^T against J P J^T, J the central differences of the tangent error
+    # to_manifold(x + d) boxminus to_manifold(x); q and -q alike
+    rng = np.random.default_rng(17)
+    man = state_manifold()
+    for i in range(20):
+        x = _random_state(rng)
+        if i % 2:
+            x[BREP["q"]] *= -1.0
+            x[BREP["q_ext"]] *= -1.0
+        xm = to_manifold(x)
+        jac = fd_jacobian(lambda d: man.boxminus(to_manifold(x + d), xm), np.zeros(STATE_DIM))
+        a = rng.standard_normal((STATE_DIM, STATE_DIM))
+        p = a @ a.T + 1e-3 * np.eye(STATE_DIM)
+        assert_close(tangent_cov(x, p), jac @ p @ jac.T, tol=1e-8, floor=1e-15)
+
+
+def test_tangent_cov_drops_radial_directions():
+    rng = np.random.default_rng(19)
+    x = _random_state(rng)
+    x[BREP["q_ext"]] *= -1.0
+    for key in ("q", "g", "q_ext"):
+        d = np.zeros(STATE_DIM)
+        d[BREP[key]] = x[BREP[key]]
+        # zero up to the rounding of the products, not the size of d d^T
+        assert np.max(np.abs(tangent_cov(x, np.outer(d, d)))) < 1e-13 * (d @ d)

@@ -18,6 +18,8 @@ from manikf.harness import (
 )
 from manikf.trajectory import ScenarioConfig
 
+from helpers import assert_close
+
 
 def _short_cfg(**kw):
     base = dict(scenario="circle", seed=7, duration=1.0, dt=0.01)
@@ -186,3 +188,14 @@ def test_nees_is_chi_square_like_on_short_run():
     rec = run_trial(cfg)
     vals = rec.nees[np.isfinite(rec.nees)]
     assert 10.0 < np.mean(vals) < 45.0
+
+
+@pytest.mark.parametrize("scenario", ["circle", "fast-rotation"])
+def test_both_filters_start_alike_in_the_tangent_space(scenario):
+    # both filters draw the same initial state, and baseline.tangent_cov maps
+    # the baseline's prior onto the tangent prior, so step 0 agrees
+    cfg = _short_cfg(scenario=scenario, duration=0.02)
+    ikfom, quat = (run_trial(dataclasses.replace(cfg, filter=f)) for f in ("ikfom", "quat"))
+    assert_close(quat.errors[0], ikfom.errors[0], tol=1e-9, floor=1e-15)
+    assert_close(quat.sigma3[0], ikfom.sigma3[0], tol=1e-9, floor=1e-15)
+    assert abs(quat.nees[0] - ikfom.nees[0]) <= 1e-9 * ikfom.nees[0]
