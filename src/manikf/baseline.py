@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
 from .filter import SystemModel
 from .lidar_inertial import GRAVITY, REP, TAN, TANGENT_DIM, scan_residuals
 from .manifolds import Euclidean
@@ -141,11 +140,11 @@ def normalize_state(x: np.ndarray) -> np.ndarray:
     for key in ("q", "q_ext"):
         n = np.linalg.norm(out[BREP[key]])
         if n < 1e-12:
-            raise DimensionError(f"{key} collapsed to zero; cannot normalize")
+            raise FloatingPointError(f"{key} collapsed to zero; cannot normalize")
         out[BREP[key]] /= n
     gn = np.linalg.norm(out[BREP["g"]])
     if gn < 1e-12:
-        raise DimensionError("gravity estimate collapsed to zero")
+        raise FloatingPointError("gravity estimate collapsed to zero")
     out[BREP["g"]] *= GRAVITY / gn
     return out
 

@@ -26,11 +26,10 @@ from .trajectory import SCENARIOS, ScenarioConfig
 
 SUMMARY_KEYS = ("mean_nees", "containment_rate", "final_drift_m", "iterations_mean")
 
-# config-file keys: the scalar fields of ScenarioConfig, with their types
+# config-file keys: the trial count and the scalar fields of ScenarioConfig, with their types
 _CONFIG_FIELDS = {
-    name: kind
-    for name, kind in typing.get_type_hints(ScenarioConfig).items()
-    if kind in (str, int, float)
+    "trials": int,
+    **{n: k for n, k in typing.get_type_hints(ScenarioConfig).items() if k in (str, int, float)},
 }
 
 
@@ -63,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> tuple:
     """Merge config file and flags (flags win) into a ScenarioConfig."""
     values = {}
-    trials = None
     if args.config is not None:
         try:
             raw = json.loads(args.config.read_text())
@@ -72,12 +70,14 @@ def _load_config(args) -> tuple:
         if not isinstance(raw, dict):
             raise ContractViolationError("config file must hold a JSON object")
         for key, val in raw.items():
-            if key == "trials":
-                trials = int(val)
-            elif key in _CONFIG_FIELDS:
-                values[key] = _CONFIG_FIELDS[key](val)
-            else:
+            kind = _CONFIG_FIELDS.get(key)
+            if kind is None:
                 raise ContractViolationError(f"unknown config key {key!r}")
+            # as the flags do: no 2.9 or true for an int, no true for a float
+            if kind is not str and (type(val) is bool or not isinstance(val, (int, kind))):
+                raise ContractViolationError(f"config key {key!r} must be a {kind.__name__}")
+            values[key] = kind(val)
+    trials = values.pop("trials", None)
     for key in ("scenario", "seed", "duration", "dt", "nmax", "filter"):
         flag = getattr(args, key)
         if flag is not None:

@@ -92,8 +92,8 @@ def predict(
 
     The mean moves along ``dt * f`` with zero noise; the covariance goes
     through F_x = G_x + dt * G_f * df_dx and F_w = dt * G_f * df_dw, so the
-    retraction and the velocity action are linearized jointly; G_x and G_f
-    are the chart Jacobians diff_u/diff_v of the step x' = oplus(x, dx).
+    retraction and the velocity action are linearized jointly; (G_x, G_f) is
+    the pair of chart Jacobians diff_v returns for the step x' = oplus(x, dx).
     Q must be square with the column count of df_dw, else DimensionError.
     """
     man = model.manifold
@@ -104,8 +104,7 @@ def predict(
     dx = dt * np.asarray(model.f(state.x, u, np.zeros(q)), dtype=float)
     if not np.all(np.isfinite(dx)):
         raise FloatingPointError("process model returned non-finite velocity")
-    zero_u = np.zeros(man.dim)
-    gx, gf = man.diff_u(state.x, zero_u, dx), man.diff_v(state.x, zero_u, dx)
+    gx, gf = man.diff_v(state.x, dx)
     fx = gx + dt * gf @ np.asarray(model.df_dx(state.x, u), dtype=float)
     fw = dt * gf @ df_dw
     p = fx @ state.P @ fx.T + fw @ Q @ fw.T
@@ -122,10 +121,10 @@ def update(
 ) -> Tuple[FilterState, UpdateDiagnostics]:
     """Iterated measurement update; returns (new FilterState, diagnostics).
 
-    Each iterate relinearizes h at the current estimate while keeping the
-    prior fixed; the prior is re-expressed in the chart at the iterate
-    through J, and the posterior moved into the chart at the final estimate
-    through L (both diff_u at zero velocity). The gain is in square-root
+    Each iterate relinearizes h at the current estimate x_j, keeping the
+    prior fixed: J = diff_u(x, dxj), dxj = boxminus(x_j, x), re-expresses
+    it in the chart at x_j, and L = diff_u(x_j, dxo) moves the posterior
+    into the chart at the final estimate. The gain is in square-root
     information form, so nothing m x m is formed: with P = L_P L_P^T,
     B = J L_P, w = 1/sigma, A = (w H) B and M = I + A^T A, the step is
     dxo = -J dxj + B M^-1 A^T (w r + (w H) J dxj) and the posterior is
@@ -155,7 +154,6 @@ def update(
         raise UpdateSolverError("prior covariance could not be factorized", cond) from exc
     w = 1.0 / np.sqrt(var)
     vzero = np.zeros(var.size)
-    zero_c = np.zeros(man.control_dim)
     diag = UpdateDiagnostics()
 
     xj = state.x
@@ -173,7 +171,7 @@ def update(
             jdx, b = np.zeros(n), l_prior
         else:
             dxj = man.boxminus(xj, state.x)
-            jmat = man.diff_u(state.x, dxj, zero_c)
+            jmat = man.diff_u(state.x, dxj)
             jdx, b = jmat @ dxj, jmat @ l_prior
         wh = w[:, None] * h_mat
         a = wh @ b
@@ -191,7 +189,7 @@ def update(
 
     # P+ = B M^-1 B^T = C^T C with C = L_M^-1 B^T; L moves it to the chart at x_next.
     # BLAS trsm, as LAPACK trtrs (solve_triangular) stalled for ms with 2 BLAS threads.
-    g = man.diff_u(xj, dxo, zero_c) @ scipy.linalg.blas.dtrsm(1.0, m_fac[0], b.T, lower=1).T
+    g = man.diff_u(xj, dxo) @ scipy.linalg.blas.dtrsm(1.0, m_fac[0], b.T, lower=1).T
     p_final = g @ g.T
     diag.iterations = j
     return FilterState(x_next, 0.5 * (p_final + p_final.T)), diag

@@ -10,10 +10,10 @@ geometry:
   for Euclidean space and the rotation group this coincides with boxplus,
   on the sphere it is the ambient rotation action.
 
-``diff_u`` and ``diff_v`` are the Jacobians of ``boxminus(oplus(boxplus(x, u),
-v), y)`` with respect to u and v, evaluated at the point ``y = oplus(
-boxplus(x, u), v)`` itself; the filter's process linearization and covariance
-reset both use them, and ``Sphere2`` writes them in closed form.
+``diff_u(x, u)`` = d[boxminus(boxplus(x, u + d), boxplus(x, u))]/dd at d = 0
+is the update's J and L (on SO(3), the right Jacobian A(u)^T); ``diff_v(x, v)``
+is the pair (G_x, G_v) of the step y = oplus(x, v), the derivatives at d = 0 of
+boxminus(oplus(boxplus(x, d), v), y) and boxminus(oplus(x, v + d), y).
 """
 from __future__ import annotations
 
@@ -39,10 +39,10 @@ class Manifold:
     def oplus(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def diff_u(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def diff_u(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def diff_v(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def diff_v(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def _check_shape(self, x: np.ndarray) -> None:
@@ -87,10 +87,11 @@ class Euclidean(Manifold):
 
     oplus = boxplus
 
-    def diff_u(self, x, u, v):
+    def diff_u(self, x, u):
         return np.eye(self.dim)
 
-    diff_v = diff_u
+    def diff_v(self, x, v):
+        return np.eye(self.dim), np.eye(self.dim)
 
     def __repr__(self):
         return f"Euclidean({self.dim})"
@@ -119,14 +120,13 @@ class SO3(Manifold):
 
     oplus = boxplus
 
-    def diff_u(self, x, u, v):
+    def diff_u(self, x, u):
         self._check_tangent(u)
-        self._check_control(v)
-        return so3.so3_exp(-v) @ so3.mat_a(u).T
+        return so3.mat_a(u).T
 
-    def diff_v(self, x, u, v):
+    def diff_v(self, x, v):
         self._check_control(v)
-        return so3.mat_a(v).T
+        return so3.so3_exp(-v), so3.mat_a(v).T
 
     def validate_point(self, x):
         self._check_shape(x)
@@ -139,12 +139,12 @@ class SO3(Manifold):
 class Sphere2(Manifold):
     """Sphere of radius r in R^3; tangent is R^2, velocities act by rotation.
 
-    No chart operator reads the radius; only ``validate_point`` does. With
-    w = B(x) u, z = Exp(v) Exp(w) x and A = ``so3.mat_a``, chaining the
-    derivative B(z)^T skew(z) / r^2 of boxminus(., z) at z with that of z gives
-    diff_u = B(z)^T Exp(v) A(w) B(x) and diff_v = B(z)^T Exp(v) A(v)^T, by
-    skew(z) Exp(v) Exp(w) = Exp(v) Exp(w) skew(x), skew(x)^2 = x x^T - r^2 I,
-    B(z)^T z = 0 and Exp(w) A(w)^T = A(w).
+    No chart operator reads the radius; only ``validate_point`` does. Chain
+    the derivative B(z)^T skew(z) / r^2 of boxminus(., z) at z with that of
+    z = R x, by skew(z) R = R skew(x), skew(x)^2 = x x^T - r^2 I, B(z)^T z = 0
+    and, with A = ``so3.mat_a``, Exp(w) A(w)^T = A(w). At v = 0, w = B(x) u
+    and R = Exp(w) give diff_u = B(z)^T A(w) B(x); at u = 0, R = Exp(v) and
+    C = B(z)^T R give diff_v = (C B(x), C A(v)^T).
     """
 
     dim = 2
@@ -171,21 +171,18 @@ class Sphere2(Manifold):
         self._check_control(v)
         return sphere.sphere_oplus(x, v)
 
-    def diff_u(self, x, u, v):
+    def diff_u(self, x, u):
         self._check_tangent(u)
-        self._check_control(v)
         b = sphere.sphere_basis(x)
         w = b @ u
-        rv = so3.so3_exp(v)
-        z = rv @ so3.so3_exp(w) @ x
-        return sphere.sphere_basis(z).T @ rv @ so3.mat_a(w) @ b
+        z = so3.so3_exp(w) @ x
+        return sphere.sphere_basis(z).T @ so3.mat_a(w) @ b
 
-    def diff_v(self, x, u, v):
-        self._check_tangent(u)
+    def diff_v(self, x, v):
         self._check_control(v)
         rv = so3.so3_exp(v)
-        z = rv @ sphere.sphere_boxplus(x, u)
-        return sphere.sphere_basis(z).T @ rv @ so3.mat_a(v).T
+        c = sphere.sphere_basis(rv @ x).T @ rv
+        return c @ sphere.sphere_basis(x), c @ so3.mat_a(v).T
 
     def validate_point(self, x):
         self._check_shape(x)
@@ -199,7 +196,7 @@ class Compound(Manifold):
     """Cartesian product of manifolds; all operators act blockwise.
 
     Points, tangents, and velocities are the concatenations of the parts'
-    vectors; ``diff_u``/``diff_v`` are block diagonal.
+    vectors; the chart Jacobians are block diagonal.
     """
 
     def __init__(self, parts):
@@ -232,17 +229,18 @@ class Compound(Manifold):
         self._check_control(v)
         return np.concatenate([p.oplus(x[rs], v[cs]) for p, rs, _, cs in self._table])
 
-    def diff_u(self, x, u, v):
+    def diff_u(self, x, u):
         out = np.zeros((self.dim, self.dim))
-        for p, rs, ts, cs in self._table:
-            out[ts, ts] = p.diff_u(x[rs], u[ts], v[cs])
+        for p, rs, ts, _ in self._table:
+            out[ts, ts] = p.diff_u(x[rs], u[ts])
         return out
 
-    def diff_v(self, x, u, v):
-        out = np.zeros((self.dim, self.control_dim))
+    def diff_v(self, x, v):
+        gx = np.zeros((self.dim, self.dim))
+        gv = np.zeros((self.dim, self.control_dim))
         for p, rs, ts, cs in self._table:
-            out[ts, cs] = p.diff_v(x[rs], u[ts], v[cs])
-        return out
+            gx[ts, ts], gv[ts, cs] = p.diff_v(x[rs], v[cs])
+        return gx, gv
 
     def validate_point(self, x):
         self._check_shape(x)

@@ -30,6 +30,12 @@ def fd_diff_v(man, x, u, v, eps=1e-6):
     )
 
 
+def fd_step_pair(man, x, v, eps=1e-6):
+    """FD oracle of diff_v(x, v): (G_x, G_v) of the step oplus(x, v)."""
+    zero = np.zeros(man.dim)
+    return fd_diff_u(man, x, zero, v, eps), fd_diff_v(man, x, zero, v, eps)
+
+
 def assert_close(a, b, tol=1e-5, floor=1e-7, msg=""):
     """Relative tolerance with an absolute floor, elementwise on the max norm."""
     a, b = np.asarray(a), np.asarray(b)

@@ -116,6 +116,24 @@ def test_non_finite_measurement_is_a_failed_trial(monkeypatch, nmax):
     assert rec.failure.startswith("step 1: measurement model returned non-finite values")
 
 
+def test_baseline_collapse_is_a_failed_trial(monkeypatch):
+    # q collapsing mid-trial is a numerical failure, not a programming error
+    normalize, calls = harness.qb.normalize_state, []
+
+    def collapse_third(x):
+        calls.append(x)
+        if len(calls) == 3:
+            x = x.copy()
+            x[harness.qb.BREP["q"]] = 0.0
+        return normalize(x)
+
+    monkeypatch.setattr(harness.qb, "normalize_state", collapse_third)
+    rec = run_trial(_short_cfg(filter="quat", duration=0.2))
+    assert rec.failed
+    assert rec.failure == "step 2: q collapsed to zero; cannot normalize"
+    assert rec.errors.shape[0] == 2
+
+
 def test_summarize_keys_and_failure_handling():
     cfg = _short_cfg(duration=0.5)
     good = run_trial(cfg)

@@ -6,7 +6,7 @@ from manikf.errors import ContractViolationError, DimensionError
 from manikf.manifolds import Compound, Euclidean, SO3, Sphere2, compound
 from manikf.so3 import so3_exp
 
-from helpers import assert_close, fd_diff_u, fd_diff_v
+from helpers import assert_close, fd_diff_u, fd_step_pair
 from manifold_samples import random_point
 
 
@@ -91,20 +91,30 @@ def test_closure_invariants():
 
 
 def test_diff_u_identity_cases():
+    # the update's first iterate takes J = I without calling diff_u; on R^n and
+    # SO(3) diff_u(x, 0) is exactly I, on S^2 it is B(x)^T B(x)
     rng = np.random.default_rng(4)
     man = Euclidean(3)
-    assert np.array_equal(man.diff_u(np.zeros(3), np.zeros(3), np.zeros(3)), np.eye(3))
+    assert np.array_equal(man.diff_u(np.zeros(3), np.zeros(3)), np.eye(3))
     so3 = SO3()
     x = random_point(so3, rng)
-    assert np.allclose(so3.diff_u(x, np.zeros(3), np.zeros(3)), np.eye(3), atol=1e-15)
+    assert np.array_equal(so3.diff_u(x, np.zeros(3)), np.eye(3))
     sph = Sphere2(2.5)
     x = random_point(sph, rng)
-    assert np.allclose(sph.diff_u(x, np.zeros(2), np.zeros(3)), np.eye(2), atol=1e-12)
+    assert np.allclose(sph.diff_u(x, np.zeros(2)), np.eye(2), atol=1e-12)
 
 
 def with_norm(rng, n, norm):
     u = rng.standard_normal(n)
     return norm * u / np.linalg.norm(u)
+
+
+def assert_diffs_match_fd(man, x, u, v, msg=""):
+    """diff_u(x, u) and both matrices of diff_v(x, v) against central differences."""
+    assert_close(man.diff_u(x, u), fd_diff_u(man, x, u, np.zeros(man.control_dim)),
+                 tol=1e-5, msg=f"diff_u {msg}")
+    for got, want, what in zip(man.diff_v(x, v), fd_step_pair(man, x, v), "xv"):
+        assert_close(got, want, tol=1e-5, msg=f"diff_v G_{what} {msg}")
 
 
 def test_diffs_match_fd():
@@ -116,20 +126,16 @@ def test_diffs_match_fd():
              0.6 * rng.standard_normal(man.control_dim))
             for _ in range(150)
         ]
-        # the filter's own calls, on both sides of SMALL_ANGLE = 1e-4:
-        # u = 0 in predict, v = 0 in the update's J and L
+        # both sides of SMALL_ANGLE = 1e-4, for the step's v and the update's u
         for norm in (5e-5, 2e-4, 2.5):
             for _ in range(10):
                 x = random_point(man, switch_rng)
-                cases.append((x, np.zeros(man.dim),
-                              with_norm(switch_rng, man.control_dim, norm)))
-                cases.append((x, with_norm(switch_rng, man.dim, norm),
-                              np.zeros(man.control_dim)))
+                v = with_norm(switch_rng, man.control_dim, norm)
+                cases.append((x, with_norm(switch_rng, man.dim, norm), v))
         for x, u, v in cases:
-            assert_close(man.diff_u(x, u, v), fd_diff_u(man, x, u, v),
-                         tol=1e-5, msg=f"diff_u {man} |u|={np.linalg.norm(u):.1e}")
-            assert_close(man.diff_v(x, u, v), fd_diff_v(man, x, u, v),
-                         tol=1e-5, msg=f"diff_v {man} |v|={np.linalg.norm(v):.1e}")
+            assert_diffs_match_fd(
+                man, x, u, v, f"{man} |u|={np.linalg.norm(u):.1e} |v|={np.linalg.norm(v):.1e}"
+            )
 
 
 def test_dimension_errors():
@@ -179,13 +185,14 @@ def test_compound_block_diagonal_exact():
         x = random_point(man, rng)
         u = 0.5 * rng.standard_normal(man.dim)
         v = 0.5 * rng.standard_normal(man.control_dim)
-        du = man.diff_u(x, u, v)
-        dv = man.diff_v(x, u, v)
+        du = man.diff_u(x, u)
+        gx, gv = man.diff_v(x, v)
         for i, ts_i in enumerate(man.tan_slices):
             for j, (ts_j, cs_j) in enumerate(zip(man.tan_slices, man.ctrl_slices)):
                 if i != j:
                     assert np.all(du[ts_i, ts_j] == 0.0)
-                    assert np.all(dv[ts_i, cs_j] == 0.0)
+                    assert np.all(gx[ts_i, ts_j] == 0.0)
+                    assert np.all(gv[ts_i, cs_j] == 0.0)
 
 
 def test_compound_diffs_match_fd():
@@ -195,8 +202,7 @@ def test_compound_diffs_match_fd():
         x = random_point(man, rng)
         u = 0.5 * rng.standard_normal(man.dim)
         v = 0.5 * rng.standard_normal(man.control_dim)
-        assert_close(man.diff_u(x, u, v), fd_diff_u(man, x, u, v), tol=1e-5)
-        assert_close(man.diff_v(x, u, v), fd_diff_v(man, x, u, v), tol=1e-5)
+        assert_diffs_match_fd(man, x, u, v)
 
 
 def test_compound_single_child_matches_child():
@@ -208,5 +214,6 @@ def test_compound_single_child_matches_child():
     v = rng.standard_normal(3)
     assert np.array_equal(man.boxplus(x, u), child.boxplus(x, u))
     assert np.array_equal(man.oplus(x, v), child.oplus(x, v))
-    assert np.allclose(man.diff_u(x, u, v), child.diff_u(x, u, v))
-    assert np.allclose(man.diff_v(x, u, v), child.diff_v(x, u, v))
+    assert np.allclose(man.diff_u(x, u), child.diff_u(x, u))
+    for got, want in zip(man.diff_v(x, v), child.diff_v(x, v)):
+        assert np.allclose(got, want)
