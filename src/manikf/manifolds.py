@@ -196,7 +196,9 @@ class Compound(Manifold):
     """Cartesian product of manifolds; all operators act blockwise.
 
     Points, tangents, and velocities are the concatenations of the parts'
-    vectors; the chart Jacobians are block diagonal.
+    vectors; the chart Jacobians are block diagonal. The ``Euclidean`` parts
+    are one index block, on which the operators are vector + and - and the
+    Jacobians the identity; only the curved parts are called one by one.
     """
 
     def __init__(self, parts):
@@ -209,28 +211,46 @@ class Compound(Manifold):
         self.rep_slices = _slices(p.rep_dim for p in self.parts)
         self.tan_slices = _slices(p.dim for p in self.parts)
         self.ctrl_slices = _slices(p.control_dim for p in self.parts)
-        # (part, rep slice, tangent slice, velocity slice), read by every operator
-        self._table = tuple(
-            zip(self.parts, self.rep_slices, self.tan_slices, self.ctrl_slices)
+        flat = [type(p) is Euclidean for p in self.parts]
+        # rep, tangent and velocity indices of the Euclidean parts, in step
+        self._er, self._et, self._ec = (
+            _indices(sl for sl, f in zip(slices, flat) if f)
+            for slices in (self.rep_slices, self.tan_slices, self.ctrl_slices)
         )
+        # (part, rep slice, tangent slice, velocity slice) of the curved parts
+        table = zip(self.parts, self.rep_slices, self.tan_slices, self.ctrl_slices)
+        self._table = tuple(row for row, f in zip(table, flat) if not f)
 
     def boxplus(self, x, u):
         self._check_shape(x)
         self._check_tangent(u)
-        return np.concatenate([p.boxplus(x[rs], u[ts]) for p, rs, ts, _ in self._table])
+        out = x.copy()
+        out[self._er] += u[self._et]
+        for p, rs, ts, _ in self._table:
+            out[rs] = p.boxplus(x[rs], u[ts])
+        return out
 
     def boxminus(self, y, x):
         self._check_shape(y)
         self._check_shape(x)
-        return np.concatenate([p.boxminus(y[rs], x[rs]) for p, rs, _, _ in self._table])
+        out = np.empty(self.dim)
+        out[self._et] = y[self._er] - x[self._er]
+        for p, rs, ts, _ in self._table:
+            out[ts] = p.boxminus(y[rs], x[rs])
+        return out
 
     def oplus(self, x, v):
         self._check_shape(x)
         self._check_control(v)
-        return np.concatenate([p.oplus(x[rs], v[cs]) for p, rs, _, cs in self._table])
+        out = x.copy()
+        out[self._er] += v[self._ec]
+        for p, rs, _, cs in self._table:
+            out[rs] = p.oplus(x[rs], v[cs])
+        return out
 
     def diff_u(self, x, u):
         out = np.zeros((self.dim, self.dim))
+        out[self._et, self._et] = 1.0
         for p, rs, ts, _ in self._table:
             out[ts, ts] = p.diff_u(x[rs], u[ts])
         return out
@@ -238,12 +258,13 @@ class Compound(Manifold):
     def diff_v(self, x, v):
         gx = np.zeros((self.dim, self.dim))
         gv = np.zeros((self.dim, self.control_dim))
+        gx[self._et, self._et] = gv[self._et, self._ec] = 1.0
         for p, rs, ts, cs in self._table:
             gx[ts, ts], gv[ts, cs] = p.diff_v(x[rs], v[cs])
         return gx, gv
 
     def validate_point(self, x):
-        self._check_shape(x)
+        self._check_shape(x)  # all a Euclidean part checks
         for p, rs, _, _ in self._table:
             p.validate_point(x[rs])
 
@@ -257,6 +278,10 @@ def _slices(dims) -> tuple:
         out.append(slice(start, start + d))
         start += d
     return tuple(out)
+
+
+def _indices(slices) -> np.ndarray:
+    return np.array([i for sl in slices for i in range(sl.start, sl.stop)], dtype=np.intp)
 
 
 def compound(*parts: Manifold) -> Compound:

@@ -6,13 +6,14 @@ by rotation so the radius is preserved exactly.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolationError, CutLocusError
 from .so3 import mat_a, skew, so3_exp
 
 RADIUS_TOL = 1e-6  # relative norm error check_sphere accepts
-_E = np.eye(3)
 
 
 def check_sphere(x: np.ndarray, r: float) -> None:
@@ -34,13 +35,23 @@ def sphere_basis(x: np.ndarray) -> np.ndarray:
     The largest component of a unit vector is at least -1/sqrt(3), so
     1 + c >= 1 - 1/sqrt(3) > 0.42 and no x needs a special case.
     """
-    n = x / np.linalg.norm(x)
-    i = int(np.argmax(n))
+    n = (x / math.sqrt(x.dot(x))).tolist()  # the sum np.linalg.norm takes
+    c = max(n)
+    i = n.index(c)  # the first largest, as np.argmax
     j, k = (i + 1) % 3, (i + 2) % 3
-    w = np.zeros(3)
-    w[j], w[k] = -n[k], n[j]
-    rot = n[i] * _E + skew(w) + np.outer(w, w) / (1.0 + n[i])
-    return rot[:, [j, k]]
+    wj, wk, d, z = -n[k], n[j], 1.0 + c, c * 0.0  # w_i = 0; z off the diagonal of c I
+    # columns j, k of c I + skew(w) + w w^T / (1 + c), each entry summed in that
+    # order so that even the signs of zeros match; F-ordered as that column
+    # slice is, since the BLAS products that take B round differently on a
+    # C-ordered copy of the same values, and the filter's records would change
+    b = np.empty((3, 2), order="F")
+    b[i, 0] = (z - wk) + 0.0 * wj / d
+    b[j, 0] = c + wj * wj / d
+    b[k, 0] = wk * wj / d + 0.0
+    b[i, 1] = (z + wj) + 0.0 * wk / d
+    b[j, 1] = z + wj * wk / d
+    b[k, 1] = c + wk * wk / d
+    return b
 
 
 def sphere_boxplus(x: np.ndarray, u: np.ndarray) -> np.ndarray:

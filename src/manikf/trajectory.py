@@ -22,6 +22,8 @@ SCENARIOS = ("static", "circle", "fast-rotation")
 # p, v, R, b_a, b_w, g, R_ext, p_ext
 DEFAULT_INIT_SIGMA = (0.1, 0.1, 0.05, 0.02, 0.002, 0.03, 0.03, 0.05)
 
+SIGMAS = ("sigma_a", "sigma_w", "sigma_ba", "sigma_bw", "sigma_feature")
+
 TRUE_EXT_ROT = (0.10, 0.20, -0.15)  # rotation vector, rad
 TRUE_EXT_POS = (0.10, -0.05, 0.08)  # m
 
@@ -50,9 +52,13 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ContractViolationError(f"unknown scenario {self.scenario!r}")
+        # NaN fails no sign or range check below, and inf overflows n_steps
+        for name in ("duration", "dt", "peak_rate", *SIGMAS, "init_sigma"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ContractViolationError(f"{name} must be finite")
         if not (self.dt > 0.0 and self.duration >= self.dt):
             raise ContractViolationError("need dt > 0 and duration >= dt")
-        for name in ("sigma_a", "sigma_w", "sigma_ba", "sigma_bw", "sigma_feature"):
+        for name in SIGMAS:
             if getattr(self, name) < 0.0:
                 raise ContractViolationError(f"{name} must be non-negative")
         if self.filter not in ("ikfom", "quat"):

@@ -82,13 +82,19 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert main(["compare", *FAST, "--trials", "-2", "--out", out]) == 2
     cfg_file.write_text(json.dumps({"scenario": "static", "trials": 0}))
     assert main(["montecarlo", "--config", str(cfg_file), "--out", out]) == 2
-    # sizes that would crash the run or be silently clamped, and numbers
-    # that would be silently truncated or read from a boolean
+    # sizes that would crash the run or be silently clamped, numbers that
+    # would be silently truncated or read from a boolean, and non-finite
+    # numbers (json reads NaN and Infinity), which would end as a numerical
+    # failure, an OverflowError or a run that ignores them
+    nan, inf = float("nan"), float("inf")
     for bad in ({"points_per_update": 0}, {"n_planes": 0}, {"nmax": -1},
                 {"sigma_feature": 0.0}, {"nmax": 2.9}, {"trials": 2.5},
-                {"points_per_update": 3.7}, {"seed": True}, {"dt": True}):
+                {"points_per_update": 3.7}, {"seed": True}, {"dt": True},
+                {"sigma_a": nan}, {"sigma_feature": inf}, {"duration": inf},
+                {"dt": nan}, {"peak_rate": nan}, {"sigma_bw": -inf}):
         cfg_file.write_text(json.dumps({"scenario": "circle", **bad}))
         assert main(["simulate", "--config", str(cfg_file), "--out", out]) == 2
+    assert main(["simulate", *FAST, "--duration", "inf", "--out", out]) == 2
 
 
 def test_config_file_sets_every_scalar_field(tmp_path):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from manikf.errors import ContractViolationError, DimensionError
+from manikf.lidar_inertial import state_manifold
 from manikf.manifolds import Compound, Euclidean, SO3, Sphere2, compound
 from manikf.so3 import so3_exp
 
@@ -217,3 +218,57 @@ def test_compound_single_child_matches_child():
     assert np.allclose(man.diff_u(x, u), child.diff_u(x, u))
     for got, want in zip(man.diff_v(x, v), child.diff_v(x, v)):
         assert np.allclose(got, want)
+
+
+def _from_parts(man, x, y, u, v):
+    """Each Compound operator as the concatenation or block diagonal of its
+    parts' own operators, in the order the compound returns them."""
+    table = list(zip(man.parts, man.rep_slices, man.tan_slices, man.ctrl_slices))
+    du = np.zeros((man.dim, man.dim))
+    gx = np.zeros((man.dim, man.dim))
+    gv = np.zeros((man.dim, man.control_dim))
+    for p, rs, ts, cs in table:
+        du[ts, ts] = p.diff_u(x[rs], u[ts])
+        gx[ts, ts], gv[ts, cs] = p.diff_v(x[rs], v[cs])
+    return (
+        np.concatenate([p.boxplus(x[rs], u[ts]) for p, rs, ts, _ in table]),
+        np.concatenate([p.boxminus(y[rs], x[rs]) for p, rs, _, _ in table]),
+        np.concatenate([p.oplus(x[rs], v[cs]) for p, rs, _, cs in table]),
+        du, gx, gv,
+    )
+
+
+def test_compound_matches_its_parts_bitwise():
+    # the Euclidean parts are one index block inside Compound; every operator
+    # must still equal its parts' own, bit for bit
+    rng = np.random.default_rng(12)
+    for man in (
+        compound(Euclidean(2), SO3(), Euclidean(1), Sphere2(9.81), Euclidean(3)),
+        compound(Euclidean(2), Euclidean(3)),
+        compound(SO3(), Sphere2(1.0), SO3()),
+        state_manifold(),
+    ):
+        for norm in (0.0, 5e-5, 2e-4, 2.5):
+            for _ in range(10):
+                x = random_point(man, rng)
+                y = random_point(man, rng, near=x)
+                u = with_norm(rng, man.dim, norm)
+                v = with_norm(rng, man.control_dim, norm)
+                got = (man.boxplus(x, u), man.boxminus(y, x), man.oplus(x, v),
+                       man.diff_u(x, u), *man.diff_v(x, v))
+                for what, g, w in zip(("boxplus", "boxminus", "oplus", "diff_u", "G_x", "G_v"),
+                                      got, _from_parts(man, x, y, u, v)):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), (man, what, norm)
+
+
+def test_compound_validate_point_checks_every_part():
+    man = compound(Euclidean(2), SO3(), Euclidean(1), Sphere2(9.81), Euclidean(3))
+    x = random_point(man, np.random.default_rng(13))
+    man.validate_point(x)
+    for rs in man.rep_slices[1], man.rep_slices[3]:
+        bad = x.copy()
+        bad[rs] *= 2.0
+        with pytest.raises(ContractViolationError):
+            man.validate_point(bad)
+    with pytest.raises(DimensionError):
+        man.validate_point(x[:-1])

@@ -4,7 +4,7 @@ import pytest
 
 from manikf.errors import ContractViolationError, CutLocusError
 from manikf.manifolds import Sphere2
-from manikf.so3 import so3_exp
+from manikf.so3 import skew, so3_exp
 from manikf.sphere import (
     check_sphere,
     sphere_basis,
@@ -65,6 +65,48 @@ def test_basis_near_axes():
                     x += scale * rng.standard_normal(3)
                     x *= r / np.linalg.norm(x)
                     assert np.max(np.abs(sphere_basis(x).T @ x)) <= 1e-14 * r
+
+
+def _basis_expression(x):
+    """Columns j, k of c I + skew(w) + w w^T / (1 + c), as matrices."""
+    n = x / np.linalg.norm(x)
+    i = int(np.argmax(n))
+    j, k = (i + 1) % 3, (i + 2) % 3
+    w = np.zeros(3)
+    w[j], w[k] = -n[k], n[j]
+    rot = n[i] * np.eye(3) + skew(w) + np.outer(w, w) / (1.0 + n[i])
+    return rot[:, [j, k]]
+
+
+def test_basis_matches_matrix_expression():
+    # bitwise, signs of zeros included, and F-ordered as the column slice is:
+    # the BLAS products that take B round differently on a C-ordered copy
+    rng = np.random.default_rng(11)
+    points = []
+    for r in (1e-3, 1.0, 9.81):
+        v = rng.standard_normal((10_000, 3))
+        points += list(r * v / np.linalg.norm(v, axis=1, keepdims=True))
+        for i in range(3):
+            for axis in (r * np.eye(3)[i], -r * np.eye(3)[i]):
+                points.append(axis)
+                points.append(np.where(axis == 0.0, -0.0, axis))
+                for scale in (1e-15, 1e-12, 1e-9):
+                    points.append(axis + scale * r * rng.standard_normal(3))
+                    off = axis.copy()
+                    off[(i + 1) % 3] = -scale * r
+                    points.append(off)
+    for _ in range(2_000):
+        v = -np.abs(rng.standard_normal(3))  # a negative dominant component
+        points.append(v)
+        for zero in (0.0, -0.0):  # a zeroed dominant component
+            z = v.copy()
+            z[rng.integers(3)] = zero
+            points.append(z)
+    points.append(-np.ones(3))
+    for x in points:
+        got, want = sphere_basis(x), _basis_expression(x)
+        assert got.shape == (3, 2) and got.flags.f_contiguous, x
+        assert got.tobytes() == want.tobytes(), x
 
 
 def test_boxplus_zero():

@@ -83,3 +83,21 @@ def test_traced_models_predict_and_update():
         assert "model." + name in called, name
     # the additive-noise update never calls dh_dv, but the tracer still wraps it
     assert "model.dh_dv" in tracer.names
+
+
+def test_traced_chart_jacobians_count_sphere_basis():
+    # Sphere2 finds the basis as sphere.sphere_basis, where the tracer wraps
+    # it; a by-name import into manifolds would drop it from the layer metrics
+    tracing = _load_tracing()
+    prog = _prog()
+    li = prog.lidar_inertial
+    z3, eye = np.zeros(3), np.eye(3)
+    x = li.make_state(z3, z3, eye, z3, z3, [0.0, 0.0, -li.GRAVITY], eye, z3)
+    man = li.state_manifold()
+    tracer = tracing.Tracer()
+    with tracer.installed(prog):
+        man.diff_u(x, np.full(man.dim, 0.01))
+        man.diff_v(x, np.full(man.control_dim, 0.01))
+    for root in ("manifolds.diff_u", "manifolds.diff_v"):
+        calls, _ = tracer.self_times(root)[0]["sphere.basis"]
+        assert calls == 2, root

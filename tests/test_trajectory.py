@@ -35,6 +35,15 @@ def test_config_validation():
         {"points_per_update": -3},
         {"n_planes": 0},
         {"nmax": -1},
+        # non-finite values pass every sign and range check by themselves
+        {"sigma_a": float("nan")},
+        {"sigma_feature": float("inf")},
+        {"duration": float("inf")},
+        {"dt": float("nan")},
+        {"peak_rate": float("nan")},
+        {"peak_rate": -float("inf")},
+        {"init_sigma": (0.1,) * 7 + (float("nan"),)},
+        {"init_sigma": (float("inf"),) * 8},
     ):
         with pytest.raises(ContractViolationError):
             dataclasses.replace(ScenarioConfig(), **bad).validate()
