@@ -15,7 +15,8 @@ class CutLocusError(ArithmeticError):
 
 class UpdateSolverError(RuntimeError):
     """The update's prior covariance P has no Cholesky factor (``condition``
-    is cond(P), infinite if P is singular), or h returned non-finite values."""
+    is cond(P), infinite if P is singular), its gain matrix I + A^T A has no
+    finite one, or h returned non-finite values."""
 
     def __init__(self, message, condition=float("inf")):
         super().__init__(f"{message} (cond ~ {condition:.3e})")

@@ -133,8 +133,8 @@ def update(
     the posterior at the iterate (a rule free of the state's units), taken
     as v^T M v with v = B^-1 dxo = y - L_P^-1 dxj and y = M^-1 A^T (...).
     A non-diagonal R, a non-positive variance or a ``z`` not shaped like
-    h's output raises DimensionError; a P without a finite Cholesky factor,
-    or a non-finite residual or Jacobian, raises UpdateSolverError.
+    h's output raises DimensionError; a P or an M without a finite Cholesky
+    factor, or a non-finite residual or Jacobian, raises UpdateSolverError.
     """
     if config is None:
         config = UpdateConfig()
@@ -176,8 +176,12 @@ def update(
         wh = w[:, None] * h_mat
         a = wh @ b
         m_mat = np.eye(n) + a.T @ a
-        m_fac = scipy.linalg.cho_factor(m_mat, lower=True)
-        y = scipy.linalg.cho_solve(m_fac, a.T @ (w * r + wh @ jdx))
+        # LAPACK's own Cholesky, as cho_factor/cho_solve call it, without their
+        # wrapper cost; the factor's finiteness check replaces their check_finite
+        m_fac, info = scipy.linalg.lapack.dpotrf(m_mat, lower=1, clean=0)
+        if info != 0 or not np.isfinite(m_fac).all():
+            raise UpdateSolverError("gain matrix I + A^T A could not be factorized")
+        y = scipy.linalg.lapack.dpotrs(m_fac, a.T @ (w * r + wh @ jdx), lower=1)[0]
         dxo = b @ y - jdx
         x_next = man.boxplus(xj, dxo)
         # v^T M v, not |L_M^T v|^2: OpenBLAS runs trmv on 2 threads even at n = 23
@@ -189,7 +193,7 @@ def update(
 
     # P+ = B M^-1 B^T = C^T C with C = L_M^-1 B^T; L moves it to the chart at x_next.
     # BLAS trsm, as LAPACK trtrs (solve_triangular) stalled for ms with 2 BLAS threads.
-    g = man.diff_u(xj, dxo) @ scipy.linalg.blas.dtrsm(1.0, m_fac[0], b.T, lower=1).T
+    g = man.diff_u(xj, dxo) @ scipy.linalg.blas.dtrsm(1.0, m_fac, b.T, lower=1).T
     p_final = g @ g.T
     diag.iterations = j
     return FilterState(x_next, 0.5 * (p_final + p_final.T)), diag

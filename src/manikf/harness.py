@@ -53,10 +53,15 @@ def _init_state(man, truth0: np.ndarray, cfg: ScenarioConfig, trial: int):
 
 
 def _nees(err: np.ndarray, p: np.ndarray) -> float:
-    try:
-        return float(err @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(p), err))
-    except scipy.linalg.LinAlgError:
+    """err^T p^-1 err through LAPACK's upper Cholesky, as cho_factor/cho_solve
+    take it; inf if p is not positive definite, ValueError if p or err is
+    not finite (the check_finite those wrappers make)."""
+    if not (np.isfinite(p).all() and np.isfinite(err).all()):
+        raise ValueError("NEES of a non-finite error or covariance")
+    fac, info = scipy.linalg.lapack.dpotrf(p, clean=0)
+    if info != 0:
         return float("inf")  # failure to factor counts as an inconsistency event
+    return float(err @ scipy.linalg.lapack.dpotrs(fac, err)[0])
 
 
 def _identity(x: np.ndarray) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 Everything operates on plain numpy arrays: rotation vectors are shape (3,),
 rotations are 3x3 matrices. All closed forms switch to Taylor series below
-``SMALL_ANGLE`` because they divide by the rotation angle.
+``SMALL_ANGLE`` because they divide by the rotation angle. The scalar
+arithmetic runs on Python floats (read with ``tolist``, ``math`` functions),
+which round as numpy's float64 scalars do at a fraction of their call cost.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,7 +22,7 @@ _I3 = np.eye(3)
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix of a 3-vector: skew(v) @ w == cross(v, w)."""
-    x, y, z = v
+    x, y, z = v.tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -35,7 +39,7 @@ def vee(m: np.ndarray) -> np.ndarray:
 
 def _rodrigues(w: np.ndarray, a: float, b: float) -> np.ndarray:
     """I + a*skew(w) + b*skew(w)^2 without forming the skew matrices."""
-    x, y, z = w
+    x, y, z = w.tolist()
     bxy, bxz, byz = b * x * y, b * x * z, b * y * z
     return np.array(
         [
@@ -48,23 +52,34 @@ def _rodrigues(w: np.ndarray, a: float, b: float) -> np.ndarray:
 
 def so3_exp(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula: rotation matrix for rotation vector w."""
-    theta2 = float(w @ w)
-    theta = np.sqrt(theta2)
+    theta2 = float(w.dot(w))
+    theta = math.sqrt(theta2)
     if theta < SMALL_ANGLE:
         a = 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0
         b = 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0
     else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta2
+        a = math.sin(theta) / theta
+        b = (1.0 - math.cos(theta)) / theta2
     return _rodrigues(w, a, b)
 
 
 def check_rotation(r: np.ndarray) -> None:
-    """Raise unless r is orthonormal with determinant +1."""
+    """Raise unless r is orthonormal with determinant +1.
+
+    The orthonormality error is the Frobenius norm of r^T r - I, from the
+    column inner products; the determinant is the cofactor expansion along
+    the first row. A NaN fails neither comparison, as with numpy's norm and det.
+    """
     if r.shape != (3, 3):
         raise ContractViolationError(f"rotation must be 3x3, got {r.shape}")
-    err = np.linalg.norm(r.T @ r - _I3)
-    if err > ROTATION_TOL or abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    # entries of r^T r - I: squared column norms less 1, and the column dots
+    n0, n1, n2 = (a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0,
+                  c * c + f * f + i * i - 1.0)
+    d01, d02, d12 = a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i
+    err = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2 + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12))
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if err > ROTATION_TOL or abs(det - 1.0) > ROTATION_TOL:
         raise ContractViolationError(
             f"matrix is not a rotation (orthonormality error {err:.2e})"
         )
@@ -74,13 +89,16 @@ def so3_log(r: np.ndarray) -> np.ndarray:
     """Rotation vector of a rotation matrix, angle in [0, pi].
 
     Near the angle-pi cut the axis is recovered from the dominant diagonal
-    of (R+I)/2, where the generic sin-based formula degenerates.
+    of (R+I)/2, where the generic sin-based formula degenerates. The angle
+    stays np.arctan2: math.atan2 rounds differently on some inputs.
     """
     check_rotation(r)
-    s_vec = vee(r - r.T) / 2.0  # sin(theta) * axis
-    s = float(np.linalg.norm(s_vec))
-    c = (np.trace(r) - 1.0) / 2.0
-    theta = np.arctan2(s, c)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    # sin(theta) * axis
+    s_vec = np.array([(r21 - r12) / 2.0, (r02 - r20) / 2.0, (r10 - r01) / 2.0])
+    s = math.sqrt(s_vec.dot(s_vec))  # the sum np.linalg.norm takes
+    c = (r00 + r11 + r22 - 1.0) / 2.0  # np.trace's summation order
+    theta = float(np.arctan2(s, c))
     if c <= -1.0 + 1e-6:
         if s > 1e-6:
             # sin(theta) still carries the axis accurately here
@@ -103,14 +121,14 @@ def mat_a(u: np.ndarray) -> np.ndarray:
 
     Satisfies Exp(u + d) = Exp(u) (I + skew(A(u)^T d)) to first order.
     """
-    theta2 = float(u @ u)
-    theta = np.sqrt(theta2)
+    theta2 = float(u.dot(u))
+    theta = math.sqrt(theta2)
     if theta < SMALL_ANGLE:
         b = 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0
         c = 1.0 / 6.0 - theta2 / 120.0 + theta2 * theta2 / 5040.0
     else:
         # 1 - cos(theta) cancels for small theta, and b scales skew(u) ~ theta
-        s = np.sin(0.5 * theta)
+        s = math.sin(0.5 * theta)
         b = 2.0 * s * s / theta2
-        c = (1.0 - np.sin(theta) / theta) / theta2
+        c = (1.0 - math.sin(theta) / theta) / theta2
     return _rodrigues(u, b, c)

@@ -66,7 +66,7 @@ def sphere_boxminus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     path; that case raises CutLocusError.
     """
     cx = skew(x) @ y
-    s = float(np.linalg.norm(cx))
+    s = math.sqrt(cx.dot(cx))  # the sum np.linalg.norm takes
     c = float(x @ y)
     if s < 1e-9 * float(x @ x):
         if c < 0.0:

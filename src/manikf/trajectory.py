@@ -61,6 +61,8 @@ class ScenarioConfig:
         for name in SIGMAS:
             if getattr(self, name) < 0.0:
                 raise ContractViolationError(f"{name} must be non-negative")
+        if self.seed < 0:  # the trial streams are seeded with seed ^ trial
+            raise ContractViolationError("seed must be non-negative")
         if self.filter not in ("ikfom", "quat"):
             raise ContractViolationError(f"unknown filter {self.filter!r}")
         if self.baseline_mode not in ("hard", "augmented"):
@@ -69,6 +71,8 @@ class ScenarioConfig:
             )
         if len(self.init_sigma) != len(BLOCKS):
             raise ContractViolationError("init_sigma needs one entry per state block")
+        if min(self.init_sigma) < 0.0:  # init_cov squares them
+            raise ContractViolationError("init_sigma entries must be non-negative")
         for name in ("points_per_update", "n_planes"):
             if getattr(self, name) < 1:
                 raise ContractViolationError(f"{name} must be at least 1")

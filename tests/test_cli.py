@@ -91,10 +91,11 @@ def test_unknown_config_key_is_rejected(tmp_path):
                 {"sigma_feature": 0.0}, {"nmax": 2.9}, {"trials": 2.5},
                 {"points_per_update": 3.7}, {"seed": True}, {"dt": True},
                 {"sigma_a": nan}, {"sigma_feature": inf}, {"duration": inf},
-                {"dt": nan}, {"peak_rate": nan}, {"sigma_bw": -inf}):
+                {"dt": nan}, {"peak_rate": nan}, {"sigma_bw": -inf}, {"seed": -1}):
         cfg_file.write_text(json.dumps({"scenario": "circle", **bad}))
         assert main(["simulate", "--config", str(cfg_file), "--out", out]) == 2
     assert main(["simulate", *FAST, "--duration", "inf", "--out", out]) == 2
+    assert main(["simulate", *FAST, "--seed", "-1", "--out", out]) == 2
 
 
 def test_config_file_sets_every_scalar_field(tmp_path):

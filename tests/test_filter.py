@@ -335,6 +335,16 @@ def test_non_finite_prior_raises(bad):
     assert np.isinf(exc.value.condition)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, np.finfo(float).max])
+def test_overflowing_gain_matrix_raises(scale):
+    # a finite dh_dx this large overflows A^T A; LAPACK's Cholesky alone would
+    # return a non-finite factor without an error
+    model = _linear_model(np.zeros((2, 2)), np.full((2, 2), scale), 2, 2)
+    with pytest.raises(UpdateSolverError, match="gain matrix"):
+        update(model, FilterState(np.zeros(2), np.eye(2)), np.ones(2), np.eye(2))
+
+
 def test_update_rejects_correlated_or_nonpositive_noise():
     # the gain weighs each row by 1/sigma, so R must be a positive diagonal
     model = _linear_model(np.zeros((2, 2)), np.eye(2), 2, 2)

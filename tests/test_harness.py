@@ -84,13 +84,14 @@ def test_failure_is_recorded_not_raised():
     assert rec.errors.shape[0] == 1  # truncated at the failure
 
 
-def _with_measurement(monkeypatch, wrap):
-    """Make run_trial use a lidar-inertial model whose h is wrap(h)."""
+def _with_measurement(monkeypatch, wrap, field="h"):
+    """Make run_trial use a lidar-inertial model whose h (or another
+    field) is wrap(h)."""
     factory = harness.lidar_inertial_model
 
     def patched(*args, **kwargs):
         model = factory(*args, **kwargs)
-        return dataclasses.replace(model, h=wrap(model.h))
+        return dataclasses.replace(model, **{field: wrap(getattr(model, field))})
 
     monkeypatch.setattr(harness, "lidar_inertial_model", patched)
 
@@ -114,6 +115,35 @@ def test_non_finite_measurement_is_a_failed_trial(monkeypatch, nmax):
     rec = run_trial(_short_cfg(duration=0.2, nmax=nmax))
     assert rec.failed
     assert rec.failure.startswith("step 1: measurement model returned non-finite values")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_gain_is_a_failed_trial(monkeypatch):
+    # a finite but huge dh_dx overflows the gain matrix I + A^T A
+    _with_measurement(monkeypatch, lambda dh: lambda x, ctx: 1e200 * dh(x, ctx), "dh_dx")
+    rec = run_trial(_short_cfg(duration=0.2))
+    assert rec.failed
+    assert rec.failure.startswith("step 1: gain matrix I + A^T A could not be factorized")
+    assert rec.errors.shape[0] == 1
+
+
+def test_nees_contract():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 5))
+    p, err = a @ a.T + np.eye(5), rng.standard_normal(5)
+    assert_close(harness._nees(err, p), err @ np.linalg.solve(p, err), tol=1e-13)
+    # a covariance without a Cholesky factor counts as an inconsistency event
+    assert harness._nees(err[:2], np.diag([1.0, -1.0])) == np.inf
+    assert harness._nees(err[:2], np.zeros((2, 2))) == np.inf
+    # non-finite input is an error, wherever it sits
+    for bad in (np.nan, np.inf):
+        for i, j in ((0, 0), (3, 1), (1, 3)):
+            q = p.copy()
+            q[i, j] = bad
+            with pytest.raises(ValueError):
+                harness._nees(err, q)
+        with pytest.raises(ValueError):
+            harness._nees(np.full(5, bad), p)
 
 
 def test_baseline_collapse_is_a_failed_trial(monkeypatch):

@@ -3,9 +3,14 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from manikf.errors import ContractViolationError
 from manikf.so3 import (
+    ROTATION_TOL,
+    SMALL_ANGLE,
+    check_rotation,
     cross_rows,
     mat_a,
     skew,
@@ -153,3 +158,145 @@ def test_mat_a_closed_form_is_accurate_above_switch(theta):
         v = rng.standard_normal(3)
         u = theta * v / np.linalg.norm(v)
         assert np.max(np.abs(mat_a(u) - _mat_a_50_digits(u))) < 1e-15
+
+
+# The kernels' earlier formulas, on numpy float64 scalars (np.sqrt, np.sin,
+# np.cos, np.linalg.norm, np.trace, the matrix form of the rotation check).
+# The kernels now do the same arithmetic on Python floats; libm's sin/cos may
+# round differently from numpy's on some platforms, so the comparison allows
+# a few ulp of the result's scale instead of asking for equal bits.
+
+
+def _np_skew(v):
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _np_rodrigues(w, a, b):
+    x, y, z = w
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    return np.array(
+        [
+            [1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y],
+            [bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x],
+            [bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)],
+        ]
+    )
+
+
+def _np_exp(w):
+    theta2 = float(w @ w)
+    theta = np.sqrt(theta2)
+    if theta < SMALL_ANGLE:
+        a = 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0
+        b = 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / theta2
+    return _np_rodrigues(w, a, b)
+
+
+def _np_mat_a(u):
+    theta2 = float(u @ u)
+    theta = np.sqrt(theta2)
+    if theta < SMALL_ANGLE:
+        b = 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0
+        c = 1.0 / 6.0 - theta2 / 120.0 + theta2 * theta2 / 5040.0
+    else:
+        s = np.sin(0.5 * theta)
+        b = 2.0 * s * s / theta2
+        c = (1.0 - np.sin(theta) / theta) / theta2
+    return _np_rodrigues(u, b, c)
+
+
+def _np_log(r):
+    s_vec = vee(r - r.T) / 2.0
+    s = float(np.linalg.norm(s_vec))
+    c = (np.trace(r) - 1.0) / 2.0
+    theta = np.arctan2(s, c)
+    if c <= -1.0 + 1e-6:
+        if s > 1e-6:
+            return theta * (s_vec / s)
+        q = ((r + r.T) / 2.0 + np.eye(3)) / 2.0
+        i = int(np.argmax(np.diag(q)))
+        axis = q[:, i] / np.sqrt(max(q[i, i], 1e-300))
+        axis /= np.linalg.norm(axis)
+        if s > 1e-12 and axis @ s_vec < 0.0:
+            axis = -axis
+        return theta * axis
+    if theta < SMALL_ANGLE:
+        return s_vec * (1.0 + theta * theta / 6.0)
+    return s_vec * (theta / s)
+
+
+def _np_is_rotation(r):
+    err = np.linalg.norm(r.T @ r - np.eye(3))
+    return not (err > ROTATION_TOL or abs(np.linalg.det(r) - 1.0) > ROTATION_TOL)
+
+
+def _kernel_inputs():
+    """Random rotation vectors plus every switch point of the kernels."""
+    rng = np.random.default_rng(41)
+    unit = rng.standard_normal((400, 3))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    angles = [
+        *rng.uniform(0.0, np.pi, 100),
+        *(10.0 ** rng.uniform(-9.0, 0.0, 100)),
+        *(SMALL_ANGLE * (1.0 + f) for f in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)),
+        # so3_log's c <= -1 + 1e-6 branch starts ~1.41e-3 below pi; its
+        # s <= 1e-6 sub-branch ~1e-6 below
+        *(np.pi - d for d in (1e-1, 1.5e-3, 1.4e-3, 1e-4, 1e-6, 1e-7, 1e-9, 0.0)),
+        2.0 * np.pi - 1e-3,
+    ]
+    return [angle * unit[i % len(unit)] for i, angle in enumerate(angles)] + [np.zeros(3)]
+
+
+def _assert_ulp_close(got, want, ulps=4):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= ulps * np.spacing(scale), (got, want)
+
+
+def test_kernels_match_numpy_scalar_formulas():
+    for w in _kernel_inputs():
+        assert np.array_equal(skew(w), _np_skew(w))
+        _assert_ulp_close(so3_exp(w), _np_exp(w))
+        _assert_ulp_close(mat_a(w), _np_mat_a(w))
+        r = _np_exp(w)
+        _assert_ulp_close(so3_log(r), _np_log(r))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    w=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+    kind=st.sampled_from(["noise", "scale", "reflection"]),
+    log_size=st.floats(-2.0, 2.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+)
+def test_check_rotation_verdict_matches_matrix_form(w, kind, log_size, sign, direction):
+    r = so3_exp(np.array(w))
+    size = sign * ROTATION_TOL * 10.0**log_size  # 0.01 to 100 times the tolerance
+    if kind == "noise":
+        r = r + size * np.reshape(direction, (3, 3))
+    elif kind == "scale":
+        r = r * (1.0 + size)
+    else:
+        r = r @ np.diag([1.0, 1.0, -1.0]) + size * np.reshape(direction, (3, 3))
+    # the two forms round differently, by ~1e-16: skip draws that close to a threshold
+    err = np.linalg.norm(r.T @ r - np.eye(3))
+    assume(abs(err - ROTATION_TOL) > 1e-12)
+    assume(abs(abs(np.linalg.det(r) - 1.0) - ROTATION_TOL) > 1e-12)
+    try:
+        check_rotation(r)
+        accepted = True
+    except ContractViolationError:
+        accepted = False
+    assert accepted == _np_is_rotation(r)
+
+
+@pytest.mark.parametrize("shape", [(3,), (9,), (2, 2), (3, 4), (4, 3), (4, 4), (1, 3, 3)])
+def test_check_rotation_rejects_non_3x3(shape):
+    r = np.zeros(shape)
+    r.flat[:: (shape[-1] + 1)] = 1.0
+    with pytest.raises(ContractViolationError):
+        check_rotation(r)

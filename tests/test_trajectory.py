@@ -44,6 +44,11 @@ def test_config_validation():
         {"peak_rate": -float("inf")},
         {"init_sigma": (0.1,) * 7 + (float("nan"),)},
         {"init_sigma": (float("inf"),) * 8},
+        # init_cov squares the entries, so a negative one would run as positive
+        {"init_sigma": (-0.1,) * 8},
+        {"init_sigma": (0.1,) * 7 + (-1e-9,)},
+        # a negative seed cannot seed the trial's random streams
+        {"seed": -1},
     ):
         with pytest.raises(ContractViolationError):
             dataclasses.replace(ScenarioConfig(), **bad).validate()
