@@ -19,23 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 from .filter import SystemModel
-from .lidar_inertial import GRAVITY, REP, TAN, TANGENT_DIM, scan_residuals
-from .manifolds import Euclidean
+from .lidar_inertial import GRAVITY, NOISE_DIM, REP, TAN, TANGENT_DIM, scan_residuals
+from .manifolds import Euclidean, compound
 from .so3 import cross_rows, skew
 from .sphere import sphere_basis
 
-BREP = {
-    "p": slice(0, 3),
-    "v": slice(3, 6),
-    "q": slice(6, 10),
-    "ba": slice(10, 13),
-    "bw": slice(13, 16),
-    "g": slice(16, 19),
-    "q_ext": slice(19, 23),
-    "p_ext": slice(23, 26),
-}
-STATE_DIM = 26
-NOISE_DIM = 12
+# the R^26 layout is read off a compound, as REP is; the model runs on one
+# Euclidean(STATE_DIM), which is cheaper per call than the compound
+_LAYOUT = compound(*(Euclidean(n) for n in (3, 3, 4, 3, 3, 3, 4, 3)))
+BREP = dict(zip(("p", "v", "q", "ba", "bw", "g", "q_ext", "p_ext"), _LAYOUT.rep_slices))
+STATE_DIM = _LAYOUT.rep_dim
 N_CONSTRAINTS = 3
 CONSTRAINT_SIGMA = 1e-3  # pseudo-measurement noise of the constraint rows
 
@@ -211,8 +204,8 @@ def baseline_model(augmented: bool = False) -> SystemModel:
         n = len(rows.g)
         out = np.zeros((n + extra, STATE_DIM))
         out[:n, BREP["p"]] = rows.g
-        out[:n, BREP["q"]] = _rows_drot_dq(q, rows.g, s[rows.owner])
-        out[:n, BREP["q_ext"]] = _rows_drot_dq(q_ext, gr, rows.p_f[rows.owner])
+        out[:n, BREP["q"]] = _rows_drot_dq(q, rows.g, s)
+        out[:n, BREP["q_ext"]] = _rows_drot_dq(q_ext, gr, rows.p_f)
         out[:n, BREP["p_ext"]] = gr
         if augmented:
             out[n, BREP["q"]] = 2.0 * q

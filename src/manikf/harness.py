@@ -28,8 +28,6 @@ from .trajectory import ScenarioConfig, Trajectory, generate_trajectory
 class TrialRecord:
     """Everything measured in one filter run on one simulated trajectory."""
 
-    cfg: ScenarioConfig
-    trial: int
     times: np.ndarray
     truth: np.ndarray  # (K+1, 36) manifold representation
     errors: np.ndarray  # (K+1, 23) tangent error truth boxminus estimate
@@ -147,8 +145,6 @@ def run_trial(
     xm, truth = to_manifold(state.x), traj.truth[-1]
     rot_err = so3_log(xm[REP["R_ext"]].reshape(3, 3).T @ truth[REP["R_ext"]].reshape(3, 3))
     return TrialRecord(
-        cfg=cfg,
-        trial=trial,
         times=traj.times,
         truth=traj.truth,
         errors=errors,
@@ -245,6 +241,9 @@ def write_trial_csv(record: TrialRecord, path) -> None:
 
 
 def write_summary_json(summary: Dict, path) -> None:
+    """Write strict JSON: a non-finite metric (no successful trial) is null."""
+    summary = {k: None if isinstance(v, float) and not np.isfinite(v) else v
+               for k, v in summary.items()}
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

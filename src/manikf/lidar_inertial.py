@@ -89,17 +89,13 @@ def make_state(p, v, R, ba, bw, g, R_ext, p_ext) -> np.ndarray:
 
 
 class ScanRows(NamedTuple):
-    """One update's features stacked once into residual rows.
+    """One update's features stacked once into residual rows: row i holds
+    its feature's point ``p_f[i]``, anchor ``q[i]`` and projector row
+    ``g[i]`` (u^T for a plane, two rows for an edge)."""
 
-    ``p_f`` and ``q`` hold one row per feature; ``g`` holds the stacked
-    residual projectors (one row u^T per plane, two rows per edge) and
-    ``owner[i]`` is the feature that residual row i belongs to.
-    """
-
-    p_f: np.ndarray  # (m, 3)
-    q: np.ndarray  # (m, 3)
-    g: np.ndarray  # (n, 3), n residual rows
-    owner: np.ndarray  # (n,)
+    p_f: np.ndarray  # (n, 3), n residual rows
+    q: np.ndarray  # (n, 3)
+    g: np.ndarray  # (n, 3)
 
 
 def scan_rows(features: Sequence[PlaneFeature]) -> ScanRows:
@@ -107,18 +103,18 @@ def scan_rows(features: Sequence[PlaneFeature]) -> ScanRows:
     if not features:
         raise DimensionError("measurement update needs at least one feature")
     g = [ft.g_mat for ft in features]
+    counts = [len(g_i) for g_i in g]
     return ScanRows(
-        p_f=np.array([ft.p_f for ft in features]),
-        q=np.array([ft.q for ft in features]),
+        p_f=np.repeat([ft.p_f for ft in features], counts, axis=0),
+        q=np.repeat([ft.q for ft in features], counts, axis=0),
         g=np.concatenate(g),
-        owner=np.repeat(np.arange(len(g)), [len(g_i) for g_i in g]),
     )
 
 
 def scan_residuals(rot, r_ext, p, p_ext, rows: ScanRows) -> np.ndarray:
     """Residual rows g_i (R (R_ext p_f + p_ext) + p - q) of a scan."""
     w = (rows.p_f @ r_ext.T + p_ext) @ rot.T + p - rows.q
-    return np.einsum("ij,ij->i", rows.g, w[rows.owner])
+    return np.einsum("ij,ij->i", rows.g, w)
 
 
 def lidar_inertial_model() -> SystemModel:
@@ -176,8 +172,8 @@ def lidar_inertial_model() -> SystemModel:
         a = rows.g @ rot  # row blocks g R
         out = np.zeros((len(rows.g), TANGENT_DIM))
         out[:, TAN["p"]] = rows.g
-        out[:, TAN["R"]] = cross_rows(s[rows.owner], a)  # rows -g R skew(s)
-        out[:, TAN["R_ext"]] = cross_rows(rows.p_f[rows.owner], a @ r_ext)
+        out[:, TAN["R"]] = cross_rows(s, a)  # rows -g R skew(s)
+        out[:, TAN["R_ext"]] = cross_rows(rows.p_f, a @ r_ext)
         out[:, TAN["p_ext"]] = a
         return out
 

@@ -32,11 +32,6 @@ def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def vee(m: np.ndarray) -> np.ndarray:
-    """Inverse of skew for an (anti)symmetrized matrix."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def _rodrigues(w: np.ndarray, a: float, b: float) -> np.ndarray:
     """I + a*skew(w) + b*skew(w)^2 without forming the skew matrices."""
     x, y, z = w.tolist()

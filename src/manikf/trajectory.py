@@ -104,7 +104,6 @@ class ScenarioConfig:
 class Trajectory:
     """Ground truth plus the noisy observables handed to a filter."""
 
-    cfg: ScenarioConfig
     times: np.ndarray  # (K+1,)
     truth: np.ndarray  # (K+1, 36) flat states
     imu: np.ndarray  # (K, 6) [a_m, w_m]
@@ -198,7 +197,7 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
         )
 
     truth = np.array(truth)
-    return Trajectory(cfg=cfg, times=times, truth=truth, imu=imu, features=features)
+    return Trajectory(times=times, truth=truth, imu=imu, features=features)
 
 
 def _observe(cfg, rng, normals, anchors, bases, p, rot, r_ext, p_ext):

@@ -133,3 +133,28 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     out = tmp_path / "fail"
     rc = main(["simulate", "--config", str(cfg_file), "--out", str(out)])
     assert rc == 3
+
+
+def test_all_failed_runs_write_strict_json(tmp_path, monkeypatch):
+    # with no successful trial the metrics are null, not the NaN token that
+    # strict JSON readers reject
+    factory = harness.lidar_inertial_model
+    monkeypatch.setattr(harness, "lidar_inertial_model", lambda: dataclasses.replace(
+        factory(), h=lambda x, v, ctx: np.full(len(ctx.g), np.nan)))
+
+    def strict(path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+        return json.loads(path.read_text(), parse_constant=reject)
+
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "circle", *FAST, "--out", str(out)]) == 3
+    summary = strict(out / "summary.json")
+    for key in ("mean_nees", "final_drift_m", "iterations_mean"):
+        assert summary[key] is None
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", "circle", *FAST,
+                 "--trials", "2", "--out", str(out)]) == 3
+    summary = strict(out / "compare.json")
+    assert summary["failures"] == 2
+    assert summary["win_rate"] is None and summary["median_drift_ratio"] is None

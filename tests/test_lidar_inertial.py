@@ -1,4 +1,6 @@
 """Tests for the IMU process / scan-to-map measurement model."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -228,20 +230,38 @@ def test_measurement_jacobians_match_fd():
 
 def test_point_noise_is_unit_variance_per_row():
     # isotropic noise sigma^2 I on the scanned points is sigma^2 I on the
-    # residual rows: the rows' Jacobian J in the points has J J^T = I
+    # residual rows: the rows' Jacobian J in the points has J J^T = I; an
+    # edge's two rows share one point, so this also checks their cross term
     rng = np.random.default_rng(19)
     model = lidar_inertial_model()
     for n_plane, n_edge in ((6, 0), (3, 3), (0, 4)):
         for _ in range(5):
             x = _random_state(rng)
-            rows = scan_rows(_random_features(rng, n_plane, n_edge))
-            v0 = np.zeros(len(rows.g))
-            hp = lambda pf: np.asarray(
-                model.h(x, v0, rows._replace(p_f=pf.reshape(-1, 3))))
+            feats = _random_features(rng, n_plane, n_edge)
+            n = len(scan_rows(feats).g)
+            v0 = np.zeros(n)
+            hp = lambda pf: np.asarray(model.h(x, v0, scan_rows([
+                dataclasses.replace(ft, p_f=p) for ft, p in zip(feats, pf.reshape(-1, 3))
+            ])))
+            points = np.concatenate([ft.p_f for ft in feats])
             # h is affine in the points, so a wide step is exact up to rounding
-            jac = fd_jacobian(hp, rows.p_f.reshape(-1), eps=1e-3)
-            assert jac.shape == (len(rows.g), rows.p_f.size)
-            assert_close(jac @ jac.T, np.eye(len(rows.g)), tol=1e-9)
+            jac = fd_jacobian(hp, points, eps=1e-3)
+            assert jac.shape == (n, points.size)
+            assert_close(jac @ jac.T, np.eye(n), tol=1e-9)
+
+
+def test_scan_rows_carry_their_features_geometry():
+    # plane, edge, plane, edge: each residual row holds its own feature's
+    # point and anchor, so an edge's point and anchor appear twice
+    planes = _random_features(np.random.default_rng(23), 2)
+    edges = _random_features(np.random.default_rng(29), 0, 2)
+    feats = [planes[0], edges[0], planes[1], edges[1]]
+    rows = scan_rows(feats)
+    owner = [0, 1, 1, 2, 3, 3]
+    assert rows.p_f.shape == rows.q.shape == rows.g.shape == (6, 3)
+    assert np.array_equal(rows.p_f, [feats[i].p_f for i in owner])
+    assert np.array_equal(rows.q, [feats[i].q for i in owner])
+    assert np.array_equal(rows.g, np.concatenate([ft.g_mat for ft in feats]))
 
 
 def test_measurement_jacobian_sparsity():

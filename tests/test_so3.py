@@ -16,7 +16,6 @@ from manikf.so3 import (
     skew,
     so3_exp,
     so3_log,
-    vee,
 )
 
 from helpers import assert_close
@@ -31,7 +30,6 @@ def test_skew_vee_roundtrip():
     v = np.array([1.0, -2.0, 3.0])
     k = skew(v)
     assert np.allclose(k, -k.T)
-    assert np.allclose(vee(k), v)
     assert np.allclose(k @ np.array([0.5, 0.1, -0.4]), np.cross(v, [0.5, 0.1, -0.4]))
 
 
@@ -210,7 +208,8 @@ def _np_mat_a(u):
 
 
 def _np_log(r):
-    s_vec = vee(r - r.T) / 2.0
+    m = r - r.T
+    s_vec = np.array([m[2, 1], m[0, 2], m[1, 0]]) / 2.0
     s = float(np.linalg.norm(s_vec))
     c = (np.trace(r) - 1.0) / 2.0
     theta = np.arctan2(s, c)
