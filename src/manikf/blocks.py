@@ -12,7 +12,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError
 from .filter import SystemModel
 from .manifolds import Euclidean, SO3, Sphere2, compound
 from .so3 import skew
@@ -21,22 +20,6 @@ from .sphere import sphere_basis
 
 def _no_noise(l: int) -> Callable:
     return lambda x, u: np.zeros((l, 0))
-
-
-def block_euclidean(n: int, f_cont=None, df_dx_cont=None) -> SystemModel:
-    """Vector state with velocity f_cont(x, u) and its Jacobian df_dx_cont(x, u);
-    default f = u (u is the rate)."""
-    if (f_cont is None) != (df_dx_cont is None):
-        raise ContractViolationError("give f_cont and df_dx_cont together, or neither")
-    if f_cont is None:
-        f_cont = lambda x, u: np.asarray(u, dtype=float)
-        df_dx_cont = lambda x, u: np.zeros((n, n))
-    return SystemModel(
-        manifold=Euclidean(n),
-        f=lambda x, u, w: f_cont(x, u),
-        df_dx=df_dx_cont,
-        df_dw=_no_noise(n),
-    )
 
 
 def block_attitude_global() -> SystemModel:

@@ -44,7 +44,7 @@ class TrialRecord:
 
 def _init_state(man, truth0: np.ndarray, cfg: ScenarioConfig, trial: int):
     """Truth perturbed by a draw from the initial covariance."""
-    rng = np.random.default_rng([int(cfg.seed) ^ trial, 1])
+    rng = np.random.default_rng([int(cfg.seed), trial, 1])
     p0 = cfg.init_cov()
     e = rng.standard_normal(TANGENT_DIM) * np.sqrt(np.diag(p0))
     return man.boxplus(truth0, e), p0
@@ -168,7 +168,8 @@ def gravity_containment(record: TrialRecord) -> float:
 
 
 def summarize(records: List[TrialRecord]) -> Dict[str, float]:
-    """Aggregate trial records into the four summary metrics."""
+    """Aggregate trial records into the four summary metrics; an infinite
+    NEES (a covariance with no Cholesky factor) makes mean_nees infinite."""
     ok = [r for r in records if not r.failed]
     if not ok:
         return {
@@ -180,7 +181,7 @@ def summarize(records: List[TrialRecord]) -> Dict[str, float]:
     nees = np.concatenate([r.nees for r in ok])
     iters = np.concatenate([np.asarray(r.iterations, dtype=float) for r in ok])
     return {
-        "mean_nees": float(np.mean(nees[np.isfinite(nees)])),
+        "mean_nees": float(np.mean(nees)),
         "containment_rate": float(np.mean([gravity_containment(r) for r in ok])),
         "final_drift_m": float(np.mean([r.final_drift for r in ok])),
         "iterations_mean": float(np.mean(iters)) if iters.size else 0.0,
@@ -192,10 +193,7 @@ def run_monte_carlo(cfg: ScenarioConfig, trials: int) -> Dict:
     if trials < 1:
         raise ValueError("need at least one trial")
     records = [run_trial(cfg, trial=i) for i in range(trials)]
-    summary = summarize(records)
-    summary["trials"] = trials
-    summary["failures"] = sum(int(r.failed) for r in records)
-    return {"summary": summary, "records": records}
+    return {"summary": summarize(records), "records": records}
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ class ScenarioConfig:
         for name in SIGMAS:
             if getattr(self, name) < 0.0:
                 raise ContractViolationError(f"{name} must be non-negative")
-        if self.seed < 0:  # the trial streams are seeded with seed ^ trial
+        if self.seed < 0:  # default_rng rejects a negative entry of [seed, trial]
             raise ContractViolationError("seed must be non-negative")
         if self.filter not in ("ikfom", "quat"):
             raise ContractViolationError(f"unknown filter {self.filter!r}")
@@ -151,7 +151,7 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
     bitwise.
     """
     cfg.validate()
-    rng = np.random.default_rng(int(cfg.seed) ^ trial)
+    rng = np.random.default_rng([int(cfg.seed), trial])
     k_steps = cfg.n_steps
     dt = cfg.dt
     v_d, rate = _motion_profiles(cfg)

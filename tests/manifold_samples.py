@@ -16,12 +16,11 @@ def random_point(man, rng, near=None):
     if isinstance(man, SO3):
         if near is None:
             return so3_exp(np.pi * rng.uniform(-1, 1, 3)).reshape(9)
-        return man.boxplus(near, _ball(rng, 3, 2.5))
+        return man.boxplus(near, ball(rng, 3, 2.5))
     if isinstance(man, Sphere2):
         if near is None:
-            v = rng.standard_normal(3)
-            return man.radius * v / np.linalg.norm(v)
-        return man.boxplus(near, _ball(rng, 2, 2.5))
+            return with_norm(rng, 3, man.radius)
+        return man.boxplus(near, ball(rng, 2, 2.5))
     if isinstance(man, Compound):
         if near is None:
             return np.concatenate([random_point(p, rng) for p in man.parts])
@@ -39,12 +38,19 @@ def random_tangent(man, rng):
     if isinstance(man, Euclidean):
         return rng.standard_normal(man.dim)
     if isinstance(man, (SO3, Sphere2)):
-        return _ball(rng, man.dim, 2.5)
+        return ball(rng, man.dim, 2.5)
     if isinstance(man, Compound):
         return np.concatenate([random_tangent(p, rng) for p in man.parts])
     raise TypeError(f"no sampler for {type(man).__name__}")
 
 
-def _ball(rng, dim, radius):
+def ball(rng, dim, radius):
+    """A vector along a uniform random direction, its length uniform in [0, radius)."""
     v = rng.standard_normal(dim)
     return rng.uniform(0.0, radius) * v / np.linalg.norm(v)
+
+
+def with_norm(rng, dim, norm=1.0):
+    """A uniform random direction of R^dim, scaled to length ``norm``."""
+    v = rng.standard_normal(dim)
+    return norm * v / np.linalg.norm(v)

@@ -23,23 +23,24 @@ from manikf.blocks import (
 from manikf.baseline import BREP, N_CONSTRAINTS, baseline_model, from_manifold
 from manikf.baseline import NOISE_DIM as B_NOISE_DIM
 from manikf.baseline import STATE_DIM as B_STATE_DIM
-from manikf.filter import FilterState, SystemModel, UpdateConfig, predict, update
+from manikf.filter import FilterState, UpdateConfig, predict, update
 from manikf.harness import run_trial, summarize
-from manikf.lidar_inertial import (
-    GRAVITY,
-    NOISE_DIM,
-    TANGENT_DIM,
-    PlaneFeature,
-    lidar_inertial_model,
-    make_state,
-    scan_rows,
-)
-from manifold_samples import random_point, random_tangent
+from manikf.lidar_inertial import NOISE_DIM, TANGENT_DIM, lidar_inertial_model, scan_rows
+from manifold_samples import random_point, random_tangent, with_norm
 from manikf.manifolds import SO3, Euclidean, Sphere2, compound
 from manikf.so3 import so3_exp
 from manikf.trajectory import ScenarioConfig
 
-from helpers import assert_close, fd_diff_u, fd_jacobian, fd_step_pair
+from helpers import (
+    TextbookKF,
+    assert_close,
+    fd_diff_u,
+    fd_jacobian,
+    fd_step_pair,
+    linear_model,
+    random_features,
+    random_li_state,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +75,12 @@ def test_operator_identities_bulk():
 
 
 def _check_jac(analytic, numeric, what):
-    assert_close(analytic, numeric, tol=1e-5, floor=1e-6, msg=what)
+    assert_close(analytic, numeric, tol=1e-5, floor=1e-7, msg=what)
+
+
+# (planes, edges) per scan: plane-only, edge-only and mixed
+LI_SCANS = ((4, 1), (4, 0), (3, 2), (4, 0), (0, 3))
+BASELINE_SCANS = ((3, 0), (2, 2))
 
 
 def test_all_jacobians_match_finite_differences():
@@ -98,13 +104,13 @@ def test_all_jacobians_match_finite_differences():
     model = lidar_inertial_model()
     man = model.manifold
     for k in range(points):
-        x = _random_li_state(rng)
+        x = random_li_state(rng)
         u = np.concatenate([rng.standard_normal(3), rng.standard_normal(3)])
         fx = lambda e: np.asarray(model.f(man.boxplus(x, e), u, np.zeros(NOISE_DIM)))
         fw = lambda w: np.asarray(model.f(x, u, w))
         _check_jac(model.df_dx(x, u), fd_jacobian(fx, np.zeros(TANGENT_DIM)), "li df_dx")
         _check_jac(model.df_dw(x, u), fd_jacobian(fw, np.zeros(NOISE_DIM)), "li df_dw")
-        rows = scan_rows(_random_features(rng, 4, n_edge=(1 if k % 5 == 0 else 0)))
+        rows = scan_rows(random_features(rng, *LI_SCANS[k % len(LI_SCANS)]))
         nv = len(rows.g)
         hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), rows))
         hv = lambda v: np.asarray(model.h(x, v, rows))
@@ -115,8 +121,11 @@ def test_all_jacobians_match_finite_differences():
     # baseline Jacobians, both constraint modes
     for augmented in (False, True):
         bmodel = baseline_model(augmented=augmented)
-        for _ in range(points // 2):
-            x = _random_baseline_state(rng)
+        for k in range(points // 2):
+            x = from_manifold(random_li_state(rng))
+            # hold q and g off their constraint sets; Jacobians must still match
+            x[BREP["q"]] *= 1.01
+            x[BREP["g"]] *= 0.99
             u = rng.standard_normal(6)
             fx = lambda e: np.asarray(bmodel.f(x + e, u, np.zeros(B_NOISE_DIM)))
             fw = lambda w: np.asarray(bmodel.f(x, u, w))
@@ -124,7 +133,7 @@ def test_all_jacobians_match_finite_differences():
                        "baseline df_dx")
             _check_jac(bmodel.df_dw(x, u), fd_jacobian(fw, np.zeros(B_NOISE_DIM)),
                        "baseline df_dw")
-            rows = scan_rows(_random_features(rng, 3))
+            rows = scan_rows(random_features(rng, *BASELINE_SCANS[k % len(BASELINE_SCANS)]))
             nv = len(rows.g) + (N_CONSTRAINTS if augmented else 0)
             hx = lambda e: np.asarray(bmodel.h(x + e, np.zeros(nv), rows))
             hv = lambda v: np.asarray(bmodel.h(x, v, rows))
@@ -156,61 +165,8 @@ def test_all_jacobians_match_finite_differences():
     assert elapsed < 60.0, f"Jacobian sweep took {elapsed:.1f}s"
 
 
-def _random_li_state(rng):
-    g = rng.standard_normal(3)
-    return make_state(
-        p=rng.standard_normal(3), v=rng.standard_normal(3),
-        R=so3_exp(rng.standard_normal(3)),
-        ba=0.05 * rng.standard_normal(3), bw=0.01 * rng.standard_normal(3),
-        g=GRAVITY * g / np.linalg.norm(g),
-        R_ext=so3_exp(0.3 * rng.standard_normal(3)),
-        p_ext=0.2 * rng.standard_normal(3),
-    )
-
-
-def _random_baseline_state(rng):
-    g = rng.standard_normal(3)
-    x = from_manifold(make_state(
-        p=rng.standard_normal(3), v=rng.standard_normal(3),
-        R=so3_exp(rng.standard_normal(3)),
-        ba=0.05 * rng.standard_normal(3), bw=0.01 * rng.standard_normal(3),
-        g=GRAVITY * g / np.linalg.norm(g),
-        R_ext=so3_exp(0.3 * rng.standard_normal(3)),
-        p_ext=0.2 * rng.standard_normal(3),
-    ))
-    x[BREP["q"]] *= 1.01  # hold off the constraint set; Jacobians must still match
-    return x
-
-
-def _random_features(rng, n_plane, n_edge=0):
-    feats = []
-    for kind, count in (("plane", n_plane), ("edge", n_edge)):
-        for _ in range(count):
-            u = rng.standard_normal(3)
-            feats.append(PlaneFeature(
-                p_f=2.0 * rng.standard_normal(3),
-                u_dir=u / np.linalg.norm(u),
-                q=3.0 * rng.standard_normal(3),
-                kind=kind,
-            ))
-    return feats
-
-
 # ---------------------------------------------------------------------------
 # 3. exact equivalence with a textbook Kalman filter on a linear problem
-
-
-class _TextbookKF:
-    def __init__(self, x, p):
-        self.x, self.p = np.array(x, dtype=float), np.array(p, dtype=float)
-
-    def step(self, f_mat, q, z, h_mat, r):
-        self.x = f_mat @ self.x
-        self.p = f_mat @ self.p @ f_mat.T + q
-        s = h_mat @ self.p @ h_mat.T + r
-        k = self.p @ h_mat.T @ np.linalg.inv(s)
-        self.x = self.x + k @ (z - h_mat @ self.x)
-        self.p = (np.eye(len(self.x)) - k @ h_mat) @ self.p
 
 
 def test_linear_problem_reduces_to_textbook_kf():
@@ -221,29 +177,27 @@ def test_linear_problem_reduces_to_textbook_kf():
     c = rng.standard_normal((m, n))
     q = np.diag(rng.uniform(0.01, 0.1, n))
     r = np.diag(rng.uniform(0.05, 0.2, m))
-    model = SystemModel(
-        manifold=Euclidean(n),
-        f=lambda x, u, w: a @ x + u + w,
-        df_dx=lambda x, u: a,
-        df_dw=lambda x, u: np.eye(n),
-        h=lambda x, v, ctx: c @ x + v,
-        dh_dx=lambda x, ctx: c,
-        dh_dv=lambda x, ctx: np.eye(m),
-    )
+    model = linear_model(a, c, n, m)
     f_mat = np.eye(n) + dt * a
     x0 = rng.standard_normal(n)
     p0 = np.diag(rng.uniform(0.5, 2.0, n))
     zs = rng.standard_normal((100, m))
+    us = rng.standard_normal((100, n))
     for nmax in (0, 1, 4):
         state = FilterState(x0.copy(), p0.copy())
-        oracle = _TextbookKF(x0, p0)
+        oracle = TextbookKF(x0, p0)
         cfg = UpdateConfig(max_iterations=nmax)
         for k in range(100):
-            state = predict(model, state, np.zeros(n), dt, q)
-            state, _ = update(model, state, zs[k], r, config=cfg)
-            oracle.step(f_mat, dt * dt * q, zs[k], c, r)
+            state = predict(model, state, us[k], dt, q)
+            state, diag = update(model, state, zs[k], r, config=cfg)
+            oracle.predict(f_mat, dt * dt * q)
+            oracle.x = oracle.x + dt * us[k]
+            oracle.update(zs[k], c, r)
             assert np.max(np.abs(state.x - oracle.x)) < 1e-9
             assert np.max(np.abs(state.P - oracle.p)) < 1e-9
+            # a linear problem is solved by the very first gain
+            assert diag.iterations <= 1
+            assert nmax == 0 or diag.converged
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"linear equivalence took {elapsed:.2f}s"
 
@@ -316,8 +270,7 @@ def test_landmark_constancy_under_camera_motion():
     for _ in range(10):
         r_cam = so3_exp(rng.standard_normal(3))
         p_cam = rng.standard_normal(3)
-        bearing = rng.standard_normal(3)
-        bearing /= np.linalg.norm(bearing)
+        bearing = with_norm(rng, 3)
         rho = rng.uniform(1.0, 4.0)
         state = np.concatenate([bearing, [rho]])
         target = r_cam @ (bearing * rho) + p_cam

@@ -16,44 +16,11 @@ from manikf.baseline import (
     to_manifold,
 )
 from manikf.filter import FilterState, predict
-from manikf.lidar_inertial import GRAVITY, PlaneFeature, make_state, scan_rows, state_manifold
+from manikf.lidar_inertial import GRAVITY, scan_rows, state_manifold
 from manikf.so3 import so3_exp
 
-from helpers import assert_close, fd_jacobian
-
-
-def _random_quat(rng, unit=True):
-    q = rng.standard_normal(4)
-    return q / np.linalg.norm(q) if unit else q
-
-
-def _random_state(rng):
-    g = rng.standard_normal(3)
-    g = GRAVITY * g / np.linalg.norm(g)
-    return from_manifold(make_state(
-        p=rng.standard_normal(3),
-        v=rng.standard_normal(3),
-        R=so3_exp(rng.standard_normal(3)),
-        ba=0.05 * rng.standard_normal(3),
-        bw=0.01 * rng.standard_normal(3),
-        g=g,
-        R_ext=so3_exp(0.3 * rng.standard_normal(3)),
-        p_ext=0.2 * rng.standard_normal(3),
-    ))
-
-
-def _random_features(rng, n_plane, n_edge=0):
-    feats = []
-    for kind, count in (("plane", n_plane), ("edge", n_edge)):
-        for _ in range(count):
-            u = rng.standard_normal(3)
-            feats.append(PlaneFeature(
-                p_f=2.0 * rng.standard_normal(3),
-                u_dir=u / np.linalg.norm(u),
-                q=3.0 * rng.standard_normal(3),
-                kind=kind,
-            ))
-    return feats
+from helpers import assert_close, fd_jacobian, random_features, random_li_state
+from manifold_samples import with_norm
 
 
 def test_quat_to_rot_matches_exponential():
@@ -70,8 +37,7 @@ def test_rot_to_quat_roundtrip():
     angles = list(0.01 + 3.1 * rng.random(30))
     angles += [np.pi, np.pi - 1e-8, 3.14159]  # exercises the small-w branch
     for ang in angles:
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
+        axis = with_norm(rng, 3)
         r = so3_exp(ang * axis)
         q = rot_to_quat(r)
         assert q[0] >= 0.0
@@ -81,7 +47,7 @@ def test_rot_to_quat_roundtrip():
 
 def test_normalize_state():
     rng = np.random.default_rng(5)
-    x = _random_state(rng)
+    x = from_manifold(random_li_state(rng))
     x[BREP["q"]] *= 1.3
     x[BREP["q_ext"]] *= 0.4
     x[BREP["g"]] *= 1.05
@@ -97,46 +63,10 @@ def test_normalize_state():
         normalize_state(bad)
 
 
-def test_process_jacobians_match_fd():
-    rng = np.random.default_rng(7)
-    model = baseline_model()
-    for _ in range(20):
-        x = _random_state(rng)
-        u = np.concatenate([rng.standard_normal(3), 0.5 * rng.standard_normal(3)])
-        fx = lambda e: np.asarray(model.f(x + e, u, np.zeros(NOISE_DIM)))
-        fw = lambda w: np.asarray(model.f(x, u, w))
-        assert_close(model.df_dx(x, u), fd_jacobian(fx, np.zeros(STATE_DIM)),
-                     tol=1e-5, floor=1e-7)
-        assert_close(model.df_dw(x, u), fd_jacobian(fw, np.zeros(NOISE_DIM)),
-                     tol=1e-5, floor=1e-7)
-
-
-@pytest.mark.parametrize("augmented", [False, True])
-def test_measurement_jacobians_match_fd(augmented):
-    rng = np.random.default_rng(9)
-    model = baseline_model(augmented=augmented)
-    for n_plane, n_edge in ((6, 0), (2, 2)):
-        for _ in range(5):
-            x = _random_state(rng)
-            # perturb off the constraint sets: Jacobians must hold there too
-            x[BREP["q"]] *= 1.02
-            x[BREP["g"]] *= 0.99
-            rows = scan_rows(_random_features(rng, n_plane, n_edge))
-            nv = len(rows.g) + (N_CONSTRAINTS if augmented else 0)
-            hx = lambda e: np.asarray(model.h(x + e, np.zeros(nv), rows))
-            hv = lambda v: np.asarray(model.h(x, v, rows))
-            assert_close(model.dh_dx(x, rows),
-                         fd_jacobian(hx, np.zeros(STATE_DIM)),
-                         tol=1e-5, floor=1e-7)
-            assert_close(model.dh_dv(x, rows),
-                         fd_jacobian(hv, np.zeros(nv)),
-                         tol=1e-5, floor=1e-7)
-
-
 def test_augmented_rows_and_noise_dim():
     rng = np.random.default_rng(11)
-    rows = scan_rows(_random_features(rng, 4))
-    x = _random_state(rng)
+    rows = scan_rows(random_features(rng, 4))
+    x = from_manifold(random_li_state(rng))
     plain = baseline_model(augmented=False)
     aug = baseline_model(augmented=True)
     assert plain.dh_dv(x, rows).shape == (4, 4)
@@ -151,7 +81,7 @@ def test_augmented_rows_and_noise_dim():
 def test_quaternion_stays_unit_through_prediction():
     rng = np.random.default_rng(13)
     model = baseline_model()
-    x = _random_state(rng)
+    x = from_manifold(random_li_state(rng))
     state = FilterState(x, 0.01 * np.eye(STATE_DIM))
     q_noise = 1e-4 * np.eye(NOISE_DIM)
     dt = 0.01
@@ -163,29 +93,13 @@ def test_quaternion_stays_unit_through_prediction():
     assert abs(np.linalg.norm(state.x[BREP["g"]]) - GRAVITY) < 1e-9
 
 
-def test_feature_paths_agree():
-    # appending an edge must leave the plane rows unchanged
-    rng = np.random.default_rng(15)
-    model = baseline_model(augmented=True)
-    x = _random_state(rng)
-    planes = _random_features(rng, 5)
-    rows_m = scan_rows(planes + _random_features(rng, 0, 1))
-    rows_p = scan_rows(planes)
-    nv_m, nv_p = (len(r.g) + N_CONSTRAINTS for r in (rows_m, rows_p))
-    h_m = model.h(x, np.zeros(nv_m), rows_m)
-    h_p = model.h(x, np.zeros(nv_p), rows_p)
-    assert_close(h_m[:5], h_p[:5], tol=1e-12)
-    assert_close(model.dh_dx(x, rows_m)[:5], model.dh_dx(x, rows_p)[:5],
-                 tol=1e-12, floor=1e-14)
-
-
 def test_tangent_cov_is_the_boxminus_jacobian():
     # G P G^T against J P J^T, J the central differences of the tangent error
     # to_manifold(x + d) boxminus to_manifold(x); q and -q alike
     rng = np.random.default_rng(17)
     man = state_manifold()
     for i in range(20):
-        x = _random_state(rng)
+        x = from_manifold(random_li_state(rng))
         if i % 2:
             x[BREP["q"]] *= -1.0
             x[BREP["q_ext"]] *= -1.0
@@ -198,7 +112,7 @@ def test_tangent_cov_is_the_boxminus_jacobian():
 
 def test_tangent_cov_drops_radial_directions():
     rng = np.random.default_rng(19)
-    x = _random_state(rng)
+    x = from_manifold(random_li_state(rng))
     x[BREP["q_ext"]] *= -1.0
     for key in ("q", "g", "q_ext"):
         d = np.zeros(STATE_DIM)

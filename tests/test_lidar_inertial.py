@@ -4,59 +4,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from manikf.baseline import baseline_model, from_manifold
+from manikf.baseline import N_CONSTRAINTS, baseline_model, from_manifold
 from manikf.errors import ContractViolationError, DimensionError
 from manikf.filter import FilterState, update
 from manikf.lidar_inertial import (
-    GRAVITY,
     NOISE_DIM,
     REP,
     TAN,
     TANGENT_DIM,
     PlaneFeature,
     lidar_inertial_model,
-    make_state,
     scan_rows,
     state_manifold,
 )
-from manikf.so3 import so3_exp
 
-from helpers import assert_close, fd_jacobian
-
-
-def _random_state(rng):
-    g = rng.standard_normal(3)
-    g = GRAVITY * g / np.linalg.norm(g)
-    return make_state(
-        p=rng.standard_normal(3),
-        v=rng.standard_normal(3),
-        R=so3_exp(rng.standard_normal(3)),
-        ba=0.05 * rng.standard_normal(3),
-        bw=0.01 * rng.standard_normal(3),
-        g=g,
-        R_ext=so3_exp(0.3 * rng.standard_normal(3)),
-        p_ext=0.2 * rng.standard_normal(3),
-    )
-
-
-def _random_features(rng, n_plane, n_edge=0):
-    feats = []
-    for _ in range(n_plane):
-        u = rng.standard_normal(3)
-        feats.append(PlaneFeature(
-            p_f=2.0 * rng.standard_normal(3),
-            u_dir=u / np.linalg.norm(u),
-            q=3.0 * rng.standard_normal(3),
-        ))
-    for _ in range(n_edge):
-        u = rng.standard_normal(3)
-        feats.append(PlaneFeature(
-            p_f=2.0 * rng.standard_normal(3),
-            u_dir=u / np.linalg.norm(u),
-            q=3.0 * rng.standard_normal(3),
-            kind="edge",
-        ))
-    return feats
+from helpers import assert_close, fd_jacobian, random_features, random_li_state
+from manifold_samples import with_norm
 
 
 def test_manifold_dimensions():
@@ -72,7 +35,7 @@ def test_feature_validation():
     with pytest.raises(ContractViolationError):
         PlaneFeature(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3),
                      kind="corner")
-    feats = _random_features(np.random.default_rng(0), 2, 1)
+    feats = random_features(np.random.default_rng(0), 2, 1)
     assert len(scan_rows(feats).g) == 2 + 2
 
 
@@ -86,7 +49,7 @@ def test_hover_equilibrium():
     rng = np.random.default_rng(3)
     model = lidar_inertial_model()
     for _ in range(10):
-        x = _random_state(rng)
+        x = random_li_state(rng)
         x[REP["v"]] = 0.0
         rot = x[REP["R"]].reshape(3, 3)
         a_m = rot.T @ (-x[REP["g"]]) + x[REP["ba"]]
@@ -106,16 +69,14 @@ def _features_on_map(rng, x, n_plane, n_edge):
 
     planes, edges = [], []
     for _ in range(n_plane):
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
+        u = with_norm(rng, 3)
         q = rng.standard_normal(3)
         # choose p_f so the global point lands on the plane through q
         t = rng.standard_normal(3)
         target = q + t - (u @ t) * u
         planes.append(PlaneFeature(p_f=lidar_point(target), u_dir=u, q=q))
     for _ in range(n_edge):
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
+        u = with_norm(rng, 3)
         q = rng.standard_normal(3)
         # the global point lands on the line q + t u
         target = q + rng.standard_normal() * u
@@ -127,7 +88,7 @@ def test_point_on_plane_gives_zero_residual():
     # place each scanned point exactly on its plane or edge line: h must vanish
     rng = np.random.default_rng(5)
     model = lidar_inertial_model()
-    x = _random_state(rng)
+    x = random_li_state(rng)
     planes, edges = _features_on_map(rng, x, 5, 4)
     # plane, edge, plane, ...: residual rows and feature indices out of step
     feats = [ft for pair in zip(planes, edges) for ft in pair] + planes[len(edges):]
@@ -147,7 +108,7 @@ def test_update_with_edges_succeeds():
     model = lidar_inertial_model()
     sigma = 0.02
     for _ in range(5):
-        x = _random_state(rng)
+        x = random_li_state(rng)
         planes, edges = _features_on_map(rng, x, 10, 3)
         rows = scan_rows(planes + edges)
         r = sigma**2 * np.eye(len(rows.g))
@@ -156,40 +117,24 @@ def test_update_with_edges_succeeds():
         np.linalg.cholesky(out.P)
 
 
-def test_plane_and_edge_paths_agree():
-    # appending an edge must leave the plane rows unchanged
+@pytest.mark.parametrize("quat", [False, True], ids=["ikfom", "quat"])
+def test_plane_and_edge_paths_agree(quat):
+    # appending an edge must leave every other row of h, dh_dx and dh_dv
+    # unchanged: the plane rows, and the augmented baseline's constraint rows
     rng = np.random.default_rng(7)
-    model = lidar_inertial_model()
-    x = _random_state(rng)
-    planes = _random_features(rng, 6)
-    mixed = planes + _random_features(rng, 0, 1)
-    rows_m, rows_p = scan_rows(mixed), scan_rows(planes)
-    v = 0.01 * rng.standard_normal(len(rows_m.g))
-    h_mixed = model.h(x, v, rows_m)
-    h_planes = model.h(x, v[: len(planes)], rows_p)
-    assert_close(h_mixed[: len(planes)], h_planes, tol=1e-12)
-    hx_mixed = model.dh_dx(x, rows_m)
-    hx_planes = model.dh_dx(x, rows_p)
-    assert_close(hx_mixed[: len(planes)], hx_planes, tol=1e-12, floor=1e-14)
-    hv_mixed = model.dh_dv(x, rows_m)
-    hv_planes = model.dh_dv(x, rows_p)
-    assert_close(hv_mixed[: len(planes), : len(planes)], hv_planes,
+    model, extra, x = lidar_inertial_model(), 0, random_li_state(rng)
+    if quat:
+        model, extra, x = baseline_model(augmented=True), N_CONSTRAINTS, from_manifold(x)
+    planes = random_features(rng, 6)
+    rows_m, rows_p = scan_rows(planes + random_features(rng, 0, 1)), scan_rows(planes)
+    n, n_m = len(rows_p.g), len(rows_m.g)
+    v = 0.01 * rng.standard_normal(n_m + extra)
+    keep = np.r_[0:n, n_m:n_m + extra]
+    assert_close(model.h(x, v, rows_m)[keep], model.h(x, v[keep], rows_p), tol=1e-12)
+    assert_close(model.dh_dx(x, rows_m)[keep], model.dh_dx(x, rows_p),
                  tol=1e-12, floor=1e-14)
-
-
-def test_process_jacobians_match_fd():
-    rng = np.random.default_rng(9)
-    model = lidar_inertial_model()
-    man = model.manifold
-    for _ in range(20):
-        x = _random_state(rng)
-        u = np.concatenate([rng.standard_normal(3), 0.5 * rng.standard_normal(3)])
-        fx = lambda e: np.asarray(model.f(man.boxplus(x, e), u, np.zeros(NOISE_DIM)))
-        fw = lambda w: np.asarray(model.f(x, u, w))
-        assert_close(model.df_dx(x, u), fd_jacobian(fx, np.zeros(TANGENT_DIM)),
-                     tol=1e-5, floor=1e-7)
-        assert_close(model.df_dw(x, u), fd_jacobian(fw, np.zeros(NOISE_DIM)),
-                     tol=1e-5, floor=1e-7)
+    assert_close(model.dh_dv(x, rows_m)[np.ix_(keep, keep)], model.dh_dv(x, rows_p),
+                 tol=1e-12, floor=1e-14)
 
 
 def test_process_jacobian_sparsity():
@@ -197,7 +142,7 @@ def test_process_jacobian_sparsity():
     # the attitude row may be populated
     rng = np.random.default_rng(11)
     model = lidar_inertial_model()
-    x = _random_state(rng)
+    x = random_li_state(rng)
     u = rng.standard_normal(6)
     jac = model.df_dx(x, u)
     mask = np.zeros_like(jac, dtype=bool)
@@ -209,25 +154,6 @@ def test_process_jacobian_sparsity():
     assert np.all(jac[~mask] == 0.0)
 
 
-def test_measurement_jacobians_match_fd():
-    rng = np.random.default_rng(13)
-    model = lidar_inertial_model()
-    man = model.manifold
-    for n_plane, n_edge in ((8, 0), (3, 2), (0, 3)):
-        for _ in range(5):
-            x = _random_state(rng)
-            rows = scan_rows(_random_features(rng, n_plane, n_edge))
-            nv = len(rows.g)
-            hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), rows))
-            hv = lambda v: np.asarray(model.h(x, v, rows))
-            assert_close(model.dh_dx(x, rows),
-                         fd_jacobian(hx, np.zeros(TANGENT_DIM)),
-                         tol=1e-5, floor=1e-7)
-            assert_close(model.dh_dv(x, rows),
-                         fd_jacobian(hv, np.zeros(nv)),
-                         tol=1e-5, floor=1e-7)
-
-
 def test_point_noise_is_unit_variance_per_row():
     # isotropic noise sigma^2 I on the scanned points is sigma^2 I on the
     # residual rows: the rows' Jacobian J in the points has J J^T = I; an
@@ -236,8 +162,8 @@ def test_point_noise_is_unit_variance_per_row():
     model = lidar_inertial_model()
     for n_plane, n_edge in ((6, 0), (3, 3), (0, 4)):
         for _ in range(5):
-            x = _random_state(rng)
-            feats = _random_features(rng, n_plane, n_edge)
+            x = random_li_state(rng)
+            feats = random_features(rng, n_plane, n_edge)
             n = len(scan_rows(feats).g)
             v0 = np.zeros(n)
             hp = lambda pf: np.asarray(model.h(x, v0, scan_rows([
@@ -253,8 +179,8 @@ def test_point_noise_is_unit_variance_per_row():
 def test_scan_rows_carry_their_features_geometry():
     # plane, edge, plane, edge: each residual row holds its own feature's
     # point and anchor, so an edge's point and anchor appear twice
-    planes = _random_features(np.random.default_rng(23), 2)
-    edges = _random_features(np.random.default_rng(29), 0, 2)
+    planes = random_features(np.random.default_rng(23), 2)
+    edges = random_features(np.random.default_rng(29), 0, 2)
     feats = [planes[0], edges[0], planes[1], edges[1]]
     rows = scan_rows(feats)
     owner = [0, 1, 1, 2, 3, 3]
@@ -268,7 +194,7 @@ def test_measurement_jacobian_sparsity():
     # v, ba, bw, g columns never enter the scan residual
     rng = np.random.default_rng(15)
     model = lidar_inertial_model()
-    x = _random_state(rng)
-    jac = model.dh_dx(x, scan_rows(_random_features(rng, 4, 2)))
+    x = random_li_state(rng)
+    jac = model.dh_dx(x, scan_rows(random_features(rng, 4, 2)))
     for block in ("v", "ba", "bw", "g"):
         assert np.all(jac[:, TAN[block]] == 0.0)

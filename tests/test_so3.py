@@ -19,11 +19,7 @@ from manikf.so3 import (
 )
 
 from helpers import assert_close
-
-
-def random_rotvec(rng, max_angle=np.pi - 1e-3):
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v) * rng.uniform(0.0, max_angle)
+from manifold_samples import ball, with_norm
 
 
 def test_skew_vee_roundtrip():
@@ -47,7 +43,7 @@ def test_exp_zero_is_identity():
 def test_exp_matches_matrix_exponential():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        w = random_rotvec(rng)
+        w = ball(rng, 3, np.pi - 1e-3)
         assert_close(so3_exp(w), scipy.linalg.expm(skew(w)), tol=1e-9)
 
 
@@ -68,15 +64,14 @@ def test_log_roundtrip_small():
 def test_log_roundtrip_random():
     rng = np.random.default_rng(1)
     for _ in range(300):
-        w = random_rotvec(rng)
+        w = ball(rng, 3, np.pi - 1e-3)
         assert np.allclose(so3_log(so3_exp(w)), w, atol=1e-9)
 
 
 def test_log_near_pi():
     rng = np.random.default_rng(2)
     for _ in range(200):
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
+        axis = with_norm(rng, 3)
         for angle in (np.pi - 1e-5, np.pi - 1e-9, np.pi):
             w = angle * axis
             r = so3_exp(w)
@@ -110,7 +105,7 @@ def test_mat_a_perturbation_identity():
     # Exp(u + d) ~ Exp(u) (I + skew(A(u)^T d))
     rng = np.random.default_rng(5)
     for _ in range(100):
-        u = random_rotvec(rng, max_angle=2.5)
+        u = ball(rng, 3, 2.5)
         d = rng.standard_normal(3) * 1e-7
         lhs = so3_exp(u + d)
         rhs = so3_exp(u) @ (np.eye(3) + skew(mat_a(u).T @ d))
@@ -153,8 +148,7 @@ def test_mat_a_closed_form_is_accurate_above_switch(theta):
     # multiplies skew(u) of size theta: ~5e-13 just above SMALL_ANGLE
     rng = np.random.default_rng(17)
     for _ in range(50):
-        v = rng.standard_normal(3)
-        u = theta * v / np.linalg.norm(v)
+        u = with_norm(rng, 3, theta)
         assert np.max(np.abs(mat_a(u) - _mat_a_50_digits(u))) < 1e-15
 
 

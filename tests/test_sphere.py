@@ -15,7 +15,7 @@ from manikf.sphere import (
 )
 
 from helpers import assert_close, fd_jacobian
-from manifold_samples import random_point
+from manifold_samples import ball, random_point
 
 RADII = (1.0, 9.81)
 # the cut-locus threshold of sphere_boxminus scales with x @ x, not a radius
@@ -130,8 +130,7 @@ def test_box_roundtrips():
     for r in RADII:
         for _ in range(500):
             x = random_point(Sphere2(r), rng)
-            u = rng.standard_normal(2)
-            u *= rng.uniform(0.0, np.pi - 1e-3) / np.linalg.norm(u)
+            u = ball(rng, 2, np.pi - 1e-3)
             assert np.allclose(
                 sphere_boxminus(sphere_boxplus(x, u), x), u, atol=1e-9
             )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from manikf.errors import ContractViolationError
+from manikf.harness import _init_state
 from manikf.lidar_inertial import NOISE_DIM, REP, lidar_inertial_model, state_manifold
 from manikf.trajectory import (
     SCENARIOS,
@@ -77,6 +78,18 @@ def test_generation_is_deterministic():
             assert np.array_equal(xa.u_dir, xb.u_dir)
     c = generate_trajectory(cfg, trial=4)
     assert not np.array_equal(a.imu, c.imu)
+
+
+def test_seed_and_trial_streams_are_independent():
+    # seed 1 trial 0 must not replay seed 0 trial 1, in the trajectory or in
+    # the initial-state draw
+    one, zero = ScenarioConfig(seed=1, duration=0.1), ScenarioConfig(seed=0, duration=0.1)
+    traj = generate_trajectory(one, trial=0)
+    assert not np.array_equal(traj.imu, generate_trajectory(zero, trial=1).imu)
+    man, truth0 = state_manifold(), traj.truth[0]
+    x_one, _ = _init_state(man, truth0, one, 0)
+    x_zero, _ = _init_state(man, truth0, zero, 1)
+    assert not np.array_equal(x_one, x_zero)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
