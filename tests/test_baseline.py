@@ -63,6 +63,42 @@ def test_normalize_state():
         normalize_state(bad)
 
 
+def test_process_jacobians_match_fd():
+    rng = np.random.default_rng(7)
+    model = baseline_model()
+    for _ in range(20):
+        x = from_manifold(random_li_state(rng))
+        u = np.concatenate([rng.standard_normal(3), 0.5 * rng.standard_normal(3)])
+        fx = lambda e: np.asarray(model.f(x + e, u, np.zeros(NOISE_DIM)))
+        fw = lambda w: np.asarray(model.f(x, u, w))
+        assert_close(model.df_dx(x, u), fd_jacobian(fx, np.zeros(STATE_DIM)),
+                     tol=1e-5, floor=1e-7)
+        assert_close(model.df_dw(x, u), fd_jacobian(fw, np.zeros(NOISE_DIM)),
+                     tol=1e-5, floor=1e-7)
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_measurement_jacobians_match_fd(augmented):
+    rng = np.random.default_rng(9)
+    model = baseline_model(augmented=augmented)
+    for n_plane, n_edge in ((6, 0), (2, 2)):
+        for _ in range(5):
+            x = from_manifold(random_li_state(rng))
+            # perturb off the constraint sets: Jacobians must hold there too
+            x[BREP["q"]] *= 1.02
+            x[BREP["g"]] *= 0.99
+            rows = scan_rows(random_features(rng, n_plane, n_edge))
+            nv = len(rows.g) + (N_CONSTRAINTS if augmented else 0)
+            hx = lambda e: np.asarray(model.h(x + e, np.zeros(nv), rows))
+            hv = lambda v: np.asarray(model.h(x, v, rows))
+            assert_close(model.dh_dx(x, rows),
+                         fd_jacobian(hx, np.zeros(STATE_DIM)),
+                         tol=1e-5, floor=1e-7)
+            assert_close(model.dh_dv(x, rows),
+                         fd_jacobian(hv, np.zeros(nv)),
+                         tol=1e-5, floor=1e-7)
+
+
 def test_augmented_rows_and_noise_dim():
     rng = np.random.default_rng(11)
     rows = scan_rows(random_features(rng, 4))

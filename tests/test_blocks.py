@@ -1,5 +1,4 @@
-"""Tests for the reusable process blocks. The landmark constancy of the
-bearing block is acceptance check 7."""
+"""Tests for the reusable process blocks."""
 import numpy as np
 
 from manikf.blocks import (
@@ -99,3 +98,26 @@ def test_bearing_jacobian_matches_fd():
         state = np.concatenate([with_norm(rng, 3), [rng.uniform(-0.5, 1.0)]])
         u = (rng.standard_normal(3), rng.standard_normal(3))
         assert_close(blk.df_dx(state, u), _fd_df_dx(blk, state, u), tol=1e-5)
+
+
+def test_landmark_reconstruction_is_constant():
+    # exact camera motion: the reconstructed global landmark R (x d(rho)) + p
+    # must stay put as the bearing/depth state evolves
+    blk = block_bearing_landmark()
+    rng = np.random.default_rng(16)
+    dt = 1e-3
+    for _ in range(5):
+        r_cam = so3_exp(rng.standard_normal(3))
+        p_cam = rng.standard_normal(3)
+        x = with_norm(rng, 3)
+        rho = rng.uniform(1.0, 4.0)
+        state = np.concatenate([x, [rho]])
+        target = r_cam @ (state[:3] * rho) + p_cam
+        omega = np.array([0.4, -0.2, 0.3])
+        v = np.array([0.5, 0.1, -0.4])
+        for _ in range(100):
+            state = _step(blk, state, (omega, v), dt)
+            r_cam = r_cam @ so3_exp(dt * omega)
+            p_cam = p_cam + dt * (r_cam @ v)
+        rebuilt = r_cam @ (state[:3] * state[3]) + p_cam
+        assert np.linalg.norm(rebuilt - target) / np.linalg.norm(target) < 1e-3

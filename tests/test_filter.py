@@ -1,6 +1,5 @@
-"""Filter-level tests: prediction charts, iterated-update behaviour, and
-failure modes. The equivalence with a textbook Kalman filter on a linear
-problem is acceptance check 3."""
+"""Filter-level tests: textbook Kalman equivalence, prediction charts,
+iterated-update behaviour, and failure modes."""
 import dataclasses
 
 import numpy as np
@@ -17,8 +16,41 @@ from manikf.filter import (
 from manikf.manifolds import SO3, Euclidean, compound
 from manikf.so3 import skew, so3_exp
 
-from helpers import assert_close, linear_model
+from helpers import TextbookKF, assert_close, linear_model
 from manifold_samples import with_norm
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 4])
+def test_linear_gaussian_matches_textbook(nmax):
+    rng = np.random.default_rng(7)
+    n, m, dt = 4, 2, 0.1
+    a = 0.3 * rng.standard_normal((n, n))
+    c = rng.standard_normal((m, n))
+    q = np.diag(rng.uniform(0.01, 0.1, n))
+    r = np.diag(rng.uniform(0.05, 0.2, m))
+    model = linear_model(a, c, n, m)
+    cfg = UpdateConfig(max_iterations=nmax)
+
+    p0 = np.diag(rng.uniform(0.5, 2.0, n))
+    x0 = rng.standard_normal(n)
+    state = FilterState(x0.copy(), p0.copy())
+    oracle = TextbookKF(x0, p0)
+    f_mat = np.eye(n) + dt * a
+    q_eff = dt * dt * q
+
+    for _ in range(100):
+        u = rng.standard_normal(n)
+        state = predict(model, state, u, dt, q)
+        oracle.predict(f_mat, q_eff)
+        oracle.x = oracle.x + dt * u
+        z = rng.standard_normal(m)
+        state, diag = update(model, state, z, r, config=cfg)
+        oracle.update(z, c, r)
+        assert_close(state.x, oracle.x, tol=1e-9, floor=1e-9)
+        assert_close(state.P, oracle.p, tol=1e-9, floor=1e-9)
+        # a linear problem is solved by the very first gain
+        assert diag.iterations <= 1
+        assert nmax == 0 or diag.converged
 
 
 def test_predict_zero_velocity_is_identity():
