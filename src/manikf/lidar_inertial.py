@@ -12,6 +12,7 @@ identically zero and all information enters through h and its Jacobians.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -29,7 +30,7 @@ BLOCKS = ("p", "v", "R", "ba", "bw", "g", "R_ext", "p_ext")
 NOISE_DIM = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlaneFeature:
     """One scanned point with its associated plane or edge in the global map.
 
@@ -48,7 +49,8 @@ class PlaneFeature:
     def __post_init__(self):
         if self.kind not in ("plane", "edge"):
             raise ContractViolationError(f"unknown feature kind {self.kind!r}")
-        if abs(np.linalg.norm(self.u_dir) - 1.0) > 1e-9:
+        # np.linalg.norm's dot and sqrt; a NaN length fails the <=
+        if not abs(math.sqrt(self.u_dir.dot(self.u_dir)) - 1.0) <= 1e-9:
             raise ContractViolationError("feature direction must be a unit vector")
 
     @property

@@ -135,12 +135,11 @@ def _motion_profiles(cfg: ScenarioConfig):
 
 
 def _make_planes(cfg: ScenarioConfig, rng: np.random.Generator):
-    """Random scene planes: unit normals, anchor points, in-plane bases."""
+    """Random scene planes: anchors, in-plane bases, normal rows, anchor rows."""
     normals = rng.standard_normal((cfg.n_planes, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     anchors = rng.uniform(-10.0, 10.0, size=(cfg.n_planes, 3))
-    bases = np.stack([_plane_basis(n) for n in normals])
-    return normals, anchors, bases
+    return anchors, _plane_bases(normals), list(normals), list(anchors)
 
 
 def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
@@ -159,7 +158,7 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
     r_ext = so3_exp(np.array(TRUE_EXT_ROT))
     p_ext = np.array(TRUE_EXT_POS)
 
-    normals, anchors, bases = _make_planes(cfg, rng)
+    planes = _make_planes(cfg, rng)
     sq = np.sqrt(1.0 / dt)  # discrete noise std scale
     n_a = cfg.sigma_a * sq * rng.standard_normal((k_steps, 3))
     n_w = cfg.sigma_w * sq * rng.standard_normal((k_steps, 3))
@@ -192,16 +191,15 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
         bw = bw + dt * n_bw[k]
         truth.append(make_state(p, v, rot, ba, bw, g_true, r_ext, p_ext))
 
-        features.append(
-            _observe(cfg, rng, normals, anchors, bases, p, rot, r_ext, p_ext)
-        )
+        features.append(_observe(cfg, rng, planes, p, rot, r_ext, p_ext))
 
     truth = np.array(truth)
     return Trajectory(times=times, truth=truth, imu=imu, features=features)
 
 
-def _observe(cfg, rng, normals, anchors, bases, p, rot, r_ext, p_ext):
-    """Sample scanned points on random planes, expressed in the lidar frame."""
+def _observe(cfg, rng, planes, p, rot, r_ext, p_ext):
+    """Scan points on random planes in the lidar frame; features share plane rows."""
+    anchors, bases, normal_rows, anchor_rows = planes
     m = cfg.points_per_update
     idx = rng.integers(0, cfg.n_planes, size=m)
     # random points on the chosen planes within a patch around each anchor
@@ -209,16 +207,16 @@ def _observe(cfg, rng, normals, anchors, bases, p, rot, r_ext, p_ext):
     g_pts = anchors[idx] + np.einsum("kij,kj->ki", bases[idx], coeff)
     p_lidar = ((g_pts - p) @ rot - p_ext) @ r_ext
     noisy = p_lidar + cfg.sigma_feature * rng.standard_normal((m, 3))
-    return [
-        PlaneFeature(p_f=noisy[k], u_dir=normals[i], q=anchors[i], kind="plane")
-        for k, i in enumerate(idx)
-    ]
+    return [PlaneFeature(p_f, normal_rows[i], anchor_rows[i])
+            for p_f, i in zip(noisy, idx.tolist())]
 
 
-def _plane_basis(n: np.ndarray) -> np.ndarray:
-    """Two orthonormal vectors spanning the plane with normal n, shape (3, 2)."""
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(n)))] = 1.0
-    b1 = np.cross(n, a)
-    b1 /= np.linalg.norm(b1)
-    return np.column_stack([b1, np.cross(n, b1)])
+def _plane_bases(normals: np.ndarray) -> np.ndarray:
+    """In-plane bases B (n, 3, 2) of unit normals n (n, 3): orthonormal, B^T n = 0,
+    det[n, b1, b2] = +1. Each row's norm is its own dot, as np.linalg.norm
+    takes it for one vector, so no row's bits depend on the others."""
+    a = np.zeros_like(normals)
+    a[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
+    b1 = np.cross(normals, a)
+    b1 /= np.sqrt([b.dot(b) for b in b1])[:, None]
+    return np.stack([b1, np.cross(normals, b1)], axis=2)

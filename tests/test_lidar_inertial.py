@@ -30,13 +30,38 @@ def test_manifold_dimensions():
 
 
 def test_feature_validation():
-    with pytest.raises(ContractViolationError):
-        PlaneFeature(np.zeros(3), np.array([1.0, 1.0, 0.0]), np.zeros(3))
+    nan, inf = float("nan"), float("inf")
+    for u in ([1.0, 1.0, 0.0], [nan, 0.0, 0.0], [1.0, nan, 0.0], [inf, 0.0, 0.0],
+              [-inf, 0.0, 0.0], [inf, -inf, 0.0], [inf, nan, 0.0]):
+        with pytest.raises(ContractViolationError):
+            PlaneFeature(np.zeros(3), np.array(u), np.zeros(3))
     with pytest.raises(ContractViolationError):
         PlaneFeature(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3),
                      kind="corner")
     feats = random_features(np.random.default_rng(0), 2, 1)
     assert len(scan_rows(feats).g) == 2 + 2
+
+
+def _accepts(u):
+    try:
+        PlaneFeature(np.zeros(3), u, np.zeros(3))
+    except ContractViolationError:
+        return False
+    return True
+
+
+def test_unit_check_boundary_is_that_of_the_norm():
+    # | |u| - 1 | <= 1e-9 passes, as under abs(np.linalg.norm(u) - 1) > 1e-9
+    rng = np.random.default_rng(17)
+    for d in (0.5e-9, -0.5e-9):
+        assert _accepts((1.0 + d) * np.array([0.0, 1.0, 0.0]))
+        assert _accepts((1.0 + d) * with_norm(rng, 3))
+    for d in (2e-9, -2e-9):
+        assert not _accepts((1.0 + d) * np.array([0.0, 0.0, -1.0]))
+        assert not _accepts((1.0 + d) * with_norm(rng, 3))
+    for _ in range(5000):
+        u = (1.0 + rng.uniform(-2e-9, 2e-9)) * with_norm(rng, 3)
+        assert _accepts(u) == (not abs(np.linalg.norm(u) - 1.0) > 1e-9)
 
 
 def test_empty_feature_list_rejected():

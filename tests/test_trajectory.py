@@ -10,10 +10,12 @@ from manikf.lidar_inertial import NOISE_DIM, REP, lidar_inertial_model, state_ma
 from manikf.trajectory import (
     SCENARIOS,
     ScenarioConfig,
+    _plane_bases,
     generate_trajectory,
 )
 
 from helpers import assert_close
+from manifold_samples import with_norm
 
 
 def _quiet(cfg):
@@ -72,10 +74,13 @@ def test_generation_is_deterministic():
     b = generate_trajectory(cfg, trial=3)
     assert np.array_equal(a.truth, b.truth)
     assert np.array_equal(a.imu, b.imu)
+    assert [len(fa) for fa in a.features] == [len(fb) for fb in b.features]
     for fa, fb in zip(a.features, b.features):
         for xa, xb in zip(fa, fb):
             assert np.array_equal(xa.p_f, xb.p_f)
             assert np.array_equal(xa.u_dir, xb.u_dir)
+            assert np.array_equal(xa.q, xb.q)
+            assert xa.kind == xb.kind
     c = generate_trajectory(cfg, trial=4)
     assert not np.array_equal(a.imu, c.imu)
 
@@ -135,3 +140,44 @@ def test_noiseless_features_lie_on_their_planes():
         for ft in feats:
             g_pt = rot @ (r_ext @ ft.p_f + x[REP["p_ext"]]) + x[REP["p"]]
             assert abs(ft.u_dir @ (g_pt - ft.q)) < 1e-9
+
+
+def test_plane_bases_are_right_handed_orthonormal():
+    rng = np.random.default_rng(5)
+    s2, s3 = np.sqrt(0.5), np.sqrt(1.0 / 3.0)
+    normals = np.array(
+        # on an axis, so two zero components tie for the smallest
+        [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        # other ties for the smallest |component|
+        + [[s3, s3, s3], [-s3, s3, -s3], [0.3, -0.3, np.sqrt(0.82)]]
+        # in a coordinate plane, then in general position
+        + [[s2, s2, 0.0], [0.0, -s2, s2], [0.6, 0.0, -0.8]]
+        + [[2.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0]]
+        + [with_norm(rng, 3) for _ in range(50)]
+    )
+    bases = _plane_bases(normals)
+    assert bases.shape == (len(normals), 3, 2)
+    for n, b in zip(normals, bases):
+        assert np.max(np.abs(b.T @ b - np.eye(2))) < 4e-15
+        assert np.max(np.abs(b.T @ n)) < 1e-15
+        assert abs(np.linalg.det(np.column_stack([n, b])) - 1.0) < 4e-15
+
+
+def _plane_basis_reference(n):
+    """One plane at a time, with the 1-D np.linalg.norm: the bits to keep."""
+    a = np.zeros(3)
+    a[int(np.argmin(np.abs(n)))] = 1.0
+    b1 = np.cross(n, a)
+    b1 /= np.linalg.norm(b1)
+    return np.column_stack([b1, np.cross(n, b1)])
+
+
+def test_plane_bases_match_the_per_plane_loop_bitwise():
+    # a batched row norm (norm(axis=1), einsum) rounds about one row in ten
+    # differently, which would redraw every generated scan point
+    rng = np.random.default_rng(6)
+    normals = rng.standard_normal((2000, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    normals[:4] = [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.6, 0.0, 0.8], [np.sqrt(1.0 / 3.0)] * 3]
+    for n, b in zip(normals, _plane_bases(normals)):
+        assert np.array_equal(b, _plane_basis_reference(n))
