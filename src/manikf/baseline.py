@@ -213,9 +213,6 @@ def baseline_model(augmented: bool = False) -> SystemModel:
             out[n + 2, BREP["q_ext"]] = 2.0 * q_ext
         return out
 
-    def dh_dv(x, rows):
-        return np.eye(len(rows.g) + extra)
-
     return SystemModel(
         manifold=man,
         f=f,
@@ -223,5 +220,4 @@ def baseline_model(augmented: bool = False) -> SystemModel:
         df_dw=df_dw,
         h=h,
         dh_dx=dh_dx,
-        dh_dv=dh_dv,
     )

@@ -36,9 +36,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--duration", type=float, metavar="S")
     p.add_argument("--dt", type=float, metavar="S")
-    p.add_argument("--trials", type=int)
     p.add_argument("--nmax", type=int)
-    p.add_argument("--filter", choices=("ikfom", "quat"))
     p.add_argument("--out", type=Path, default=Path("."))
     p.add_argument("--config", type=Path, help="JSON file with the same keys as the flags")
 
@@ -48,12 +46,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="manikf", description="Manifold Kalman filter simulation harness"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "run one trial and write its CSV trace"),
-        ("montecarlo", "run repeated trials and write the summary JSON"),
-        ("compare", "paired drift comparison of both filters"),
+    # --trials only where more than one trial runs, --filter only where one filter does
+    for name, help_text, trials, one_filter in (
+        ("simulate", "run one trial and write its CSV trace", False, True),
+        ("montecarlo", "run repeated trials and write the summary JSON", True, True),
+        ("compare", "paired drift comparison of both filters", True, False),
     ):
-        _add_common(sub.add_parser(name, help=help_text))
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        if trials:
+            p.add_argument("--trials", type=int)
+        if one_filter:
+            p.add_argument("--filter", choices=("ikfom", "quat"))
     return parser
 
 
@@ -77,10 +81,10 @@ def _load_config(args) -> tuple:
             values[key] = kind(val)
     trials = values.pop("trials", None)
     for key in ("scenario", "seed", "duration", "dt", "nmax", "filter"):
-        flag = getattr(args, key)
+        flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         trials = args.trials
     if trials is not None and trials < 1:
         raise ContractViolationError(f"trials must be at least 1, got {trials}")

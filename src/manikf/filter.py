@@ -33,9 +33,9 @@ class SystemModel:
     returns the predicted (Euclidean) measurement; ``ctx`` is opaque
     per-update context for measurement models whose dimension changes step
     to step. The noise is additive, h(x, v) = h(x, 0) + v, one variance per
-    row in ``update``'s diagonal R: ``dh_dx`` is the Jacobian at v = 0 and
-    ``dh_dv`` the identity (``update`` never calls it). A process-only
-    model leaves the measurement maps ``None``.
+    row in ``update``'s diagonal R, and ``dh_dx`` is the Jacobian at v = 0.
+    No model sets ``dh_dv``: perfbench's tracer still replaces it by name.
+    A process-only model leaves the measurement maps ``None``.
     """
 
     manifold: Manifold
@@ -132,14 +132,15 @@ def update(
     It stops once dxo^T P+^-1 dxo < CONVERGENCE_TOL^2, P+ = B M^-1 B^T being
     the posterior at the iterate (a rule free of the state's units), taken
     as v^T M v with v = B^-1 dxo = y - L_P^-1 dxj and y = M^-1 A^T (...).
-    A non-diagonal R, a non-positive variance or a ``z`` not shaped like
-    h's output raises DimensionError; a P or an M without a finite Cholesky
-    factor, or a non-finite residual or Jacobian, raises UpdateSolverError.
+    An R that is not len(z) square and diagonal, a non-positive variance or
+    a ``z`` not shaped like h's output raises DimensionError; a P or an M
+    without a finite Cholesky factor, or a non-finite residual or Jacobian,
+    raises UpdateSolverError.
     """
     if config is None:
         config = UpdateConfig()
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise DimensionError(f"R must be square, got {R.shape}")
+    if R.shape != (len(z), len(z)):
+        raise DimensionError(f"R must be {len(z)} x {len(z)}, one row per z row, got {R.shape}")
     var = np.diagonal(R)
     if not (var > 0.0).all() or np.count_nonzero(R) != var.size:
         raise DimensionError("R must be diagonal with positive variances")

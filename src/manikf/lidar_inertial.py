@@ -6,15 +6,15 @@ sphere point), lidar-to-IMU rotation R_ext and translation p_ext. Inputs
 are raw IMU readings u = [a_m, w_m]; process noise w = [n_a, n_w, n_ba,
 n_bw] (white measurement noise on the IMU plus bias random walks).
 
-Measurements are geometric residuals of scanned points against known
-planes or edges; the residual is defined so the measured value is
+Measurements are the distances of scanned points to known planes, one row
+each (an edge is two planes, see edge_features); the measured value is
 identically zero and all information enters through h and its Jacobians.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import ClassVar, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,36 +30,36 @@ BLOCKS = ("p", "v", "R", "ba", "bw", "g", "R_ext", "p_ext")
 NOISE_DIM = 12
 
 
+def _check_unit(u: np.ndarray) -> None:
+    # np.linalg.norm's dot and sqrt; a NaN length fails the <=
+    if not abs(math.sqrt(u.dot(u)) - 1.0) <= 1e-9:
+        raise ContractViolationError("feature direction must be a unit vector")
+
+
 @dataclass(frozen=True, slots=True)
 class PlaneFeature:
-    """One scanned point with its associated plane or edge in the global map.
+    """One residual row: a scanned point against a plane of the global map.
 
-    ``p_f`` is the point in the lidar frame; ``u_dir`` the unit plane
-    normal (or edge direction); ``q`` a point on the plane (or edge);
-    ``kind`` selects the residual: a plane contributes the 1-row normal
-    distance, an edge the 2-row rejection from the direction, in an
-    orthonormal basis of the plane normal to it.
+    ``p_f`` is the point in the lidar frame, ``u_dir`` the unit plane
+    normal and ``q`` a point on the plane; the row is the point's signed
+    distance to the plane. An edge is two such rows (see edge_features).
     """
 
+    kind: ClassVar[str] = "plane"  # every row is a plane row; perfbench counts rows by it
     p_f: np.ndarray
     u_dir: np.ndarray
     q: np.ndarray
-    kind: str = "plane"
 
     def __post_init__(self):
-        if self.kind not in ("plane", "edge"):
-            raise ContractViolationError(f"unknown feature kind {self.kind!r}")
-        # np.linalg.norm's dot and sqrt; a NaN length fails the <=
-        if not abs(math.sqrt(self.u_dir.dot(self.u_dir)) - 1.0) <= 1e-9:
-            raise ContractViolationError("feature direction must be a unit vector")
+        _check_unit(self.u_dir)
 
-    @property
-    def g_mat(self) -> np.ndarray:
-        """Residual projector: row u^T for a plane; for an edge the two rows
-        sphere_basis(u)^T spanning the plane normal to u (skew(u) has rank 2)."""
-        if self.kind == "plane":
-            return self.u_dir.reshape(1, 3)
-        return sphere_basis(self.u_dir).T
+
+def edge_features(p_f: np.ndarray, u_dir: np.ndarray, q: np.ndarray) -> List[PlaneFeature]:
+    """The two rows of a point against the edge through q along unit u_dir:
+    its distances to the planes through the edge with normals sphere_basis(u)^T,
+    whose squared sum is the point's squared distance to the line."""
+    _check_unit(u_dir)
+    return [PlaneFeature(p_f, n, q) for n in sphere_basis(u_dir).T]
 
 
 def state_manifold() -> Compound:
@@ -92,8 +92,7 @@ def make_state(p, v, R, ba, bw, g, R_ext, p_ext) -> np.ndarray:
 
 class ScanRows(NamedTuple):
     """One update's features stacked once into residual rows: row i holds
-    its feature's point ``p_f[i]``, anchor ``q[i]`` and projector row
-    ``g[i]`` (u^T for a plane, two rows for an edge)."""
+    its feature's point ``p_f[i]``, anchor ``q[i]`` and unit normal ``g[i]``."""
 
     p_f: np.ndarray  # (n, 3), n residual rows
     q: np.ndarray  # (n, 3)
@@ -104,12 +103,10 @@ def scan_rows(features: Sequence[PlaneFeature]) -> ScanRows:
     """Stack a feature list into the measurement context of one update."""
     if not features:
         raise DimensionError("measurement update needs at least one feature")
-    g = [ft.g_mat for ft in features]
-    counts = [len(g_i) for g_i in g]
     return ScanRows(
-        p_f=np.repeat([ft.p_f for ft in features], counts, axis=0),
-        q=np.repeat([ft.q for ft in features], counts, axis=0),
-        g=np.concatenate(g),
+        p_f=np.array([ft.p_f for ft in features]),
+        q=np.array([ft.q for ft in features]),
+        g=np.array([ft.u_dir for ft in features]),
     )
 
 
@@ -120,12 +117,12 @@ def scan_residuals(rot, r_ext, p, p_ext, rows: ScanRows) -> np.ndarray:
 
 
 def lidar_inertial_model() -> SystemModel:
-    """SystemModel for the IMU process and plane/edge measurements.
+    """SystemModel for the IMU process and the scan's plane rows.
 
     The per-update measurement context is the ScanRows of the update's
     features (see scan_rows), so the caller's diagonal R is len(rows.g)
     square. Isotropic point noise of variance s^2 is exactly s^2 per row:
-    each feature's rows g R R_ext are orthonormal.
+    an edge's two rows g R R_ext share one point and are orthonormal.
     """
     man = state_manifold()
 
@@ -179,9 +176,6 @@ def lidar_inertial_model() -> SystemModel:
         out[:, TAN["p_ext"]] = a
         return out
 
-    def dh_dv(x, rows):
-        return np.eye(len(rows.g))
-
     return SystemModel(
         manifold=man,
         f=f,
@@ -189,5 +183,4 @@ def lidar_inertial_model() -> SystemModel:
         df_dw=df_dw,
         h=h,
         dh_dx=dh_dx,
-        dh_dv=dh_dv,
     )

@@ -4,7 +4,7 @@ and finite-difference Jacobians."""
 import numpy as np
 
 from manikf.filter import SystemModel
-from manikf.lidar_inertial import GRAVITY, PlaneFeature, make_state
+from manikf.lidar_inertial import GRAVITY, PlaneFeature, edge_features, make_state
 from manikf.manifolds import Euclidean
 from manikf.so3 import so3_exp
 from manifold_samples import with_norm
@@ -26,20 +26,19 @@ def random_li_state(rng):
 
 
 def random_features(rng, n_plane, n_edge=0):
-    """n_plane planes, then n_edge edges, each at a random point and anchor."""
+    """Rows of n_plane planes, then of n_edge edges (two rows each), each
+    plane or edge at a random point and anchor."""
     feats = []
-    for kind, count in (("plane", n_plane), ("edge", n_edge)):
-        for _ in range(count):
-            u = with_norm(rng, 3)
-            feats.append(PlaneFeature(
-                p_f=2.0 * rng.standard_normal(3), u_dir=u,
-                q=3.0 * rng.standard_normal(3), kind=kind,
-            ))
+    for i in range(n_plane + n_edge):
+        u = with_norm(rng, 3)
+        p_f, q = 2.0 * rng.standard_normal(3), 3.0 * rng.standard_normal(3)
+        feats += [PlaneFeature(p_f, u, q)] if i < n_plane else edge_features(p_f, u, q)
     return feats
 
 
-def linear_model(a, c, n, m):
-    """x' = x + dt*(A x + u + w), z = C x + v on Euclidean(n)."""
+def linear_model(a, c):
+    """x' = x + dt*(A x + u + w), z = C x + v on Euclidean(n), A being n x n."""
+    n = len(a)
     return SystemModel(
         manifold=Euclidean(n),
         f=lambda x, u, w: a @ x + u + w,
@@ -47,7 +46,6 @@ def linear_model(a, c, n, m):
         df_dw=lambda x, u: np.eye(n),
         h=lambda x, v, ctx: c @ x + v,
         dh_dx=lambda x, ctx: c,
-        dh_dv=lambda x, ctx: np.eye(m),
     )
 
 
@@ -101,6 +99,12 @@ def fd_step_pair(man, x, v, eps=1e-6):
     """FD oracle of diff_v(x, v): (G_x, G_v) of the step oplus(x, v)."""
     zero = np.zeros(man.dim)
     return fd_diff_u(man, x, zero, v, eps), fd_diff_v(man, x, zero, v, eps)
+
+
+def assert_additive_noise(h, x, ctx, n):
+    """h(x, v) - h(x, 0) = v, for a fixed v with n distinct entries."""
+    v = np.linspace(-1.0, 1.0, n)
+    assert_close(h(x, v, ctx) - h(x, np.zeros(n), ctx), v, tol=1e-12, floor=1e-14)
 
 
 def assert_close(a, b, tol=1e-5, floor=1e-7, msg=""):

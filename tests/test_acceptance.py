@@ -33,6 +33,7 @@ from manikf.trajectory import ScenarioConfig
 
 from helpers import (
     TextbookKF,
+    assert_additive_noise,
     assert_close,
     fd_diff_u,
     fd_jacobian,
@@ -113,10 +114,9 @@ def test_all_jacobians_match_finite_differences():
         rows = scan_rows(random_features(rng, *LI_SCANS[k % len(LI_SCANS)]))
         nv = len(rows.g)
         hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), rows))
-        hv = lambda v: np.asarray(model.h(x, v, rows))
         _check_jac(model.dh_dx(x, rows), fd_jacobian(hx, np.zeros(TANGENT_DIM)),
                    "li dh_dx")
-        _check_jac(model.dh_dv(x, rows), fd_jacobian(hv, np.zeros(nv)), "li dh_dv")
+        assert_additive_noise(model.h, x, rows, nv)
 
     # baseline Jacobians, both constraint modes
     for augmented in (False, True):
@@ -136,11 +136,9 @@ def test_all_jacobians_match_finite_differences():
             rows = scan_rows(random_features(rng, *BASELINE_SCANS[k % len(BASELINE_SCANS)]))
             nv = len(rows.g) + (N_CONSTRAINTS if augmented else 0)
             hx = lambda e: np.asarray(bmodel.h(x + e, np.zeros(nv), rows))
-            hv = lambda v: np.asarray(bmodel.h(x, v, rows))
             _check_jac(bmodel.dh_dx(x, rows), fd_jacobian(hx, np.zeros(B_STATE_DIM)),
                        "baseline dh_dx")
-            _check_jac(bmodel.dh_dv(x, rows), fd_jacobian(hv, np.zeros(nv)),
-                       "baseline dh_dv")
+            assert_additive_noise(bmodel.h, x, rows, nv)
 
     # process blocks
     blocks = (
@@ -177,7 +175,7 @@ def test_linear_problem_reduces_to_textbook_kf():
     c = rng.standard_normal((m, n))
     q = np.diag(rng.uniform(0.01, 0.1, n))
     r = np.diag(rng.uniform(0.05, 0.2, m))
-    model = linear_model(a, c, n, m)
+    model = linear_model(a, c)
     f_mat = np.eye(n) + dt * a
     x0 = rng.standard_normal(n)
     p0 = np.diag(rng.uniform(0.5, 2.0, n))

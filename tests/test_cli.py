@@ -55,6 +55,15 @@ def test_bad_scenario_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--trials", "5"], ["compare", "--filter", "quat"]],
+                         ids=["simulate-trials", "compare-filter"])
+def test_flag_the_command_would_ignore_is_usage_error(argv):
+    # simulate runs one trial and compare runs both filters
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_config_file_merge(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(

@@ -28,7 +28,7 @@ def test_linear_gaussian_matches_textbook(nmax):
     c = rng.standard_normal((m, n))
     q = np.diag(rng.uniform(0.01, 0.1, n))
     r = np.diag(rng.uniform(0.05, 0.2, m))
-    model = linear_model(a, c, n, m)
+    model = linear_model(a, c)
     cfg = UpdateConfig(max_iterations=nmax)
 
     p0 = np.diag(rng.uniform(0.5, 2.0, n))
@@ -55,7 +55,7 @@ def test_linear_gaussian_matches_textbook(nmax):
 
 def test_predict_zero_velocity_is_identity():
     n = 3
-    model = linear_model(np.zeros((n, n)), np.eye(n), n, n)
+    model = linear_model(np.zeros((n, n)), np.eye(n))
     p0 = np.diag([1.0, 2.0, 3.0])
     state = FilterState(np.array([1.0, -2.0, 0.5]), p0.copy())
     out = predict(model, state, np.zeros(n), 0.25, np.zeros((n, n)))
@@ -64,16 +64,18 @@ def test_predict_zero_velocity_is_identity():
 
 
 def test_predict_rejects_wrong_q_shape():
-    model = linear_model(np.zeros((2, 2)), np.eye(2), 2, 2)
+    model = linear_model(np.zeros((2, 2)), np.eye(2))
     state = FilterState(np.zeros(2), np.eye(2))
     with pytest.raises(DimensionError):
         predict(model, state, np.zeros(2), 0.1, np.eye(3))
 
 
 def test_update_rejects_wrong_shapes():
-    model = linear_model(np.zeros((2, 2)), np.eye(2), 2, 2)
+    model = linear_model(np.zeros((2, 2)), np.eye(2))
     state = FilterState(np.zeros(2), np.eye(2))
     # z shorter than h's output must not broadcast against it
+    with pytest.raises(DimensionError):
+        update(model, state, np.zeros(1), np.eye(1))
     with pytest.raises(DimensionError):
         update(model, state, np.zeros(1), np.eye(2))
     with pytest.raises(DimensionError):
@@ -83,6 +85,12 @@ def test_update_rejects_wrong_shapes():
         update(model, state, np.zeros(2), np.ones((2, 3)))
     with pytest.raises(DimensionError):
         update(model, state, np.zeros(2), np.ones(2))
+    # and as long as z: a 1 x 1 R must not broadcast over both rows, nor a
+    # 3 x 3 one fail inside numpy's broadcasting
+    with pytest.raises(DimensionError):
+        update(model, state, np.zeros(2), np.eye(1))
+    with pytest.raises(DimensionError):
+        update(model, state, np.zeros(2), np.eye(3))
 
 
 def test_diff_v_rotation_transport():
@@ -99,7 +107,6 @@ def test_diff_v_rotation_transport():
 def _so3_vector_model(refs):
     """Attitude-only model: z stacks R^T r_i for fixed reference vectors."""
     man = SO3()
-    m = 3 * len(refs)
 
     def h(x, v, ctx):
         r = SO3.to_matrix(x)
@@ -116,7 +123,6 @@ def _so3_vector_model(refs):
         df_dw=lambda x, u: np.eye(3),
         h=h,
         dh_dx=dh_dx,
-        dh_dv=lambda x, ctx: np.eye(m),
     )
 
 
@@ -173,7 +179,6 @@ def _curved_model(scale):
         df_dw=lambda x, u: np.eye(3),
         h=h,
         dh_dx=dh_dx,
-        dh_dv=lambda x, ctx: np.eye(4),
     )
 
 
@@ -237,14 +242,14 @@ def test_compound_update_decouples_independent_blocks():
     a2 = 0.2 * rng.standard_normal((n2, n2))
     c1 = rng.standard_normal((1, n1))
     c2 = rng.standard_normal((2, n2))
-    m1 = linear_model(a1, c1, n1, 1)
-    m2 = linear_model(a2, c2, n2, 2)
+    m1 = linear_model(a1, c1)
+    m2 = linear_model(a2, c2)
 
     a = np.zeros((n1 + n2, n1 + n2))
     a[:n1, :n1], a[n1:, n1:] = a1, a2
     c = np.zeros((3, n1 + n2))
     c[:1, :n1], c[1:, n1:] = c1, c2
-    joint = dataclasses.replace(linear_model(a, c, n1 + n2, 3),
+    joint = dataclasses.replace(linear_model(a, c),
                                 manifold=compound(Euclidean(n1), Euclidean(n2)))
 
     q1, q2 = np.diag([0.02, 0.03]), np.diag([0.01, 0.04, 0.02])
@@ -276,7 +281,7 @@ def test_compound_update_decouples_independent_blocks():
 
 def test_indefinite_prior_raises():
     # the gain starts from the Cholesky factor of P, which an indefinite P lacks
-    model = linear_model(np.zeros((2, 2)), np.eye(2), 2, 2)
+    model = linear_model(np.zeros((2, 2)), np.eye(2))
     state = FilterState(np.zeros(2), np.diag([1.0, -1.0]))
     with pytest.raises(UpdateSolverError) as exc:
         update(model, state, np.ones(2), np.eye(2))
@@ -286,7 +291,7 @@ def test_indefinite_prior_raises():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_prior_raises(bad):
     # numpy factors a NaN P into a NaN factor without raising
-    model = linear_model(np.zeros((2, 2)), np.eye(2), 2, 2)
+    model = linear_model(np.zeros((2, 2)), np.eye(2))
     p = np.eye(2)
     p[0, 0] = bad
     with pytest.raises(UpdateSolverError) as exc:
@@ -299,14 +304,14 @@ def test_non_finite_prior_raises(bad):
 def test_overflowing_gain_matrix_raises(scale):
     # a finite dh_dx this large overflows A^T A; LAPACK's Cholesky alone would
     # return a non-finite factor without an error
-    model = linear_model(np.zeros((2, 2)), np.full((2, 2), scale), 2, 2)
+    model = linear_model(np.zeros((2, 2)), np.full((2, 2), scale))
     with pytest.raises(UpdateSolverError, match="gain matrix"):
         update(model, FilterState(np.zeros(2), np.eye(2)), np.ones(2), np.eye(2))
 
 
 def test_update_rejects_correlated_or_nonpositive_noise():
     # the gain weighs each row by 1/sigma, so R must be a positive diagonal
-    model = linear_model(np.zeros((2, 2)), np.eye(2), 2, 2)
+    model = linear_model(np.zeros((2, 2)), np.eye(2))
     state = FilterState(np.zeros(2), np.eye(2))
     for r in (np.array([[1.0, 0.1], [0.1, 1.0]]), np.diag([1.0, 0.0]), np.diag([1.0, -1.0])):
         with pytest.raises(DimensionError):
@@ -332,7 +337,7 @@ def test_single_linearization_matches_innovation_form(m):
         p = q @ np.diag(10.0 ** rng.uniform(-4.0, -2.0, n)) @ q.T
         r = np.diag(10.0 ** rng.uniform(-6.0, 0.0, m))
         x, z = rng.standard_normal(n), rng.standard_normal(m)
-        model = linear_model(np.zeros((n, n)), c, n, m)
+        model = linear_model(np.zeros((n, n)), c)
         out, _ = update(model, FilterState(x, p), z, r, config=UpdateConfig(max_iterations=0))
         s = c @ p @ c.T + r
         k = np.linalg.solve(s, c @ p).T

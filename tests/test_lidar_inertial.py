@@ -13,12 +13,20 @@ from manikf.lidar_inertial import (
     TAN,
     TANGENT_DIM,
     PlaneFeature,
+    edge_features,
     lidar_inertial_model,
+    scan_residuals,
     scan_rows,
     state_manifold,
 )
 
-from helpers import assert_close, fd_jacobian, random_features, random_li_state
+from helpers import (
+    assert_additive_noise,
+    assert_close,
+    fd_jacobian,
+    random_features,
+    random_li_state,
+)
 from manifold_samples import with_norm
 
 
@@ -35,9 +43,8 @@ def test_feature_validation():
               [-inf, 0.0, 0.0], [inf, -inf, 0.0], [inf, nan, 0.0]):
         with pytest.raises(ContractViolationError):
             PlaneFeature(np.zeros(3), np.array(u), np.zeros(3))
-    with pytest.raises(ContractViolationError):
-        PlaneFeature(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3),
-                     kind="corner")
+        with pytest.raises(ContractViolationError):
+            edge_features(np.zeros(3), np.array(u), np.zeros(3))
     feats = random_features(np.random.default_rng(0), 2, 1)
     assert len(scan_rows(feats).g) == 2 + 2
 
@@ -84,7 +91,8 @@ def test_hover_equilibrium():
 
 
 def _features_on_map(rng, x, n_plane, n_edge):
-    """Planes and edges whose scanned points lie exactly on them at state x."""
+    """Planes and edges (two rows each) whose scanned points lie exactly on
+    them at state x."""
     rot = x[REP["R"]].reshape(3, 3)
     r_ext = x[REP["R_ext"]].reshape(3, 3)
     p, p_ext = x[REP["p"]], x[REP["p_ext"]]
@@ -105,7 +113,7 @@ def _features_on_map(rng, x, n_plane, n_edge):
         q = rng.standard_normal(3)
         # the global point lands on the line q + t u
         target = q + rng.standard_normal() * u
-        edges.append(PlaneFeature(p_f=lidar_point(target), u_dir=u, q=q, kind="edge"))
+        edges.append(edge_features(lidar_point(target), u, q))
     return planes, edges
 
 
@@ -116,7 +124,7 @@ def test_point_on_plane_gives_zero_residual():
     x = random_li_state(rng)
     planes, edges = _features_on_map(rng, x, 5, 4)
     # plane, edge, plane, ...: residual rows and feature indices out of step
-    feats = [ft for pair in zip(planes, edges) for ft in pair] + planes[len(edges):]
+    feats = [ft for pl, ed in zip(planes, edges) for ft in (pl, *ed)] + planes[len(edges):]
     rows = scan_rows(feats)
     assert len(rows.g) == 5 + 2 * 4
     res = model.h(x, np.zeros(len(rows.g)), rows)
@@ -135,7 +143,7 @@ def test_update_with_edges_succeeds():
     for _ in range(5):
         x = random_li_state(rng)
         planes, edges = _features_on_map(rng, x, 10, 3)
-        rows = scan_rows(planes + edges)
+        rows = scan_rows(planes + sum(edges, []))
         r = sigma**2 * np.eye(len(rows.g))
         state = FilterState(x, 0.01 * np.eye(TANGENT_DIM))
         out, _ = update(model, state, np.zeros(len(rows.g)), r, ctx=rows)
@@ -144,8 +152,8 @@ def test_update_with_edges_succeeds():
 
 @pytest.mark.parametrize("quat", [False, True], ids=["ikfom", "quat"])
 def test_plane_and_edge_paths_agree(quat):
-    # appending an edge must leave every other row of h, dh_dx and dh_dv
-    # unchanged: the plane rows, and the augmented baseline's constraint rows
+    # appending an edge must leave every other row of h and dh_dx unchanged:
+    # the plane rows, and the augmented baseline's constraint rows
     rng = np.random.default_rng(7)
     model, extra, x = lidar_inertial_model(), 0, random_li_state(rng)
     if quat:
@@ -157,8 +165,6 @@ def test_plane_and_edge_paths_agree(quat):
     keep = np.r_[0:n, n_m:n_m + extra]
     assert_close(model.h(x, v, rows_m)[keep], model.h(x, v[keep], rows_p), tol=1e-12)
     assert_close(model.dh_dx(x, rows_m)[keep], model.dh_dx(x, rows_p),
-                 tol=1e-12, floor=1e-14)
-    assert_close(model.dh_dv(x, rows_m)[np.ix_(keep, keep)], model.dh_dv(x, rows_p),
                  tol=1e-12, floor=1e-14)
 
 
@@ -204,13 +210,10 @@ def test_measurement_jacobians_match_fd():
             rows = scan_rows(random_features(rng, n_plane, n_edge))
             nv = len(rows.g)
             hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), rows))
-            hv = lambda v: np.asarray(model.h(x, v, rows))
             assert_close(model.dh_dx(x, rows),
                          fd_jacobian(hx, np.zeros(TANGENT_DIM)),
                          tol=1e-5, floor=1e-7)
-            assert_close(model.dh_dv(x, rows),
-                         fd_jacobian(hv, np.zeros(nv)),
-                         tol=1e-5, floor=1e-7)
+            assert_additive_noise(model.h, x, rows, nv)
 
 
 def test_point_noise_is_unit_variance_per_row():
@@ -223,30 +226,51 @@ def test_point_noise_is_unit_variance_per_row():
         for _ in range(5):
             x = random_li_state(rng)
             feats = random_features(rng, n_plane, n_edge)
-            n = len(scan_rows(feats).g)
+            # one point per plane or edge; an edge's two rows are rebuilt from its one
+            groups = [feats[i:i + 1] for i in range(n_plane)] + [
+                feats[i:i + 2] for i in range(n_plane, len(feats), 2)]
+            n = len(feats)
             v0 = np.zeros(n)
             hp = lambda pf: np.asarray(model.h(x, v0, scan_rows([
-                dataclasses.replace(ft, p_f=p) for ft, p in zip(feats, pf.reshape(-1, 3))
+                dataclasses.replace(ft, p_f=p)
+                for group, p in zip(groups, pf.reshape(-1, 3)) for ft in group
             ])))
-            points = np.concatenate([ft.p_f for ft in feats])
+            points = np.concatenate([group[0].p_f for group in groups])
             # h is affine in the points, so a wide step is exact up to rounding
             jac = fd_jacobian(hp, points, eps=1e-3)
-            assert jac.shape == (n, points.size)
+            assert jac.shape == (n_plane + 2 * n_edge, 3 * (n_plane + n_edge))
             assert_close(jac @ jac.T, np.eye(n), tol=1e-9)
+
+
+def test_edge_rows_measure_the_distance_to_the_line():
+    # an edge's two rows are the mapped point's offsets in the plane normal
+    # to the edge: their squared sum is |w - (u^T w) u|^2, w = point - anchor
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        x = random_li_state(rng)
+        rot, r_ext = x[REP["R"]].reshape(3, 3), x[REP["R_ext"]].reshape(3, 3)
+        u, p_f, q = with_norm(rng, 3), 2.0 * rng.standard_normal(3), rng.standard_normal(3)
+        res = scan_residuals(rot, r_ext, x[REP["p"]], x[REP["p_ext"]],
+                             scan_rows(edge_features(p_f, u, q)))
+        w = rot @ (r_ext @ p_f + x[REP["p_ext"]]) + x[REP["p"]] - q
+        assert res.shape == (2,)
+        assert_close(res @ res, np.sum((w - (u @ w) * u) ** 2), tol=1e-12)
 
 
 def test_scan_rows_carry_their_features_geometry():
     # plane, edge, plane, edge: each residual row holds its own feature's
-    # point and anchor, so an edge's point and anchor appear twice
+    # point, anchor and normal, and an edge's two rows share its point and anchor
     planes = random_features(np.random.default_rng(23), 2)
     edges = random_features(np.random.default_rng(29), 0, 2)
-    feats = [planes[0], edges[0], planes[1], edges[1]]
+    feats = [planes[0], *edges[0:2], planes[1], *edges[2:4]]
     rows = scan_rows(feats)
-    owner = [0, 1, 1, 2, 3, 3]
     assert rows.p_f.shape == rows.q.shape == rows.g.shape == (6, 3)
-    assert np.array_equal(rows.p_f, [feats[i].p_f for i in owner])
-    assert np.array_equal(rows.q, [feats[i].q for i in owner])
-    assert np.array_equal(rows.g, np.concatenate([ft.g_mat for ft in feats]))
+    assert np.array_equal(rows.p_f, [ft.p_f for ft in feats])
+    assert np.array_equal(rows.q, [ft.q for ft in feats])
+    assert np.array_equal(rows.g, [ft.u_dir for ft in feats])
+    for i in (1, 4):
+        assert np.array_equal(rows.p_f[i], rows.p_f[i + 1])
+        assert np.array_equal(rows.q[i], rows.q[i + 1])
 
 
 def test_measurement_jacobian_sparsity():

@@ -54,11 +54,11 @@ def test_traced_models_predict_and_update():
     prog = _prog()
     li, qb, filt = prog.lidar_inertial, prog.baseline, prog.filter
     rng = np.random.default_rng(0)
-    rows = li.scan_rows([
-        li.PlaneFeature(p_f=rng.standard_normal(3), u_dir=np.eye(3)[k % 3],
-                        q=rng.standard_normal(3), kind="plane" if k < 4 else "edge")
-        for k in range(6)
-    ])
+    feats = []
+    for k in range(6):
+        p_f, u, q = rng.standard_normal(3), np.eye(3)[k % 3], rng.standard_normal(3)
+        feats += [li.PlaneFeature(p_f, u, q)] if k < 4 else li.edge_features(p_f, u, q)
+    rows = li.scan_rows(feats)
     z3, eye = np.zeros(3), np.eye(3)
     x = li.make_state(z3, z3, eye, z3, z3, [0.0, 0.0, -li.GRAVITY], eye, z3)
     u = np.array([0.0, 0.0, li.GRAVITY, 0.01, 0.0, 0.0])
@@ -81,7 +81,7 @@ def test_traced_models_predict_and_update():
     called = {tracer.names[i] for i in tracer.spans()[0]}
     for name in ("f", "df_dx", "df_dw", "h", "dh_dx"):
         assert "model." + name in called, name
-    # the additive-noise update never calls dh_dv, but the tracer still wraps it
+    # no model sets dh_dv, but the tracer still replaces the field by name
     assert "model.dh_dv" in tracer.names
 
 

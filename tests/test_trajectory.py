@@ -80,7 +80,6 @@ def test_generation_is_deterministic():
             assert np.array_equal(xa.p_f, xb.p_f)
             assert np.array_equal(xa.u_dir, xb.u_dir)
             assert np.array_equal(xa.q, xb.q)
-            assert xa.kind == xb.kind
     c = generate_trajectory(cfg, trial=4)
     assert not np.array_equal(a.imu, c.imu)
 

@@ -8,7 +8,10 @@ quaternion baseline, all at scenario seed 1024, and hashes every field of
 each record that a numerical change could move: errors, 3-sigma envelopes,
 NEES, the estimates, the iteration counts, the final metrics and the
 failure state. Two checkouts whose filters compute bitwise the same numbers
-print the same digests. One line per case, then the digest over all cases.
+print the same digests. One line per case, then the digest over all cases,
+then a ``trajectories`` line: the digest of the generated inputs of the same
+scenarios and trials (truth, IMU readings, and each scan row's point, normal
+and anchor), which moves only when scan or trajectory generation does.
 
 The package is imported from the ``src/`` directory next to this script,
 with one BLAS thread, so that the digest does not depend on the thread count.
@@ -27,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from manikf.harness import run_trial  # noqa: E402
-from manikf.trajectory import ScenarioConfig  # noqa: E402
+from manikf.trajectory import ScenarioConfig, generate_trajectory  # noqa: E402
 
 SEED = 1024
 TRIALS = (0, 1, 2)
@@ -50,6 +53,14 @@ def record_bytes(rec) -> bytes:
     return out + repr((rec.failed, rec.failure)).encode()
 
 
+def trajectory_bytes(traj) -> bytes:
+    """The generated truth, IMU stream and scan rows as bytes, in a fixed order."""
+    out = [traj.truth.tobytes(), traj.imu.tobytes()]
+    for scan in traj.features:
+        out += [np.concatenate([ft.p_f, ft.u_dir, ft.q]).tobytes() for ft in scan]
+    return b"".join(out)
+
+
 def main() -> None:
     total = hashlib.sha256()
     for name, scenario in SCENARIOS.items():
@@ -61,6 +72,12 @@ def main() -> None:
             print(f"{name:14s} {filt:6s} {case.hexdigest()}")
             total.update(case.digest())
     print(f"{'all':21s} {total.hexdigest()}")
+    inputs = hashlib.sha256()
+    for scenario in SCENARIOS.values():
+        for trial in TRIALS:
+            cfg = ScenarioConfig(seed=SEED, **scenario)
+            inputs.update(trajectory_bytes(generate_trajectory(cfg, trial)))
+    print(f"{'trajectories':21s} {inputs.hexdigest()}")
 
 
 if __name__ == "__main__":
