@@ -17,7 +17,6 @@ from .lidar_inertial import (
     TANGENT_DIM,
     lidar_inertial_model,
     make_state,
-    scan_rows,
     state_manifold,
 )
 from .so3 import so3_log
@@ -127,12 +126,11 @@ def run_trial(
     record(0)
     k_done = 0
     try:
-        for k in range(k_steps):
+        for k, rows in enumerate(traj.features):
             state = predict(model, state, traj.imu[k], cfg.dt, qmat)
             state.x = project(state.x)
-            rows = scan_rows(traj.features[k])
-            z = np.zeros(len(rows.g) + r_extra.size)
-            rdiag = np.concatenate([np.full(len(rows.g), cfg.sigma_feature**2), r_extra])
+            z = np.zeros(len(rows) + r_extra.size)
+            rdiag = np.concatenate([np.full(len(rows), cfg.sigma_feature**2), r_extra])
             state, diag = update(model, state, z, np.diag(rdiag), ctx=rows, config=ucfg)
             state.x = project(state.x)
             iters.append(diag.iterations)

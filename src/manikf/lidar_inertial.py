@@ -12,9 +12,8 @@ identically zero and all information enters through h and its Jacobians.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import ClassVar, List, NamedTuple, Sequence
+from typing import ClassVar, Iterator, List, Sequence
 
 import numpy as np
 
@@ -31,8 +30,8 @@ NOISE_DIM = 12
 
 
 def _check_unit(u: np.ndarray) -> None:
-    # np.linalg.norm's dot and sqrt; a NaN length fails the <=
-    if not abs(math.sqrt(u.dot(u)) - 1.0) <= 1e-9:
+    # u is one direction (3,) or one per row (n, 3); a NaN or infinite length fails the <=
+    if not np.all(np.abs(np.sqrt(np.einsum("...i,...i", u, u)) - 1.0) <= 1e-9):
         raise ContractViolationError("feature direction must be a unit vector")
 
 
@@ -90,13 +89,24 @@ def make_state(p, v, R, ba, bw, g, R_ext, p_ext) -> np.ndarray:
     return np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks])
 
 
-class ScanRows(NamedTuple):
-    """One update's features stacked once into residual rows: row i holds
-    its feature's point ``p_f[i]``, anchor ``q[i]`` and unit normal ``g[i]``."""
+@dataclass(frozen=True, slots=True, eq=False)
+class ScanRows:
+    """One update's residual rows as arrays: row i is the point ``p_f[i]``
+    against the plane through ``q[i]`` with unit normal ``g[i]``. Iterating
+    yields the rows as PlaneFeatures, views of these arrays."""
 
     p_f: np.ndarray  # (n, 3), n residual rows
     q: np.ndarray  # (n, 3)
     g: np.ndarray  # (n, 3)
+
+    def __post_init__(self):
+        _check_unit(self.g)
+
+    def __len__(self) -> int:
+        return len(self.g)
+
+    def __iter__(self) -> Iterator[PlaneFeature]:
+        return map(PlaneFeature, self.p_f, self.g, self.q)
 
 
 def scan_rows(features: Sequence[PlaneFeature]) -> ScanRows:
@@ -119,10 +129,10 @@ def scan_residuals(rot, r_ext, p, p_ext, rows: ScanRows) -> np.ndarray:
 def lidar_inertial_model() -> SystemModel:
     """SystemModel for the IMU process and the scan's plane rows.
 
-    The per-update measurement context is the ScanRows of the update's
-    features (see scan_rows), so the caller's diagonal R is len(rows.g)
-    square. Isotropic point noise of variance s^2 is exactly s^2 per row:
-    an edge's two rows g R R_ext share one point and are orthonormal.
+    The per-update measurement context is the step's ScanRows (scan_rows
+    stacks one from a feature list), so the caller's diagonal R is len(rows)
+    square. Isotropic point noise of variance s^2 is exactly s^2 per row: an
+    edge's two rows g R R_ext share one point and are orthonormal.
     """
     man = state_manifold()
 
@@ -176,11 +186,4 @@ def lidar_inertial_model() -> SystemModel:
         out[:, TAN["p_ext"]] = a
         return out
 
-    return SystemModel(
-        manifold=man,
-        f=f,
-        df_dx=df_dx,
-        df_dw=df_dw,
-        h=h,
-        dh_dx=dh_dx,
-    )
+    return SystemModel(manifold=man, f=f, df_dx=df_dx, df_dw=df_dw, h=h, dh_dx=dh_dx)

@@ -13,7 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ContractViolationError
-from .lidar_inertial import BLOCKS, GRAVITY, TAN, PlaneFeature, make_state
+from .lidar_inertial import BLOCKS, GRAVITY, TAN, ScanRows, make_state
 from .so3 import so3_exp
 
 SCENARIOS = ("static", "circle", "fast-rotation")
@@ -107,7 +107,7 @@ class Trajectory:
     times: np.ndarray  # (K+1,)
     truth: np.ndarray  # (K+1, 36) flat states
     imu: np.ndarray  # (K, 6) [a_m, w_m]
-    features: List[List[PlaneFeature]]  # per step k, observed after step k+1
+    features: List[ScanRows]  # per step k, observed after step k+1; read-only
 
 
 def _motion_profiles(cfg: ScenarioConfig):
@@ -135,11 +135,11 @@ def _motion_profiles(cfg: ScenarioConfig):
 
 
 def _make_planes(cfg: ScenarioConfig, rng: np.random.Generator):
-    """Random scene planes: anchors, in-plane bases, normal rows, anchor rows."""
+    """Random scene planes: anchors, in-plane bases, unit normals."""
     normals = rng.standard_normal((cfg.n_planes, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     anchors = rng.uniform(-10.0, 10.0, size=(cfg.n_planes, 3))
-    return anchors, _plane_bases(normals), list(normals), list(anchors)
+    return anchors, _plane_bases(normals), normals
 
 
 def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
@@ -166,7 +166,7 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
     n_bw = cfg.sigma_bw * sq * rng.standard_normal((k_steps, 3))
 
     imu = np.zeros((k_steps, 6))
-    features: List[List[PlaneFeature]] = []
+    features: List[ScanRows] = []
     times = dt * np.arange(k_steps + 1)
 
     p = np.zeros(3)
@@ -198,8 +198,8 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
 
 
 def _observe(cfg, rng, planes, p, rot, r_ext, p_ext):
-    """Scan points on random planes in the lidar frame; features share plane rows."""
-    anchors, bases, normal_rows, anchor_rows = planes
+    """One scan: points on random planes, in the lidar frame, as residual rows."""
+    anchors, bases, normals = planes
     m = cfg.points_per_update
     idx = rng.integers(0, cfg.n_planes, size=m)
     # random points on the chosen planes within a patch around each anchor
@@ -207,8 +207,7 @@ def _observe(cfg, rng, planes, p, rot, r_ext, p_ext):
     g_pts = anchors[idx] + np.einsum("kij,kj->ki", bases[idx], coeff)
     p_lidar = ((g_pts - p) @ rot - p_ext) @ r_ext
     noisy = p_lidar + cfg.sigma_feature * rng.standard_normal((m, 3))
-    return [PlaneFeature(p_f, normal_rows[i], anchor_rows[i])
-            for p_f, i in zip(noisy, idx.tolist())]
+    return ScanRows(p_f=noisy, q=anchors[idx], g=normals[idx])
 
 
 def _plane_bases(normals: np.ndarray) -> np.ndarray:

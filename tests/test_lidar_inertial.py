@@ -13,12 +13,14 @@ from manikf.lidar_inertial import (
     TAN,
     TANGENT_DIM,
     PlaneFeature,
+    ScanRows,
     edge_features,
     lidar_inertial_model,
     scan_residuals,
     scan_rows,
     state_manifold,
 )
+from manikf.trajectory import ScenarioConfig, generate_trajectory
 
 from helpers import (
     assert_additive_noise,
@@ -45,6 +47,8 @@ def test_feature_validation():
             PlaneFeature(np.zeros(3), np.array(u), np.zeros(3))
         with pytest.raises(ContractViolationError):
             edge_features(np.zeros(3), np.array(u), np.zeros(3))
+        with pytest.raises(ContractViolationError):  # one bad row of a scan
+            ScanRows(np.zeros((2, 3)), np.zeros((2, 3)), np.array([[0.0, 0.0, 1.0], u]))
     feats = random_features(np.random.default_rng(0), 2, 1)
     assert len(scan_rows(feats).g) == 2 + 2
 
@@ -69,6 +73,35 @@ def test_unit_check_boundary_is_that_of_the_norm():
     for _ in range(5000):
         u = (1.0 + rng.uniform(-2e-9, 2e-9)) * with_norm(rng, 3)
         assert _accepts(u) == (not abs(np.linalg.norm(u) - 1.0) > 1e-9)
+    # a ScanRows draws the same line on each of its rows
+    g = np.array([[0.0, 1.0 + 0.5e-9, 0.0], [0.0, 0.0, 1.0 - 0.5e-9]])
+    assert len(ScanRows(np.zeros((2, 3)), np.zeros((2, 3)), g)) == 2
+    with pytest.raises(ContractViolationError):
+        ScanRows(np.zeros((2, 3)), np.zeros((2, 3)), g * [[1.0], [1.0 + 3e-9]])
+
+
+def test_scan_rows_iterate_as_their_plane_features():
+    rows = scan_rows(random_features(np.random.default_rng(37), 3, 2))
+    assert len(rows) == len(rows.g) == 7
+    feats = list(rows)
+    assert len(feats) == 7 and all(isinstance(ft, PlaneFeature) for ft in feats)
+    for i, ft in enumerate(feats):
+        assert np.array_equal(ft.p_f, rows.p_f[i])
+        assert np.array_equal(ft.u_dir, rows.g[i])
+        assert np.array_equal(ft.q, rows.q[i])
+    again = scan_rows(feats)
+    for name in ("p_f", "q", "g"):
+        assert getattr(again, name).tobytes() == getattr(rows, name).tobytes()
+
+
+def test_generated_scans_are_scan_rows():
+    cfg = ScenarioConfig(scenario="circle", duration=0.05, points_per_update=13)
+    traj = generate_trajectory(cfg)
+    assert len(traj.features) == cfg.n_steps == traj.imu.shape[0]
+    for scan in traj.features:
+        assert isinstance(scan, ScanRows)
+        assert len(scan) == 13
+        assert scan.p_f.shape == scan.q.shape == scan.g.shape == (13, 3)
 
 
 def test_empty_feature_list_rejected():

@@ -56,8 +56,9 @@ def record_bytes(rec) -> bytes:
 def trajectory_bytes(traj) -> bytes:
     """The generated truth, IMU stream and scan rows as bytes, in a fixed order."""
     out = [traj.truth.tobytes(), traj.imu.tobytes()]
-    for scan in traj.features:
-        out += [np.concatenate([ft.p_f, ft.u_dir, ft.q]).tobytes() for ft in scan]
+    # row by row: each row's point, normal and anchor
+    out += [np.concatenate([scan.p_f, scan.g, scan.q], axis=1).tobytes()
+            for scan in traj.features]
     return b"".join(out)
 
 
