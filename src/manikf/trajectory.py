@@ -13,7 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ContractViolationError
-from .lidar_inertial import BLOCKS, GRAVITY, TAN, ScanRows, make_state
+from .lidar_inertial import BLOCKS, GRAVITY, REP, TAN, ScanRows
 from .so3 import so3_exp
 
 SCENARIOS = ("static", "circle", "fast-rotation")
@@ -102,34 +102,32 @@ class ScenarioConfig:
 
 @dataclass
 class Trajectory:
-    """Ground truth plus the noisy observables handed to a filter."""
+    """Ground truth plus the noisy observables handed to a filter, all read-only."""
 
     times: np.ndarray  # (K+1,)
     truth: np.ndarray  # (K+1, 36) flat states
     imu: np.ndarray  # (K, 6) [a_m, w_m]
-    features: List[ScanRows]  # per step k, observed after step k+1; read-only
+    features: List[ScanRows]  # per step k, observed after step k+1
 
 
 def _motion_profiles(cfg: ScenarioConfig):
-    """Analytic desired velocity v_d(t) and body rate w(t) per scenario."""
-    if cfg.scenario == "static":
-        return (lambda t: np.zeros(3)), (lambda t: np.zeros(3))
-    if cfg.scenario == "circle":
-        speed, yaw_rate = 1.0, 0.5
+    """Analytic desired velocity v_d(t) and body rate w(t) per scenario, each
+    (n, 3) at the n times t."""
+    if cfg.scenario != "fast-rotation":  # static is the circle at zero speed and rate
+        speed, yaw_rate = (1.0, 0.5) if cfg.scenario == "circle" else (0.0, 0.0)
         return (
-            lambda t: speed
-            * np.array([np.cos(yaw_rate * t), np.sin(yaw_rate * t), 0.0]),
-            lambda t: np.array([0.0, 0.0, yaw_rate]),
+            lambda t: speed * np.stack([np.cos(yaw_rate * t), np.sin(yaw_rate * t), 0.0 * t], 1),
+            lambda t: np.tile([0.0, 0.0, yaw_rate], (len(t), 1)),
         )
     # fast-rotation: constant-magnitude rate with a slewing axis
     slew, tilt = 1.5, 0.5
     scale = cfg.peak_rate / np.sqrt(1.0 + tilt * tilt)
 
     def rate(t):
-        return scale * np.array([np.cos(slew * t), np.sin(slew * t), tilt])
+        return scale * np.stack([np.cos(slew * t), np.sin(slew * t), np.full_like(t, tilt)], 1)
 
     def v_d(t):
-        return 0.3 * np.array([np.sin(t), np.cos(t), 0.2 * np.sin(0.5 * t)])
+        return 0.3 * np.stack([np.sin(t), np.cos(t), 0.2 * np.sin(0.5 * t)], 1)
 
     return v_d, rate
 
@@ -143,71 +141,73 @@ def _make_planes(cfg: ScenarioConfig, rng: np.random.Generator):
 
 
 def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
-    """Simulate one run; deterministic in (cfg, trial).
+    """Simulate one run; deterministic in (cfg, trial). The arrays are read-only.
 
-    The IMU stream already contains the true biases and white noise; with
-    zero noise settings, re-integrating the recursion reproduces the truth
-    bitwise.
+    Draw order: the planes, the four (K, 3) IMU noise blocks, then per step
+    the scan's plane indices, in-plane coefficients and point noise. The IMU
+    stream holds the true biases and white noise. With zero noise, the
+    filter's recursion re-integrates it to the truth only to rounding: its
+    v + dt (R (R^T (a - g)) + g) is not bitwise the generator's v + dt a.
     """
     cfg.validate()
     rng = np.random.default_rng([int(cfg.seed), trial])
-    k_steps = cfg.n_steps
-    dt = cfg.dt
+    k_steps, m, dt = cfg.n_steps, cfg.points_per_update, cfg.dt
     v_d, rate = _motion_profiles(cfg)
     g_true = np.array([0.0, 0.0, -GRAVITY])
     r_ext = so3_exp(np.array(TRUE_EXT_ROT))
     p_ext = np.array(TRUE_EXT_POS)
 
-    planes = _make_planes(cfg, rng)
+    anchors, bases, normals = _make_planes(cfg, rng)
     sq = np.sqrt(1.0 / dt)  # discrete noise std scale
-    n_a = cfg.sigma_a * sq * rng.standard_normal((k_steps, 3))
-    n_w = cfg.sigma_w * sq * rng.standard_normal((k_steps, 3))
-    n_ba = cfg.sigma_ba * sq * rng.standard_normal((k_steps, 3))
-    n_bw = cfg.sigma_bw * sq * rng.standard_normal((k_steps, 3))
-
-    imu = np.zeros((k_steps, 6))
-    features: List[ScanRows] = []
-    times = dt * np.arange(k_steps + 1)
-
-    p = np.zeros(3)
-    v = v_d(0.0)
-    rot = np.eye(3)
-    ba = np.zeros(3)
-    bw = np.zeros(3)
-    truth = [make_state(p, v, rot, ba, bw, g_true, r_ext, p_ext)]
-
+    n_a, n_w, n_ba, n_bw = [s * sq * rng.standard_normal((k_steps, 3)) for s in (
+        cfg.sigma_a, cfg.sigma_w, cfg.sigma_ba, cfg.sigma_bw)]
+    idx, coeff = np.empty((k_steps, m), dtype=np.int64), np.empty((k_steps, m, 2))
+    p_f = np.empty((k_steps, m, 3))  # the point noise, then the noisy points
     for k in range(k_steps):
-        t = times[k]
-        w_true = rate(t)
-        a_global = (v_d(t + dt) - v_d(t)) / dt  # desired v follows v_d exactly
-        a_body = rot.T @ (a_global - g_true)
-        imu[k, :3] = a_body + ba + n_a[k]
-        imu[k, 3:] = w_true + bw + n_w[k]
+        idx[k] = rng.integers(0, cfg.n_planes, size=m)
+        coeff[k] = rng.uniform(-5.0, 5.0, size=(m, 2))
+        rng.standard_normal(out=p_f[k])
 
-        p = p + dt * v
-        v = v + dt * a_global
-        rot = rot @ so3_exp(dt * w_true)
-        ba = ba + dt * n_ba[k]
-        bw = bw + dt * n_bw[k]
-        truth.append(make_state(p, v, rot, ba, bw, g_true, r_ext, p_ext))
+    times = dt * np.arange(k_steps + 1)
+    t = times[:-1]  # each step ends at t + dt, which times[1:] can round differently
+    w_true = rate(t)
+    a_global = (v_d(t + dt) - v_d(t)) / dt  # desired v follows v_d exactly
+    rots = [np.eye(3)]
+    for w in dt * w_true:
+        rots.append(rots[-1] @ so3_exp(w))
+    rots = np.array(rots)
 
-        features.append(_observe(cfg, rng, planes, p, rot, r_ext, p_ext))
+    def walk(first, rates):  # first + dt rates[0] + dt rates[1] + ..., added in order
+        return np.cumsum(np.concatenate([first, dt * rates]), axis=0)
 
-    truth = np.array(truth)
+    zero = np.zeros((1, 3))
+    v = walk(v_d(times[:1]), a_global)
+    p, ba, bw = walk(zero, v[:-1]), walk(zero, n_ba), walk(zero, n_bw)
+    truth = np.empty((k_steps + 1, REP[BLOCKS[-1]].stop))
+    for name, block in zip(BLOCKS, (p, v, rots, ba, bw, g_true, r_ext, p_ext)):
+        truth[:, REP[name]] = block.reshape(-1, REP[name].stop - REP[name].start)
+    a_body = (rots[:-1].transpose(0, 2, 1) @ (a_global - g_true)[:, :, None])[:, :, 0]
+    imu = np.concatenate([a_body + ba[:-1] + n_a, w_true + bw[:-1] + n_w], axis=1)
+
+    # points on the chosen planes within a patch around each anchor, seen from the lidar
+    # at the step's end, ((a + B c - p) R - p_ext) R_ext, in two reused (K, m, 3) buffers
+    pts = bases[:, :, 0][idx] * coeff[:, :, :1]
+    work = bases[:, :, 1][idx]
+    work *= coeff[:, :, 1:]
+    pts += work
+    pts += np.take(anchors, idx, axis=0, out=work, mode="clip")  # "raise" copies out=
+    pts -= p[1:, None]
+    np.matmul(pts, rots[1:], out=work)
+    work -= p_ext
+    np.matmul(work, r_ext, out=pts)
+    p_f *= cfg.sigma_feature
+    p_f += pts
+    q = np.take(anchors, idx, axis=0, out=work, mode="clip")
+    g = np.take(normals, idx, axis=0, out=pts, mode="clip")
+    for a in (times, truth, imu, p_f, q, g):
+        a.flags.writeable = False
+    features = [ScanRows(p_f=p_f[k], q=q[k], g=g[k]) for k in range(k_steps)]
     return Trajectory(times=times, truth=truth, imu=imu, features=features)
-
-
-def _observe(cfg, rng, planes, p, rot, r_ext, p_ext):
-    """One scan: points on random planes, in the lidar frame, as residual rows."""
-    anchors, bases, normals = planes
-    m = cfg.points_per_update
-    idx = rng.integers(0, cfg.n_planes, size=m)
-    # random points on the chosen planes within a patch around each anchor
-    coeff = rng.uniform(-5.0, 5.0, size=(m, 2))
-    g_pts = anchors[idx] + np.einsum("kij,kj->ki", bases[idx], coeff)
-    p_lidar = ((g_pts - p) @ rot - p_ext) @ r_ext
-    noisy = p_lidar + cfg.sigma_feature * rng.standard_normal((m, 3))
-    return ScanRows(p_f=noisy, q=anchors[idx], g=normals[idx])
 
 
 def _plane_bases(normals: np.ndarray) -> np.ndarray:

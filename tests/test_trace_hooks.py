@@ -101,3 +101,19 @@ def test_traced_chart_jacobians_count_sphere_basis():
     for root in ("manifolds.diff_u", "manifolds.diff_v"):
         calls, _ = tracer.self_times(root)[0]["sphere.basis"]
         assert calls == 2, root
+
+
+def test_traced_generation_records_its_span_and_rotations():
+    # trajectory.generate_s is the generate span's duration, and its so3.exp
+    # children are seen only while the generator calls so3_exp by the
+    # module-level name the tracer replaces
+    tracing = _load_tracing()
+    prog = _prog()
+    cfg = prog.trajectory.ScenarioConfig(duration=0.05)
+    tracer = tracing.Tracer()
+    with tracer.installed(prog):
+        prog.trajectory.generate_trajectory(cfg)
+    per_name, root_ns = tracer.self_times(tracing.GENERATE_SPAN)
+    assert per_name[tracing.GENERATE_SPAN][0] == 1
+    assert per_name["so3.exp"][0] == 1 + cfg.n_steps  # R_ext, then one per step
+    assert root_ns > 0
