@@ -21,7 +21,7 @@ import numpy as np
 from .filter import SystemModel
 from .lidar_inertial import GRAVITY, NOISE_DIM, REP, TAN, TANGENT_DIM, scan_residuals
 from .manifolds import Euclidean, compound
-from .so3 import cross_rows, skew
+from .so3 import cross_rows, skew, so3_log
 from .sphere import sphere_basis
 
 # the R^26 layout is read off a compound, as REP is; the model runs on one
@@ -40,23 +40,11 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
 
 
 def rot_to_quat(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w >= 0) of a rotation matrix."""
-    w = 0.5 * np.sqrt(max(1.0 + np.trace(r), 0.0))
-    if w > 1e-6:
-        v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-        q = np.concatenate([[w], v / (4.0 * w)])
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(max(r[i, i] - r[j, j] - r[k, k] + 1.0, 0.0))
-        v = np.zeros(3)
-        v[i] = 0.5 * s
-        v[j] = (r[i, j] + r[j, i]) / (2.0 * s)
-        v[k] = (r[i, k] + r[k, i]) / (2.0 * s)
-        q = np.concatenate([[(r[k, j] - r[j, k]) / (2.0 * s)], v])
-        if q[0] < 0.0:
-            q = -q
-    return q / np.linalg.norm(q)
+    """Unit quaternion (w >= 0) of a rotation matrix: [cos t, sin(t) half / t]
+    for half = so3_log(r) / 2 and t = |half| <= pi/2."""
+    half = 0.5 * so3_log(r)
+    t = min(float(np.linalg.norm(half)), 0.5 * np.pi)  # rounding past pi/2 would make w < 0
+    return np.concatenate([[np.cos(t)], np.sinc(t / np.pi) * half])
 
 
 def _xi(q: np.ndarray) -> np.ndarray:

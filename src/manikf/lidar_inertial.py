@@ -6,14 +6,15 @@ sphere point), lidar-to-IMU rotation R_ext and translation p_ext. Inputs
 are raw IMU readings u = [a_m, w_m]; process noise w = [n_a, n_w, n_ba,
 n_bw] (white measurement noise on the IMU plus bias random walks).
 
-Measurements are the distances of scanned points to known planes, one row
-each (an edge is two planes, see edge_features); the measured value is
-identically zero and all information enters through h and its Jacobians.
+Measurements are the distances of scanned points to known planes, one
+ScanRows row each (an edge is two rows, one per normal in sphere_basis(u)^T
+of its unit direction u); the measured value is identically zero and all
+information enters through h and its Jacobians.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, List, Sequence
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -29,36 +30,17 @@ BLOCKS = ("p", "v", "R", "ba", "bw", "g", "R_ext", "p_ext")
 NOISE_DIM = 12
 
 
-def _check_unit(u: np.ndarray) -> None:
-    # u is one direction (3,) or one per row (n, 3); a NaN or infinite length fails the <=
-    if not np.all(np.abs(np.sqrt(np.einsum("...i,...i", u, u)) - 1.0) <= 1e-9):
-        raise ContractViolationError("feature direction must be a unit vector")
-
-
 @dataclass(frozen=True, slots=True)
 class PlaneFeature:
-    """One residual row: a scanned point against a plane of the global map.
-
-    ``p_f`` is the point in the lidar frame, ``u_dir`` the unit plane
-    normal and ``q`` a point on the plane; the row is the point's signed
-    distance to the plane. An edge is two such rows (see edge_features).
-    """
+    """A view of one ScanRows row, as iterating the scan yields it: the
+    point ``p_f`` in the lidar frame, the unit plane normal ``u_dir`` and a
+    point ``q`` on the plane. ScanRows has checked the row, and nothing in
+    the library takes a PlaneFeature as input."""
 
     kind: ClassVar[str] = "plane"  # every row is a plane row; perfbench counts rows by it
     p_f: np.ndarray
     u_dir: np.ndarray
     q: np.ndarray
-
-    def __post_init__(self):
-        _check_unit(self.u_dir)
-
-
-def edge_features(p_f: np.ndarray, u_dir: np.ndarray, q: np.ndarray) -> List[PlaneFeature]:
-    """The two rows of a point against the edge through q along unit u_dir:
-    its distances to the planes through the edge with normals sphere_basis(u)^T,
-    whose squared sum is the point's squared distance to the line."""
-    _check_unit(u_dir)
-    return [PlaneFeature(p_f, n, q) for n in sphere_basis(u_dir).T]
 
 
 def state_manifold() -> Compound:
@@ -92,32 +74,28 @@ def make_state(p, v, R, ba, bw, g, R_ext, p_ext) -> np.ndarray:
 @dataclass(frozen=True, slots=True, eq=False)
 class ScanRows:
     """One update's residual rows as arrays: row i is the point ``p_f[i]``
-    against the plane through ``q[i]`` with unit normal ``g[i]``. Iterating
-    yields the rows as PlaneFeatures, views of these arrays."""
+    against the plane through ``q[i]`` with unit normal ``g[i]``. It is the
+    only measurement input, checked once here: the three arrays are (n, 3)
+    and every normal is within 1e-9 of unit length. Iterating yields the rows
+    as PlaneFeatures, views of these arrays."""
 
     p_f: np.ndarray  # (n, 3), n residual rows
     q: np.ndarray  # (n, 3)
     g: np.ndarray  # (n, 3)
 
     def __post_init__(self):
-        _check_unit(self.g)
+        if not self.p_f.shape == self.q.shape == self.g.shape == self.g.shape[:1] + (3,):
+            shapes = (self.p_f.shape, self.q.shape, self.g.shape)
+            raise DimensionError(f"p_f, q and g must be (n, 3) with one n, got {shapes}")
+        # a NaN or infinite length fails the <=
+        if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", self.g, self.g)) - 1.0) <= 1e-9):
+            raise ContractViolationError("feature direction must be a unit vector")
 
     def __len__(self) -> int:
         return len(self.g)
 
     def __iter__(self) -> Iterator[PlaneFeature]:
         return map(PlaneFeature, self.p_f, self.g, self.q)
-
-
-def scan_rows(features: Sequence[PlaneFeature]) -> ScanRows:
-    """Stack a feature list into the measurement context of one update."""
-    if not features:
-        raise DimensionError("measurement update needs at least one feature")
-    return ScanRows(
-        p_f=np.array([ft.p_f for ft in features]),
-        q=np.array([ft.q for ft in features]),
-        g=np.array([ft.u_dir for ft in features]),
-    )
 
 
 def scan_residuals(rot, r_ext, p, p_ext, rows: ScanRows) -> np.ndarray:
@@ -129,10 +107,10 @@ def scan_residuals(rot, r_ext, p, p_ext, rows: ScanRows) -> np.ndarray:
 def lidar_inertial_model() -> SystemModel:
     """SystemModel for the IMU process and the scan's plane rows.
 
-    The per-update measurement context is the step's ScanRows (scan_rows
-    stacks one from a feature list), so the caller's diagonal R is len(rows)
-    square. Isotropic point noise of variance s^2 is exactly s^2 per row: an
-    edge's two rows g R R_ext share one point and are orthonormal.
+    The per-update measurement context is the step's ScanRows, so the
+    caller's diagonal R is len(rows) square. Isotropic point noise of
+    variance s^2 is exactly s^2 per row: an edge's two rows g R R_ext share
+    one point and are orthonormal.
     """
     man = state_manifold()
 

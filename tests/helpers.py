@@ -4,9 +4,10 @@ and finite-difference Jacobians."""
 import numpy as np
 
 from manikf.filter import SystemModel
-from manikf.lidar_inertial import GRAVITY, PlaneFeature, edge_features, make_state
+from manikf.lidar_inertial import GRAVITY, ScanRows, make_state
 from manikf.manifolds import Euclidean
 from manikf.so3 import so3_exp
+from manikf.sphere import sphere_basis
 from manifold_samples import with_norm
 
 
@@ -25,15 +26,29 @@ def random_li_state(rng):
     )
 
 
-def random_features(rng, n_plane, n_edge=0):
-    """Rows of n_plane planes, then of n_edge edges (two rows each), each
-    plane or edge at a random point and anchor."""
-    feats = []
+def scan_of(triples):
+    """The ScanRows of one (p_f, normal, q) triple per row."""
+    p_f, g, q = (np.array([t[i] for t in triples], dtype=float).reshape(-1, 3)
+                 for i in range(3))
+    return ScanRows(p_f=p_f, q=q, g=g)
+
+
+def stack_scans(*scans):
+    """One ScanRows of the scans' rows, in order."""
+    return ScanRows(*(np.concatenate([getattr(s, k) for s in scans]) for k in ("p_f", "q", "g")))
+
+
+def random_scan(rng, n_plane, n_edge=0):
+    """Rows of n_plane planes, then of n_edge edges, each plane or edge at a
+    random point and anchor. An edge along unit u is two rows sharing its
+    point and anchor, with normals sphere_basis(u)^T: their squared sum is
+    the squared distance to the line."""
+    triples = []
     for i in range(n_plane + n_edge):
         u = with_norm(rng, 3)
         p_f, q = 2.0 * rng.standard_normal(3), 3.0 * rng.standard_normal(3)
-        feats += [PlaneFeature(p_f, u, q)] if i < n_plane else edge_features(p_f, u, q)
-    return feats
+        triples += [(p_f, n, q) for n in ([u] if i < n_plane else sphere_basis(u).T)]
+    return scan_of(triples)
 
 
 def linear_model(a, c):

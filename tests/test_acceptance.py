@@ -25,7 +25,7 @@ from manikf.baseline import NOISE_DIM as B_NOISE_DIM
 from manikf.baseline import STATE_DIM as B_STATE_DIM
 from manikf.filter import FilterState, UpdateConfig, predict, update
 from manikf.harness import run_trial, summarize
-from manikf.lidar_inertial import NOISE_DIM, TANGENT_DIM, lidar_inertial_model, scan_rows
+from manikf.lidar_inertial import NOISE_DIM, TANGENT_DIM, lidar_inertial_model
 from manifold_samples import random_point, random_tangent, with_norm
 from manikf.manifolds import SO3, Euclidean, Sphere2, compound
 from manikf.so3 import so3_exp
@@ -39,8 +39,8 @@ from helpers import (
     fd_jacobian,
     fd_step_pair,
     linear_model,
-    random_features,
     random_li_state,
+    random_scan,
 )
 
 
@@ -111,7 +111,7 @@ def test_all_jacobians_match_finite_differences():
         fw = lambda w: np.asarray(model.f(x, u, w))
         _check_jac(model.df_dx(x, u), fd_jacobian(fx, np.zeros(TANGENT_DIM)), "li df_dx")
         _check_jac(model.df_dw(x, u), fd_jacobian(fw, np.zeros(NOISE_DIM)), "li df_dw")
-        rows = scan_rows(random_features(rng, *LI_SCANS[k % len(LI_SCANS)]))
+        rows = random_scan(rng, *LI_SCANS[k % len(LI_SCANS)])
         nv = len(rows.g)
         hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), rows))
         _check_jac(model.dh_dx(x, rows), fd_jacobian(hx, np.zeros(TANGENT_DIM)),
@@ -133,7 +133,7 @@ def test_all_jacobians_match_finite_differences():
                        "baseline df_dx")
             _check_jac(bmodel.df_dw(x, u), fd_jacobian(fw, np.zeros(B_NOISE_DIM)),
                        "baseline df_dw")
-            rows = scan_rows(random_features(rng, *BASELINE_SCANS[k % len(BASELINE_SCANS)]))
+            rows = random_scan(rng, *BASELINE_SCANS[k % len(BASELINE_SCANS)])
             nv = len(rows.g) + (N_CONSTRAINTS if augmented else 0)
             hx = lambda e: np.asarray(bmodel.h(x + e, np.zeros(nv), rows))
             _check_jac(bmodel.dh_dx(x, rows), fd_jacobian(hx, np.zeros(B_STATE_DIM)),

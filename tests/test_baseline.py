@@ -15,16 +15,17 @@ from manikf.baseline import (
     tangent_cov,
     to_manifold,
 )
+from manikf.errors import ContractViolationError
 from manikf.filter import FilterState, predict
-from manikf.lidar_inertial import GRAVITY, scan_rows, state_manifold
+from manikf.lidar_inertial import GRAVITY, state_manifold
 from manikf.so3 import so3_exp
 
 from helpers import (
     assert_additive_noise,
     assert_close,
     fd_jacobian,
-    random_features,
     random_li_state,
+    random_scan,
 )
 from manifold_samples import with_norm
 
@@ -41,7 +42,7 @@ def test_quat_to_rot_matches_exponential():
 def test_rot_to_quat_roundtrip():
     rng = np.random.default_rng(3)
     angles = list(0.01 + 3.1 * rng.random(30))
-    angles += [np.pi, np.pi - 1e-8, 3.14159]  # exercises the small-w branch
+    angles += [np.pi, np.pi - 1e-8, 3.14159]  # w = cos(angle / 2) near 0
     for ang in angles:
         axis = with_norm(rng, 3)
         r = so3_exp(ang * axis)
@@ -49,6 +50,8 @@ def test_rot_to_quat_roundtrip():
         assert q[0] >= 0.0
         assert abs(np.linalg.norm(q) - 1.0) < 1e-12
         assert_close(quat_to_rot(q), r, tol=1e-9, floor=1e-9)
+    with pytest.raises(ContractViolationError):  # so3_log checks the rotation
+        rot_to_quat(1.1 * np.eye(3))
 
 
 def test_normalize_state():
@@ -93,7 +96,7 @@ def test_measurement_jacobians_match_fd(augmented):
             # perturb off the constraint sets: Jacobians must hold there too
             x[BREP["q"]] *= 1.02
             x[BREP["g"]] *= 0.99
-            rows = scan_rows(random_features(rng, n_plane, n_edge))
+            rows = random_scan(rng, n_plane, n_edge)
             nv = len(rows.g) + (N_CONSTRAINTS if augmented else 0)
             hx = lambda e: np.asarray(model.h(x + e, np.zeros(nv), rows))
             assert_close(model.dh_dx(x, rows),
@@ -104,7 +107,7 @@ def test_measurement_jacobians_match_fd(augmented):
 
 def test_augmented_rows_and_noise_dim():
     rng = np.random.default_rng(11)
-    rows = scan_rows(random_features(rng, 4))
+    rows = random_scan(rng, 4)
     x = from_manifold(random_li_state(rng))
     plain = baseline_model(augmented=False)
     aug = baseline_model(augmented=True)

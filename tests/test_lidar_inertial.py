@@ -1,12 +1,10 @@
 """Tests for the IMU process / scan-to-map measurement model."""
-import dataclasses
-
 import numpy as np
 import pytest
 
 from manikf.baseline import N_CONSTRAINTS, baseline_model, from_manifold
 from manikf.errors import ContractViolationError, DimensionError
-from manikf.filter import FilterState, update
+from manikf.filter import FilterState, UpdateConfig, predict, update
 from manikf.lidar_inertial import (
     NOISE_DIM,
     REP,
@@ -14,20 +12,22 @@ from manikf.lidar_inertial import (
     TANGENT_DIM,
     PlaneFeature,
     ScanRows,
-    edge_features,
     lidar_inertial_model,
     scan_residuals,
-    scan_rows,
     state_manifold,
 )
-from manikf.trajectory import ScenarioConfig, generate_trajectory
+from manikf.so3 import so3_exp
+from manikf.sphere import sphere_basis
+from manikf.trajectory import SCENARIOS, ScenarioConfig, generate_trajectory
 
 from helpers import (
     assert_additive_noise,
     assert_close,
     fd_jacobian,
-    random_features,
     random_li_state,
+    random_scan,
+    scan_of,
+    stack_scans,
 )
 from manifold_samples import with_norm
 
@@ -44,18 +44,27 @@ def test_feature_validation():
     for u in ([1.0, 1.0, 0.0], [nan, 0.0, 0.0], [1.0, nan, 0.0], [inf, 0.0, 0.0],
               [-inf, 0.0, 0.0], [inf, -inf, 0.0], [inf, nan, 0.0]):
         with pytest.raises(ContractViolationError):
-            PlaneFeature(np.zeros(3), np.array(u), np.zeros(3))
-        with pytest.raises(ContractViolationError):
-            edge_features(np.zeros(3), np.array(u), np.zeros(3))
+            ScanRows(np.zeros((1, 3)), np.zeros((1, 3)), np.array([u]))
         with pytest.raises(ContractViolationError):  # one bad row of a scan
             ScanRows(np.zeros((2, 3)), np.zeros((2, 3)), np.array([[0.0, 0.0, 1.0], u]))
-    feats = random_features(np.random.default_rng(0), 2, 1)
-    assert len(scan_rows(feats).g) == 2 + 2
+    # p_f, q and g must all be (n, 3) with one n, or h would broadcast or misread them
+    z3, g5 = np.array([0.0, 0.0, 1.0]), random_scan(np.random.default_rng(1), 5).g
+    for p_f, q, g in (
+        (np.zeros((1, 3)), np.zeros((5, 3)), g5),  # one point for five rows
+        (np.zeros((5, 3)), np.zeros((1, 3)), g5),  # one anchor for five rows
+        (np.zeros((3, 3)), np.zeros((3, 3)), z3),  # a 1-D g, whose len is 3
+        (np.zeros(3), np.zeros(3), z3),
+        (np.zeros((2, 3)), np.zeros((2, 3)), np.eye(2)),  # a (2, 2) g
+        (np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)),
+    ):
+        with pytest.raises(DimensionError):
+            ScanRows(p_f, q, g)
+    assert len(random_scan(np.random.default_rng(0), 2, 1)) == 2 + 2
 
 
 def _accepts(u):
     try:
-        PlaneFeature(np.zeros(3), u, np.zeros(3))
+        ScanRows(np.zeros((1, 3)), np.zeros((1, 3)), u[None])
     except ContractViolationError:
         return False
     return True
@@ -81,7 +90,7 @@ def test_unit_check_boundary_is_that_of_the_norm():
 
 
 def test_scan_rows_iterate_as_their_plane_features():
-    rows = scan_rows(random_features(np.random.default_rng(37), 3, 2))
+    rows = random_scan(np.random.default_rng(37), 3, 2)
     assert len(rows) == len(rows.g) == 7
     feats = list(rows)
     assert len(feats) == 7 and all(isinstance(ft, PlaneFeature) for ft in feats)
@@ -89,7 +98,8 @@ def test_scan_rows_iterate_as_their_plane_features():
         assert np.array_equal(ft.p_f, rows.p_f[i])
         assert np.array_equal(ft.u_dir, rows.g[i])
         assert np.array_equal(ft.q, rows.q[i])
-    again = scan_rows(feats)
+        assert np.shares_memory(ft.p_f, rows.p_f) and np.shares_memory(ft.q, rows.q)
+    again = scan_of([(ft.p_f, ft.u_dir, ft.q) for ft in feats])
     for name in ("p_f", "q", "g"):
         assert getattr(again, name).tobytes() == getattr(rows, name).tobytes()
 
@@ -104,9 +114,17 @@ def test_generated_scans_are_scan_rows():
         assert scan.p_f.shape == scan.q.shape == scan.g.shape == (13, 3)
 
 
-def test_empty_feature_list_rejected():
-    with pytest.raises(DimensionError):
-        scan_rows([])
+def test_update_with_empty_scan_keeps_the_state():
+    # a scan of zero rows carries no information: x is kept bitwise, and P is
+    # rebuilt from its factor only up to rounding
+    rng = np.random.default_rng(41)
+    rows = random_scan(rng, 0)
+    assert len(rows) == 0 and rows.g.shape == (0, 3)
+    a = rng.standard_normal((TANGENT_DIM, TANGENT_DIM))
+    state = FilterState(random_li_state(rng), 0.01 * (a @ a.T) + 1e-4 * np.eye(TANGENT_DIM))
+    out, _ = update(lidar_inertial_model(), state, np.zeros(0), np.zeros((0, 0)), ctx=rows)
+    assert out.x.tobytes() == state.x.tobytes()
+    assert_close(out.P, state.P, tol=1e-15, floor=1e-30)
 
 
 def test_hover_equilibrium():
@@ -124,8 +142,8 @@ def test_hover_equilibrium():
 
 
 def _features_on_map(rng, x, n_plane, n_edge):
-    """Planes and edges (two rows each) whose scanned points lie exactly on
-    them at state x."""
+    """(p_f, normal, q) rows of planes, and of edges (two rows each), whose
+    scanned points lie exactly on them at state x."""
     rot = x[REP["R"]].reshape(3, 3)
     r_ext = x[REP["R_ext"]].reshape(3, 3)
     p, p_ext = x[REP["p"]], x[REP["p_ext"]]
@@ -140,13 +158,13 @@ def _features_on_map(rng, x, n_plane, n_edge):
         # choose p_f so the global point lands on the plane through q
         t = rng.standard_normal(3)
         target = q + t - (u @ t) * u
-        planes.append(PlaneFeature(p_f=lidar_point(target), u_dir=u, q=q))
+        planes.append((lidar_point(target), u, q))
     for _ in range(n_edge):
         u = with_norm(rng, 3)
         q = rng.standard_normal(3)
         # the global point lands on the line q + t u
         target = q + rng.standard_normal() * u
-        edges.append(edge_features(lidar_point(target), u, q))
+        edges.append([(lidar_point(target), n, q) for n in sphere_basis(u).T])
     return planes, edges
 
 
@@ -158,7 +176,7 @@ def test_point_on_plane_gives_zero_residual():
     planes, edges = _features_on_map(rng, x, 5, 4)
     # plane, edge, plane, ...: residual rows and feature indices out of step
     feats = [ft for pl, ed in zip(planes, edges) for ft in (pl, *ed)] + planes[len(edges):]
-    rows = scan_rows(feats)
+    rows = scan_of(feats)
     assert len(rows.g) == 5 + 2 * 4
     res = model.h(x, np.zeros(len(rows.g)), rows)
     assert np.max(np.abs(res)) < 1e-10
@@ -176,7 +194,7 @@ def test_update_with_edges_succeeds():
     for _ in range(5):
         x = random_li_state(rng)
         planes, edges = _features_on_map(rng, x, 10, 3)
-        rows = scan_rows(planes + sum(edges, []))
+        rows = scan_of(planes + sum(edges, []))
         r = sigma**2 * np.eye(len(rows.g))
         state = FilterState(x, 0.01 * np.eye(TANGENT_DIM))
         out, _ = update(model, state, np.zeros(len(rows.g)), r, ctx=rows)
@@ -191,8 +209,8 @@ def test_plane_and_edge_paths_agree(quat):
     model, extra, x = lidar_inertial_model(), 0, random_li_state(rng)
     if quat:
         model, extra, x = baseline_model(augmented=True), N_CONSTRAINTS, from_manifold(x)
-    planes = random_features(rng, 6)
-    rows_m, rows_p = scan_rows(planes + random_features(rng, 0, 1)), scan_rows(planes)
+    rows_p = random_scan(rng, 6)
+    rows_m = stack_scans(rows_p, random_scan(rng, 0, 1))
     n, n_m = len(rows_p.g), len(rows_m.g)
     v = 0.01 * rng.standard_normal(n_m + extra)
     keep = np.r_[0:n, n_m:n_m + extra]
@@ -240,7 +258,7 @@ def test_measurement_jacobians_match_fd():
     for n_plane, n_edge in ((8, 0), (3, 2), (0, 3)):
         for _ in range(5):
             x = random_li_state(rng)
-            rows = scan_rows(random_features(rng, n_plane, n_edge))
+            rows = random_scan(rng, n_plane, n_edge)
             nv = len(rows.g)
             hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), rows))
             assert_close(model.dh_dx(x, rows),
@@ -258,17 +276,15 @@ def test_point_noise_is_unit_variance_per_row():
     for n_plane, n_edge in ((6, 0), (3, 3), (0, 4)):
         for _ in range(5):
             x = random_li_state(rng)
-            feats = random_features(rng, n_plane, n_edge)
-            # one point per plane or edge; an edge's two rows are rebuilt from its one
-            groups = [feats[i:i + 1] for i in range(n_plane)] + [
-                feats[i:i + 2] for i in range(n_plane, len(feats), 2)]
-            n = len(feats)
+            rows = random_scan(rng, n_plane, n_edge)
+            n = len(rows)
+            # one point per plane or edge; an edge's two rows take its one point
+            first = np.r_[0:n_plane, n_plane:n:2]
+            owner = np.r_[0:n_plane, np.repeat(np.arange(n_plane, n_plane + n_edge), 2)]
             v0 = np.zeros(n)
-            hp = lambda pf: np.asarray(model.h(x, v0, scan_rows([
-                dataclasses.replace(ft, p_f=p)
-                for group, p in zip(groups, pf.reshape(-1, 3)) for ft in group
-            ])))
-            points = np.concatenate([group[0].p_f for group in groups])
+            hp = lambda pf: np.asarray(
+                model.h(x, v0, ScanRows(pf.reshape(-1, 3)[owner], rows.q, rows.g)))
+            points = rows.p_f[first].reshape(-1)
             # h is affine in the points, so a wide step is exact up to rounding
             jac = fd_jacobian(hp, points, eps=1e-3)
             assert jac.shape == (n_plane + 2 * n_edge, 3 * (n_plane + n_edge))
@@ -284,26 +300,28 @@ def test_edge_rows_measure_the_distance_to_the_line():
         rot, r_ext = x[REP["R"]].reshape(3, 3), x[REP["R_ext"]].reshape(3, 3)
         u, p_f, q = with_norm(rng, 3), 2.0 * rng.standard_normal(3), rng.standard_normal(3)
         res = scan_residuals(rot, r_ext, x[REP["p"]], x[REP["p_ext"]],
-                             scan_rows(edge_features(p_f, u, q)))
+                             scan_of([(p_f, n, q) for n in sphere_basis(u).T]))
         w = rot @ (r_ext @ p_f + x[REP["p_ext"]]) + x[REP["p"]] - q
         assert res.shape == (2,)
         assert_close(res @ res, np.sum((w - (u @ w) * u) ** 2), tol=1e-12)
 
 
 def test_scan_rows_carry_their_features_geometry():
-    # plane, edge, plane, edge: each residual row holds its own feature's
-    # point, anchor and normal, and an edge's two rows share its point and anchor
-    planes = random_features(np.random.default_rng(23), 2)
-    edges = random_features(np.random.default_rng(29), 0, 2)
-    feats = [planes[0], *edges[0:2], planes[1], *edges[2:4]]
-    rows = scan_rows(feats)
+    # plane, edge, plane, edge: each row of h and dh_dx is that of its own
+    # plane or edge alone, and an edge's two rows share its point and anchor
+    rng = np.random.default_rng(23)
+    model, x = lidar_inertial_model(), random_li_state(rng)
+    parts = [random_scan(rng, *shape) for shape in ((1, 0), (0, 1), (1, 0), (0, 1))]
+    rows = stack_scans(*parts)
     assert rows.p_f.shape == rows.q.shape == rows.g.shape == (6, 3)
-    assert np.array_equal(rows.p_f, [ft.p_f for ft in feats])
-    assert np.array_equal(rows.q, [ft.q for ft in feats])
-    assert np.array_equal(rows.g, [ft.u_dir for ft in feats])
     for i in (1, 4):
         assert np.array_equal(rows.p_f[i], rows.p_f[i + 1])
         assert np.array_equal(rows.q[i], rows.q[i + 1])
+    assert_close(model.h(x, np.zeros(6), rows),
+                 np.concatenate([model.h(x, np.zeros(len(sc)), sc) for sc in parts]),
+                 tol=1e-12)
+    assert_close(model.dh_dx(x, rows), np.vstack([model.dh_dx(x, sc) for sc in parts]),
+                 tol=1e-12, floor=1e-14)
 
 
 def test_measurement_jacobian_sparsity():
@@ -311,6 +329,60 @@ def test_measurement_jacobian_sparsity():
     rng = np.random.default_rng(15)
     model = lidar_inertial_model()
     x = random_li_state(rng)
-    jac = model.dh_dx(x, scan_rows(random_features(rng, 4, 2)))
+    jac = model.dh_dx(x, random_scan(rng, 4, 2))
     for block in ("v", "ba", "bw", "g"):
         assert np.all(jac[:, TAN[block]] == 0.0)
+
+
+def _rotate_world(qmat, x):
+    """The state x seen in a world turned by qmat: p, v, R and g move; the
+    biases and the lidar extrinsics, in body frames, do not."""
+    out = x.copy()
+    for key in ("p", "v", "g"):
+        out[REP[key]] = qmat @ x[REP[key]]
+    out[REP["R"]] = (qmat @ x[REP["R"]].reshape(3, 3)).reshape(9)
+    return out
+
+
+def _error_map(qmat, x):
+    """T with (Q x) boxplus (T e) = Q (x boxplus e): Q on p and v, the identity
+    on the body-frame blocks, and B(Q g)^T Q B(g) on the gravity chart."""
+    t = np.eye(TANGENT_DIM)
+    t[TAN["p"], TAN["p"]] = t[TAN["v"], TAN["v"]] = qmat
+    g = x[REP["g"]]
+    t[TAN["g"], TAN["g"]] = sphere_basis(qmat @ g).T @ qmat @ sphere_basis(g)
+    return t
+
+
+def test_filter_is_equivariant_under_a_world_rotation():
+    # Turning the world by Q moves the map's anchors and normals but not the
+    # IMU readings or the scanned points. The filter started at Q x0 with
+    # T P0 T^T must then track Q x_k and T_k P_k T_k^T: a frame mix-up that f
+    # and df_dx share passes the FD Jacobian tests but not this one, and the
+    # S^2 basis switch (on the largest component of g) must not leak in.
+    qmat = so3_exp(np.array([1.4, 0.2, -0.3]))
+    model, man = lidar_inertial_model(), state_manifold()
+    config = UpdateConfig(max_iterations=2)
+    for name in SCENARIOS:
+        cfg = ScenarioConfig(scenario=name, duration=2.0)
+        traj = generate_trajectory(cfg)
+        assert len(traj.features) == 200
+        p0 = cfg.init_cov()
+        e = np.random.default_rng(43).standard_normal(TANGENT_DIM) * np.sqrt(np.diag(p0))
+        x0 = man.boxplus(traj.truth[0], e)
+        g0 = x0[REP["g"]]
+        assert np.argmax(qmat @ g0) != np.argmax(g0)  # the two runs use different bases
+        t0 = _error_map(qmat, x0)
+        a, b = FilterState(x0, p0), FilterState(_rotate_world(qmat, x0), t0 @ p0 @ t0.T)
+        r = np.diag(np.full(cfg.points_per_update, cfg.sigma_feature**2))
+        z = np.zeros(cfg.points_per_update)
+        for k, rows in enumerate(traj.features):
+            turned = ScanRows(rows.p_f, rows.q @ qmat.T, rows.g @ qmat.T)
+            a = predict(model, a, traj.imu[k], cfg.dt, cfg.process_noise())
+            b = predict(model, b, traj.imu[k], cfg.dt, cfg.process_noise())
+            a, diag_a = update(model, a, z, r, ctx=rows, config=config)
+            b, diag_b = update(model, b, z, r, ctx=turned, config=config)
+            assert diag_a.iterations == diag_b.iterations, (name, k)
+            t = _error_map(qmat, a.x)
+            assert_close(_rotate_world(qmat, a.x), b.x, tol=1e-10, msg=f"{name} x at {k}")
+            assert_close(t @ a.P @ t.T, b.P, tol=1e-10, msg=f"{name} P at {k}")

@@ -3,28 +3,42 @@
 ``perfbench/tracing.py`` replaces functions of the already-imported package
 by name; a renamed or deleted function breaks only a traced benchmark run,
 so these tests install and restore the hooks on the modules the suite uses,
-and run both traced models through one predict and update.
+and run both traced models through one predict and update. The benchmark's
+row count (``perfbench/workloads.measurement_rows``) reads the scans' rows
+too, and is run here on generated trajectories.
 The package is not re-imported: other test modules hold its classes.
 """
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from helpers import random_scan
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 MODULES = (
     "so3", "sphere", "manifolds", "filter", "lidar_inertial", "baseline",
     "trajectory", "harness",
 )
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.modules[name] = module  # dataclasses look their module up while it runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
     return module
+
+
+def _load_tracing():
+    return _load("perfbench_tracing", TRACING)
 
 
 def _prog():
@@ -53,12 +67,7 @@ def test_traced_models_predict_and_update():
     tracing = _load_tracing()
     prog = _prog()
     li, qb, filt = prog.lidar_inertial, prog.baseline, prog.filter
-    rng = np.random.default_rng(0)
-    feats = []
-    for k in range(6):
-        p_f, u, q = rng.standard_normal(3), np.eye(3)[k % 3], rng.standard_normal(3)
-        feats += [li.PlaneFeature(p_f, u, q)] if k < 4 else li.edge_features(p_f, u, q)
-    rows = li.scan_rows(feats)
+    rows = random_scan(np.random.default_rng(0), 4, 2)
     z3, eye = np.zeros(3), np.eye(3)
     x = li.make_state(z3, z3, eye, z3, z3, [0.0, 0.0, -li.GRAVITY], eye, z3)
     u = np.array([0.0, 0.0, li.GRAVITY, 0.01, 0.0, 0.0])
@@ -117,3 +126,20 @@ def test_traced_generation_records_its_span_and_rotations():
     assert per_name[tracing.GENERATE_SPAN][0] == 1
     assert per_name["so3.exp"][0] == 1 + cfg.n_steps  # R_ext, then one per step
     assert root_ns > 0
+
+
+def test_measurement_rows_counts_each_scan_row(monkeypatch):
+    # the benchmark's filter.meas_rows metric: one row per scan row, and half
+    # the baseline's constraint rows on a paired workload
+    prog = _prog()
+    # workloads.py imports its sibling checks.py by its plain name
+    monkeypatch.setitem(sys.modules, "checks", _load("checks", PERFBENCH / "checks.py"))
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    scenario = dict(scenario="circle", duration=0.05, points_per_update=7)
+    cfg = prog.trajectory.ScenarioConfig(**scenario)
+    inputs = [workloads.Input(cfg, t, prog.trajectory.generate_trajectory(cfg, t), False)
+              for t in (0, 1)]
+    setup = workloads.Setup(prog=prog, cfg=cfg, models={}, inputs=inputs, seconds=0.0)
+    for pair, extra in ((False, 0.0), (True, prog.baseline.N_CONSTRAINTS / 2.0)):
+        workload = workloads.Workload(name="rows", scenario=scenario, trials=2, pair=pair)
+        assert workloads.measurement_rows(setup, workload) == 7 + extra
