@@ -15,13 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError
-from .harness import (
-    run_monte_carlo,
-    run_trial,
-    summarize,
-    write_summary_json,
-    write_trial_csv,
-)
+from .harness import run_trial, summarize, write_summary_json, write_trial_csv
 from .trajectory import SCENARIOS, ScenarioConfig
 
 # config-file keys: the trial count and the scalar fields of ScenarioConfig, with their types
@@ -47,12 +41,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # --trials only where more than one trial runs, --filter only where one filter does
-    for name, help_text, trials, one_filter in (
-        ("simulate", "run one trial and write its CSV trace", False, True),
-        ("montecarlo", "run repeated trials and write the summary JSON", True, True),
-        ("compare", "paired drift comparison of both filters", True, False),
+    for name, run, help_text, trials, one_filter in (
+        ("simulate", _cmd_simulate, "run one trial and write its CSV trace", False, True),
+        ("montecarlo", _cmd_montecarlo, "run repeated trials and write the summary JSON",
+         True, True),
+        ("compare", _cmd_compare, "paired drift comparison of both filters", True, False),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         _add_common(p)
         if trials:
             p.add_argument("--trials", type=int)
@@ -62,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> tuple:
-    """Merge config file and flags (flags win) into a ScenarioConfig."""
+    """Merge config file and flags into a ScenarioConfig and a trial count:
+    every flag that is set overrides its config key; one trial by default."""
     values = {}
     if args.config is not None:
         try:
@@ -79,20 +76,15 @@ def _load_config(args) -> tuple:
             if kind is not str and (type(val) is bool or not isinstance(val, (int, kind))):
                 raise ContractViolationError(f"config key {key!r} must be a {kind.__name__}")
             values[key] = kind(val)
-    trials = values.pop("trials", None)
-    for key in ("scenario", "seed", "duration", "dt", "nmax", "filter"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if getattr(args, "trials", None) is not None:
-        trials = args.trials
-    if trials is not None and trials < 1:
+    values.update({k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None})
+    trials = values.pop("trials", 1)
+    if trials < 1:
         raise ContractViolationError(f"trials must be at least 1, got {trials}")
     cfg = ScenarioConfig(**values)
     cfg.validate()
     if cfg.sigma_feature <= 0.0:  # the update weighs each scan row by 1/sigma_feature
         raise ContractViolationError("sigma_feature must be positive")
-    return cfg, (1 if trials is None else trials)
+    return cfg, trials
 
 
 def _cmd_simulate(cfg: ScenarioConfig, trials: int, out: Path) -> int:
@@ -107,10 +99,10 @@ def _cmd_simulate(cfg: ScenarioConfig, trials: int, out: Path) -> int:
 
 
 def _cmd_montecarlo(cfg: ScenarioConfig, trials: int, out: Path) -> int:
-    result = run_monte_carlo(cfg, trials)
+    records = [run_trial(cfg, trial=i) for i in range(trials)]
     out.mkdir(parents=True, exist_ok=True)
-    write_summary_json(result["summary"], out / "summary.json")
-    failures = sum(r.failed for r in result["records"])
+    write_summary_json(summarize(records), out / "summary.json")
+    failures = sum(r.failed for r in records)
     if failures:
         print(f"{failures}/{trials} trials failed", file=sys.stderr)
     return 3 if failures == trials else 0
@@ -152,12 +144,7 @@ def main(argv=None) -> int:
     except (TypeError, ValueError) as exc:  # ContractViolationError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    command = {
-        "simulate": _cmd_simulate,
-        "montecarlo": _cmd_montecarlo,
-        "compare": _cmd_compare,
-    }[args.command]
-    return command(cfg, trials, args.out)
+    return args.run(cfg, trials, args.out)
 
 
 if __name__ == "__main__":

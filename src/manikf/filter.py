@@ -69,10 +69,16 @@ class UpdateConfig:
     ``max_iterations`` is the highest allowed iteration index: the gain is
     computed for indices 0..max_iterations, so 0 gives the plain (single
     linearization) error-state extended update. The update stops earlier
-    once a step is short under the posterior (see ``update``).
+    once a step is short under the posterior (see ``update``). A negative
+    or non-integer cap raises ValueError.
     """
 
     max_iterations: int = 4
+
+    def __post_init__(self) -> None:
+        m = self.max_iterations
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+            raise ValueError(f"max_iterations must be a non-negative integer, got {m!r}")
 
 
 @dataclass
@@ -123,7 +129,8 @@ def update(
 
     Each iterate relinearizes h at the current estimate x_j, keeping the
     prior fixed: J = diff_u(x, dxj), dxj = boxminus(x_j, x), re-expresses
-    it in the chart at x_j, and L = diff_u(x_j, dxo) moves the posterior
+    it in the chart at x_j; iteration 0 is the same Gauss-Newton step at
+    x_0 = x, where dxj = 0 and J = I. L = diff_u(x_j, dxo) moves the posterior
     into the chart at the final estimate. The gain is in square-root
     information form, so nothing m x m is formed: with P = L_P L_P^T,
     B = J L_P, w = 1/sigma, A = (w H) B and M = I + A^T A, the step is
@@ -155,12 +162,10 @@ def update(
         raise UpdateSolverError("prior covariance could not be factorized", cond) from exc
     w = 1.0 / np.sqrt(var)
     vzero = np.zeros(var.size)
-    diag = UpdateDiagnostics()
 
-    xj = state.x
-    j = -1
-    while True:
-        j += 1
+    # J dxj, B = J L_P and L_P^-1 dxj at the prior, where dxj = 0 and J = I
+    xj, jdx, b, lp_dxj = state.x, np.zeros(n), l_prior, np.zeros(n)
+    for j in range(config.max_iterations + 1):
         hx = np.asarray(model.h(xj, vzero, ctx), dtype=float)
         if hx.shape != z.shape:
             raise DimensionError(f"z must have shape {hx.shape}, got {z.shape}")
@@ -168,12 +173,6 @@ def update(
         h_mat = np.asarray(model.dh_dx(xj, ctx), dtype=float)
         if not (np.isfinite(r).all() and np.isfinite(h_mat).all()):
             raise UpdateSolverError("measurement model returned non-finite values")
-        if xj is state.x:
-            jdx, b = np.zeros(n), l_prior
-        else:
-            dxj = man.boxminus(xj, state.x)
-            jmat = man.diff_u(state.x, dxj)
-            jdx, b = jmat @ dxj, jmat @ l_prior
         wh = w[:, None] * h_mat
         a = wh @ b
         m_mat = np.eye(n) + a.T @ a
@@ -185,16 +184,19 @@ def update(
         y = scipy.linalg.lapack.dpotrs(m_fac, a.T @ (w * r + wh @ jdx), lower=1)[0]
         dxo = b @ y - jdx
         x_next = man.boxplus(xj, dxo)
+        v = y - lp_dxj
         # v^T M v, not |L_M^T v|^2: OpenBLAS runs trmv on 2 threads even at n = 23
-        v = y if xj is state.x else y - scipy.linalg.blas.dtrsv(l_prior, dxj, lower=1)
-        diag.converged = float(v @ m_mat @ v) < CONVERGENCE_TOL * CONVERGENCE_TOL
-        if diag.converged or j >= config.max_iterations:
+        converged = float(v @ m_mat @ v) < CONVERGENCE_TOL * CONVERGENCE_TOL
+        if converged or j == config.max_iterations:
             break
         xj = x_next
+        dxj = man.boxminus(xj, state.x)
+        jmat = man.diff_u(state.x, dxj)
+        jdx, b = jmat @ dxj, jmat @ l_prior
+        lp_dxj = scipy.linalg.blas.dtrsv(l_prior, dxj, lower=1)
 
     # P+ = B M^-1 B^T = C^T C with C = L_M^-1 B^T; L moves it to the chart at x_next.
     # BLAS trsm, as LAPACK trtrs (solve_triangular) stalled for ms with 2 BLAS threads.
     g = man.diff_u(xj, dxo) @ scipy.linalg.blas.dtrsm(1.0, m_fac, b.T, lower=1).T
     p_final = g @ g.T
-    diag.iterations = j
-    return FilterState(x_next, 0.5 * (p_final + p_final.T)), diag
+    return FilterState(x_next, 0.5 * (p_final + p_final.T)), UpdateDiagnostics(j, converged)

@@ -186,14 +186,6 @@ def summarize(records: List[TrialRecord]) -> Dict[str, float]:
     }
 
 
-def run_monte_carlo(cfg: ScenarioConfig, trials: int) -> Dict:
-    """Independent trials with per-trial RNG streams; deterministic reduce."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    records = [run_trial(cfg, trial=i) for i in range(trials)]
-    return {"summary": summarize(records), "records": records}
-
-
 # ---------------------------------------------------------------------------
 # output files
 

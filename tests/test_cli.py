@@ -76,6 +76,21 @@ def test_config_file_merge(tmp_path):
     assert rc == 0
     lines = (out / "trial.csv").read_text().splitlines()
     assert len(lines) == 1 + 31 * 23
+    # every flag overrides the file's value of its key by the same rule
+    cfg_file.write_text(json.dumps(
+        {"scenario": "static", "trials": 3, "filter": "quat", "nmax": 1, "seed": 4}
+    ))
+
+    def load(*flags):
+        args = cli._build_parser().parse_args(["montecarlo", "--config", str(cfg_file), *flags])
+        cfg, trials = cli._load_config(args)
+        return trials, cfg.filter, cfg.nmax, cfg.seed
+
+    assert load() == (3, "quat", 1, 4)
+    assert load("--trials", "2") == (2, "quat", 1, 4)
+    assert load("--filter", "ikfom") == (3, "ikfom", 1, 4)
+    assert load("--nmax", "0") == (3, "quat", 0, 4)
+    assert load("--seed", "9") == (3, "quat", 1, 9)
 
 
 def test_unknown_config_key_is_rejected(tmp_path):

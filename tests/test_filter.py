@@ -13,8 +13,10 @@ from manikf.filter import (
     predict,
     update,
 )
+from manikf.harness import run_trial
 from manikf.manifolds import SO3, Euclidean, compound
 from manikf.so3 import skew, so3_exp
+from manikf.trajectory import ScenarioConfig
 
 from helpers import TextbookKF, assert_close, linear_model
 from manifold_samples import with_norm
@@ -221,6 +223,14 @@ def test_update_respects_iteration_cap():
             config=UpdateConfig(max_iterations=nmax),
         )
         assert diag.iterations <= nmax
+    # numpy integers are caps too; a negative or fractional cap is an error,
+    # not a cap of 0 or of the next integer up
+    assert UpdateConfig(max_iterations=np.int64(2)).max_iterations == 2
+    for bad in (-1, np.int64(-1), 2.5, np.float64(3.0), "2", True, None):
+        with pytest.raises(ValueError):
+            UpdateConfig(max_iterations=bad)
+    with pytest.raises(ValueError):
+        run_trial(ScenarioConfig(scenario="circle", duration=0.05, dt=0.01, nmax=2.5))
 
 
 def test_covariance_reset_jacobian_near_identity():

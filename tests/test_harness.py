@@ -9,7 +9,6 @@ from manikf import harness
 from manikf.errors import DimensionError
 from manikf.harness import (
     gravity_containment,
-    run_monte_carlo,
     run_trial,
     summarize,
     trial_csv_rows,
@@ -181,16 +180,6 @@ def test_summarize_keys_and_failure_handling(tmp_path):
     assert out["mean_nees"] == np.inf
     write_summary_json(out, tmp_path / "summary.json")
     assert json.loads((tmp_path / "summary.json").read_text())["mean_nees"] is None
-
-
-def test_run_monte_carlo():
-    cfg = _short_cfg(duration=0.5)
-    out = run_monte_carlo(cfg, trials=3)
-    assert len(out["records"]) == 3
-    assert not any(r.failed for r in out["records"])
-    assert out["summary"] == summarize(out["records"])
-    with pytest.raises(ValueError):
-        run_monte_carlo(cfg, trials=0)
 
 
 def test_csv_schema(tmp_path):

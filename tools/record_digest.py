@@ -3,15 +3,16 @@
     python3 tools/record_digest.py
 
 Runs trials 0-2 of three scenarios (circle, fast-rotation, and a circle
-with 200 points per update), each through the manifold filter and the
-quaternion baseline, all at scenario seed 1024, and hashes every field of
-each record that a numerical change could move: errors, 3-sigma envelopes,
-NEES, the estimates, the iteration counts, the final metrics and the
-failure state. Two checkouts whose filters compute bitwise the same numbers
+with 200 points per update), and of the circle again with the iteration
+cap at the first linearization (nmax 0), each through the manifold filter
+and the quaternion baseline, all at scenario seed 1024, and hashes every
+field of each record that a numerical change could move: errors, 3-sigma
+envelopes, NEES, the estimates, the iteration counts, the final metrics and
+the failure state. Two checkouts whose filters compute bitwise the same numbers
 print the same digests. One line per case, then the digest over all cases,
 then a ``trajectories`` line: the digest of the generated inputs of the same
-scenarios and trials (truth, IMU readings, and each scan row's point, normal
-and anchor), which moves only when scan or trajectory generation does.
+three scenarios and trials (truth, IMU readings, and each scan row's point,
+normal and anchor), which moves only when scan or trajectory generation does.
 
 The package is imported from the ``src/`` directory next to this script,
 with one BLAS thread, so that the digest does not depend on the thread count.
@@ -41,6 +42,8 @@ SCENARIOS = {
     "circle-200": dict(scenario="circle", duration=0.1, dt=0.01, nmax=2,
                        points_per_update=200),
 }
+# cases that differ from a scenario above only in the filter's settings: same inputs
+VARIANTS = {"circle-nmax0": dict(SCENARIOS["circle"], nmax=0)}
 FILTERS = ("ikfom", "quat")
 
 
@@ -64,7 +67,7 @@ def trajectory_bytes(traj) -> bytes:
 
 def main() -> None:
     total = hashlib.sha256()
-    for name, scenario in SCENARIOS.items():
+    for name, scenario in {**SCENARIOS, **VARIANTS}.items():
         for filt in FILTERS:
             cfg = ScenarioConfig(seed=SEED, filter=filt, **scenario)
             case = hashlib.sha256()
