@@ -58,7 +58,7 @@ class FilterState:
         return FilterState(self.x.copy(), self.P.copy())
 
 
-# the update stops once a step's length under the posterior, sqrt(dxo^T P+^-1 dxo), is below this
+# the largest distance to the fixed point, under the posterior, that the update accepts
 CONVERGENCE_TOL = 1e-2
 
 
@@ -69,7 +69,7 @@ class UpdateConfig:
     ``max_iterations`` is the highest allowed iteration index: the gain is
     computed for indices 0..max_iterations, so 0 gives the plain (single
     linearization) error-state extended update. The update stops earlier
-    once a step is short under the posterior (see ``update``). A negative
+    once h is close to linear where it stepped (see ``update``). A negative
     or non-integer cap raises ValueError.
     """
 
@@ -83,6 +83,9 @@ class UpdateConfig:
 
 @dataclass
 class UpdateDiagnostics:
+    """How the update stopped: ``iterations`` is the index of the last
+    linearization, and ``converged`` is False when the cap stopped it."""
+
     iterations: int = 0
     converged: bool = False
 
@@ -136,9 +139,11 @@ def update(
     B = J L_P, w = 1/sigma, A = (w H) B and M = I + A^T A, the step is
     dxo = -J dxj + B M^-1 A^T (w r + (w H) J dxj) and the posterior is
     B M^-1 B^T: the innovation form rewritten by the push-through identity.
-    It stops once dxo^T P+^-1 dxo < CONVERGENCE_TOL^2, P+ = B M^-1 B^T being
-    the posterior at the iterate (a rule free of the state's units), taken
-    as v^T M v with v = B^-1 dxo = y - L_P^-1 dxj and y = M^-1 A^T (...).
+    After each step below the cap, h is evaluated once at x_{j+1}: with the
+    whitened linearization error eps = w (h(x_j) + H dxo - h(x_{j+1})), the
+    next step is about B M^-1 A^T eps, of length |L_M^-1 A^T eps| under the
+    posterior. It stops once that is below CONVERGENCE_TOL / 2, a rule free
+    of the state's units under which a linear h stops at iteration 0.
     An R that is not len(z) square and diagonal, a non-positive variance or
     a ``z`` not shaped like h's output raises DimensionError; a P or an M
     without a finite Cholesky factor, or a non-finite residual or Jacobian,
@@ -163,15 +168,20 @@ def update(
     w = 1.0 / np.sqrt(var)
     vzero = np.zeros(var.size)
 
-    # J dxj, B = J L_P and L_P^-1 dxj at the prior, where dxj = 0 and J = I
-    xj, jdx, b, lp_dxj = state.x, np.zeros(n), l_prior, np.zeros(n)
-    for j in range(config.max_iterations + 1):
-        hx = np.asarray(model.h(xj, vzero, ctx), dtype=float)
+    def residual(x: np.ndarray) -> np.ndarray:
+        hx = np.asarray(model.h(x, vzero, ctx), dtype=float)
         if hx.shape != z.shape:
             raise DimensionError(f"z must have shape {hx.shape}, got {z.shape}")
         r = z - hx
+        if not np.isfinite(r).all():
+            raise UpdateSolverError("measurement model returned non-finite values")
+        return r
+
+    # J dxj and B = J L_P at the prior, where dxj = 0 and J = I
+    xj, r, jdx, b, converged = state.x, residual(state.x), np.zeros(n), l_prior, False
+    for j in range(config.max_iterations + 1):
         h_mat = np.asarray(model.dh_dx(xj, ctx), dtype=float)
-        if not (np.isfinite(r).all() and np.isfinite(h_mat).all()):
+        if not np.isfinite(h_mat).all():
             raise UpdateSolverError("measurement model returned non-finite values")
         wh = w[:, None] * h_mat
         a = wh @ b
@@ -184,16 +194,19 @@ def update(
         y = scipy.linalg.lapack.dpotrs(m_fac, a.T @ (w * r + wh @ jdx), lower=1)[0]
         dxo = b @ y - jdx
         x_next = man.boxplus(xj, dxo)
-        v = y - lp_dxj
-        # v^T M v, not |L_M^T v|^2: OpenBLAS runs trmv on 2 threads even at n = 23
-        converged = float(v @ m_mat @ v) < CONVERGENCE_TOL * CONVERGENCE_TOL
-        if converged or j == config.max_iterations:
+        if j == config.max_iterations:
             break
-        xj = x_next
+        # eps = w (h(x_j) + H dxo - h(x_{j+1})); half the tolerance, as eps
+        # leaves out how H and J turn between x_j and x_{j+1}
+        r_next = residual(x_next)
+        e = scipy.linalg.blas.dtrsv(m_fac, a.T @ (w * (r_next - r + h_mat @ dxo)), lower=1)
+        converged = float(e @ e) < (0.5 * CONVERGENCE_TOL) ** 2
+        if converged:
+            break
+        xj, r = x_next, r_next
         dxj = man.boxminus(xj, state.x)
         jmat = man.diff_u(state.x, dxj)
         jdx, b = jmat @ dxj, jmat @ l_prior
-        lp_dxj = scipy.linalg.blas.dtrsv(l_prior, dxj, lower=1)
 
     # P+ = B M^-1 B^T = C^T C with C = L_M^-1 B^T; L moves it to the chart at x_next.
     # BLAS trsm, as LAPACK trtrs (solve_triangular) stalled for ms with 2 BLAS threads.

@@ -7,6 +7,7 @@ import pytest
 
 from manikf.errors import DimensionError, UpdateSolverError
 from manikf.filter import (
+    CONVERGENCE_TOL,
     FilterState,
     SystemModel,
     UpdateConfig,
@@ -14,11 +15,12 @@ from manikf.filter import (
     update,
 )
 from manikf.harness import run_trial
+from manikf.lidar_inertial import TAN, TANGENT_DIM, lidar_inertial_model, state_manifold
 from manikf.manifolds import SO3, Euclidean, compound
 from manikf.so3 import skew, so3_exp
 from manikf.trajectory import ScenarioConfig
 
-from helpers import TextbookKF, assert_close, linear_model
+from helpers import TextbookKF, assert_close, linear_model, random_li_state, random_scan
 from manifold_samples import with_norm
 
 
@@ -50,9 +52,9 @@ def test_linear_gaussian_matches_textbook(nmax):
         oracle.update(z, c, r)
         assert_close(state.x, oracle.x, tol=1e-9, floor=1e-9)
         assert_close(state.P, oracle.p, tol=1e-9, floor=1e-9)
-        # a linear problem is solved by the very first gain
-        assert diag.iterations <= 1
-        assert nmax == 0 or diag.converged
+        # a linear h has no linearization error: the first gain is the last
+        assert diag.iterations == 0
+        assert diag.converged == (nmax > 0)
 
 
 def test_predict_zero_velocity_is_identity():
@@ -93,6 +95,24 @@ def test_update_rejects_wrong_shapes():
         update(model, state, np.zeros(2), np.eye(1))
     with pytest.raises(DimensionError):
         update(model, state, np.zeros(2), np.eye(3))
+
+
+def test_h_is_checked_at_every_iterate():
+    # h is evaluated again after each step below the cap, and that value must
+    # pass the prior's checks: a non-finite one is a solver error, and a wrong
+    # shape (one row would broadcast) a dimension error. At a cap of 0 the
+    # update stops before it evaluates h at the step.
+    base = linear_model(np.zeros((2, 2)), np.eye(2))
+    x0 = np.array([0.5, -1.0])
+    for bad, err in ((np.full(2, np.nan), UpdateSolverError), (np.full(2, np.inf), UpdateSolverError),
+                     (np.zeros(1), DimensionError), (np.zeros(3), DimensionError)):
+        model = dataclasses.replace(
+            base, h=lambda x, v, ctx, bad=bad: x + v if np.array_equal(x, x0) else bad)
+        state = FilterState(x0.copy(), np.eye(2))
+        with pytest.raises(err):
+            update(model, state, np.ones(2), np.eye(2))
+        out, _ = update(model, state, np.ones(2), np.eye(2), config=UpdateConfig(max_iterations=0))
+        assert np.isfinite(out.x).all()
 
 
 def test_diff_v_rotation_transport():
@@ -140,6 +160,7 @@ def test_iterated_update_converges_on_attitude():
     model = _so3_vector_model(refs)
     r = 1e-8 * np.eye(6)
     rng = np.random.default_rng(11)
+    iterations = []
     for _ in range(10):
         true_rot = so3_exp(rng.standard_normal(3))
         z = np.concatenate([true_rot.T @ a for a in refs])
@@ -147,6 +168,7 @@ def test_iterated_update_converges_on_attitude():
         state = FilterState(x0, 1.0 * np.eye(3))
         out, diag = update(model, state, z, r, config=UpdateConfig(max_iterations=15))
         assert diag.converged
+        iterations.append(diag.iterations)
         est = SO3.to_matrix(out.x)
         assert np.max(np.abs(est - true_rot)) < 1e-5
         # relinearization should not increase the Gauss-Newton cost
@@ -156,6 +178,33 @@ def test_iterated_update_converges_on_attitude():
             for nmax in range(5)
         ])
         assert np.all(np.diff(costs) <= 1e-9 + 0.05 * costs[:-1])
+    # h turns with the attitude, so a stop rule that never relinearizes fails here
+    assert max(iterations) >= 1
+
+
+def test_update_reaches_the_fixed_point_from_a_large_error(monkeypatch):
+    # The stop test predicts the next step from h alone, leaving out how H and
+    # J turn. From a 0.3 rad attitude and 0.1 m position error, far outside the
+    # prior, the estimate must still lie within CONVERGENCE_TOL, under the
+    # posterior, of the fixed point of the same update iterated to 1e-9.
+    model, man = lidar_inertial_model(), state_manifold()
+    sigma, p0 = 0.01, ScenarioConfig().init_cov()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        truth = random_li_state(rng)
+        rows = random_scan(rng, 30, 5)
+        z = model.h(truth, np.zeros(len(rows)), rows) + sigma * rng.standard_normal(len(rows))
+        e = np.zeros(TANGENT_DIM)
+        e[TAN["R"]], e[TAN["p"]] = with_norm(rng, 3, 0.3), with_norm(rng, 3, 0.1)
+        state, r = FilterState(man.boxplus(truth, e), p0), sigma**2 * np.eye(len(rows))
+        out, diag = update(model, state, z, r, ctx=rows, config=UpdateConfig(max_iterations=15))
+        with monkeypatch.context() as tight:
+            tight.setattr("manikf.filter.CONVERGENCE_TOL", 1e-9)
+            ref, diag_ref = update(model, state, z, r, ctx=rows,
+                                   config=UpdateConfig(max_iterations=50))
+        assert diag.converged and diag.iterations >= 1 and diag_ref.converged
+        gap = man.boxminus(out.x, ref.x)
+        assert np.sqrt(gap @ np.linalg.solve(ref.P, gap)) <= CONVERGENCE_TOL
 
 
 def _curved_model(scale):
