@@ -34,9 +34,15 @@ CONSTRAINT_SIGMA = 1e-3  # pseudo-measurement noise of the constraint rows
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a (not necessarily unit) quaternion."""
-    w, v = q[0], q[1:]
-    return (w * w - v @ v) * np.eye(3) + 2.0 * np.outer(v, v) + 2.0 * w * skew(v)
+    """Rotation matrix of a (not necessarily unit) quaternion, (w^2 - v^T v) I +
+    2 v v^T + 2 w skew(v), each entry computed as that sum is, on Python floats."""
+    w, x, y, z = q.tolist()
+    s = w * w - float(q[1:].dot(q[1:]))  # the sum v @ v takes
+    w2, xy, xz, yz = 2.0 * w, 2.0 * (x * y), 2.0 * (x * z), 2.0 * (y * z)
+    o, d = s * 0.0, w2 * 0.0  # s I off the diagonal, 2 w skew(v) on it
+    return np.array([[(s + 2.0 * (x * x)) + d, (o + xy) - w2 * z, (o + xz) + w2 * y],
+                     [(o + xy) + w2 * z, (s + 2.0 * (y * y)) + d, (o + yz) - w2 * x],
+                     [(o + xz) - w2 * y, (o + yz) + w2 * x, (s + 2.0 * (z * z)) + d]])
 
 
 def rot_to_quat(r: np.ndarray) -> np.ndarray:
@@ -48,9 +54,11 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
 
 
 def _xi(q: np.ndarray) -> np.ndarray:
-    """d(q * [0, w])/dw: 4x3 matrix with q_dot = 0.5 * xi(q) w."""
-    w, v = q[0], q[1:]
-    return np.vstack([-v, w * np.eye(3) + skew(v)])
+    """d(q * [0, w])/dw: 4x3 matrix with q_dot = 0.5 * xi(q) w, the rows -v^T
+    over w I + skew(v), each entry computed as that sum is, on Python floats."""
+    w, x, y, z = q.tolist()
+    d, o = w + 0.0, w * 0.0  # w I on and off the diagonal, plus skew(v)'s zero or entry
+    return np.array([[-x, -y, -z], [d, o - z, o + y], [o + z, d, o - x], [o - y, o + x, d]])
 
 
 def _omega(w: np.ndarray) -> np.ndarray:
@@ -100,15 +108,19 @@ def initial_cov(init_sigma) -> np.ndarray:
     return np.diag(np.repeat(var, [sl.stop - sl.start for sl in BREP.values()]))
 
 
+# tangent_cov's identity blocks, on the blocks that are R^3 in both states
+_G_EYE = np.zeros((TANGENT_DIM, STATE_DIM))
+for _key in ("p", "v", "ba", "bw", "p_ext"):
+    _G_EYE[TAN[_key], BREP[_key]] = np.eye(3)
+
+
 def tangent_cov(x: np.ndarray, P: np.ndarray) -> np.ndarray:
     """P in the 23-dim lidar-inertial tangent space: G P G^T, where
     G = d[to_manifold(x + d) boxminus to_manifold(x)]/dd is 2 xi(q)^T on unit
     quaternions, B(g)^T skew(g) / |g|^2 on gravity and I elsewhere. G drops the
     radial directions, and since boxminus compares rotations, q and -q agree."""
     g = x[BREP["g"]]
-    G = np.zeros((TANGENT_DIM, STATE_DIM))
-    for key in ("p", "v", "ba", "bw", "p_ext"):
-        G[TAN[key], BREP[key]] = np.eye(3)
+    G = _G_EYE.copy()
     G[TAN["R"], BREP["q"]] = 2.0 * _xi(x[BREP["q"]]).T
     G[TAN["R_ext"], BREP["q_ext"]] = 2.0 * _xi(x[BREP["q_ext"]]).T
     G[TAN["g"], BREP["g"]] = sphere_basis(g).T @ skew(g) / (g @ g)
@@ -141,6 +153,11 @@ def baseline_model(augmented: bool = False) -> SystemModel:
     man = Euclidean(STATE_DIM)
     r2 = GRAVITY * GRAVITY
     extra = N_CONSTRAINTS if augmented else 0
+    # the constant blocks of df_dx and df_dw, which each call copies
+    dfx0 = np.zeros((STATE_DIM, STATE_DIM))
+    dfx0[BREP["p"], BREP["v"]] = dfx0[BREP["v"], BREP["g"]] = np.eye(3)
+    dfw0 = np.zeros((STATE_DIM, NOISE_DIM))
+    dfw0[BREP["ba"], 6:9] = dfw0[BREP["bw"], 9:12] = np.eye(3)
 
     def f(x, u, w):
         a_m, w_m = u[:3], u[3:6]
@@ -157,22 +174,18 @@ def baseline_model(augmented: bool = False) -> SystemModel:
         a_m, w_m = u[:3], u[3:6]
         q = x[BREP["q"]]
         a = a_m - x[BREP["ba"]]
-        out = np.zeros((STATE_DIM, STATE_DIM))
-        out[BREP["p"], BREP["v"]] = np.eye(3)
+        out = dfx0.copy()
         out[BREP["v"], BREP["q"]] = _rows_drot_dq(q, np.eye(3), np.tile(a, (3, 1)))
         out[BREP["v"], BREP["ba"]] = -quat_to_rot(q)
-        out[BREP["v"], BREP["g"]] = np.eye(3)
         out[BREP["q"], BREP["q"]] = 0.5 * _omega(w_m - x[BREP["bw"]])
         out[BREP["q"], BREP["bw"]] = -0.5 * _xi(q)
         return out
 
     def df_dw(x, u):
         q = x[BREP["q"]]
-        out = np.zeros((STATE_DIM, NOISE_DIM))
+        out = dfw0.copy()
         out[BREP["v"], 0:3] = -quat_to_rot(q)
         out[BREP["q"], 3:6] = -0.5 * _xi(q)
-        out[BREP["ba"], 6:9] = np.eye(3)
-        out[BREP["bw"], 9:12] = np.eye(3)
         return out
 
     def h(x, v, rows):

@@ -101,8 +101,8 @@ def predict(
 
     The mean moves along ``dt * f`` with zero noise; the covariance goes
     through F_x = G_x + dt * G_f * df_dx and F_w = dt * G_f * df_dw, so the
-    retraction and the velocity action are linearized jointly; (G_x, G_f) is
-    the pair of chart Jacobians diff_v returns for the step x' = oplus(x, dx).
+    retraction and the velocity action are linearized jointly; diff_v returns
+    the step x' = oplus(x, dx) with its pair of chart Jacobians (G_x, G_f).
     Q must be square with the column count of df_dw, else DimensionError.
     """
     man = model.manifold
@@ -113,11 +113,11 @@ def predict(
     dx = dt * np.asarray(model.f(state.x, u, np.zeros(q)), dtype=float)
     if not np.all(np.isfinite(dx)):
         raise FloatingPointError("process model returned non-finite velocity")
-    gx, gf = man.diff_v(state.x, dx)
+    x_next, gx, gf = man.diff_v(state.x, dx)
     fx = gx + dt * gf @ np.asarray(model.df_dx(state.x, u), dtype=float)
     fw = dt * gf @ df_dw
     p = fx @ state.P @ fx.T + fw @ Q @ fw.T
-    return FilterState(man.oplus(state.x, dx), 0.5 * (p + p.T))
+    return FilterState(x_next, 0.5 * (p + p.T))
 
 
 def update(
@@ -133,8 +133,9 @@ def update(
     Each iterate relinearizes h at the current estimate x_j, keeping the
     prior fixed: J = diff_u(x, dxj), dxj = boxminus(x_j, x), re-expresses
     it in the chart at x_j; iteration 0 is the same Gauss-Newton step at
-    x_0 = x, where dxj = 0 and J = I. L = diff_u(x_j, dxo) moves the posterior
-    into the chart at the final estimate. The gain is in square-root
+    x_0 = x, where dxj = 0 and J = I. Each step x_{j+1} = boxplus(x_j, dxo)
+    comes from diff_u(x_j, dxo) with its L, and the last step's L moves the
+    posterior into the chart at the final estimate. The gain is in square-root
     information form, so nothing m x m is formed: with P = L_P L_P^T,
     B = J L_P, w = 1/sigma, A = (w H) B and M = I + A^T A, the step is
     dxo = -J dxj + B M^-1 A^T (w r + (w H) J dxj) and the posterior is
@@ -193,7 +194,7 @@ def update(
             raise UpdateSolverError("gain matrix I + A^T A could not be factorized")
         y = scipy.linalg.lapack.dpotrs(m_fac, a.T @ (w * r + wh @ jdx), lower=1)[0]
         dxo = b @ y - jdx
-        x_next = man.boxplus(xj, dxo)
+        x_next, l_mat = man.diff_u(xj, dxo)
         if j == config.max_iterations:
             break
         # eps = w (h(x_j) + H dxo - h(x_{j+1})); half the tolerance, as eps
@@ -205,11 +206,11 @@ def update(
             break
         xj, r = x_next, r_next
         dxj = man.boxminus(xj, state.x)
-        jmat = man.diff_u(state.x, dxj)
+        jmat = man.diff_u(state.x, dxj)[1]
         jdx, b = jmat @ dxj, jmat @ l_prior
 
     # P+ = B M^-1 B^T = C^T C with C = L_M^-1 B^T; L moves it to the chart at x_next.
     # BLAS trsm, as LAPACK trtrs (solve_triangular) stalled for ms with 2 BLAS threads.
-    g = man.diff_u(xj, dxo) @ scipy.linalg.blas.dtrsm(1.0, m_fac, b.T, lower=1).T
+    g = l_mat @ scipy.linalg.blas.dtrsm(1.0, m_fac, b.T, lower=1).T
     p_final = g @ g.T
     return FilterState(x_next, 0.5 * (p_final + p_final.T)), UpdateDiagnostics(j, converged)

@@ -113,6 +113,13 @@ def lidar_inertial_model() -> SystemModel:
     one point and are orthonormal.
     """
     man = state_manifold()
+    # the constant blocks of df_dx and df_dw, which each call copies
+    dfx0 = np.zeros((man.control_dim, TANGENT_DIM))
+    dfx0[CTRL["p"], TAN["v"]] = np.eye(3)
+    dfx0[CTRL["R"], TAN["bw"]] = -np.eye(3)
+    dfw0 = np.zeros((man.control_dim, NOISE_DIM))
+    dfw0[CTRL["R"], 3:6] = -np.eye(3)
+    dfw0[CTRL["ba"], 6:9] = dfw0[CTRL["bw"], 9:12] = np.eye(3)
 
     def f(x, u, w):
         a_m, w_m = u[:3], u[3:6]
@@ -129,22 +136,17 @@ def lidar_inertial_model() -> SystemModel:
         a_m = u[:3]
         rot = x[REP["R"]].reshape(3, 3)
         g = x[REP["g"]]
-        out = np.zeros((man.control_dim, TANGENT_DIM))
-        out[CTRL["p"], TAN["v"]] = np.eye(3)
+        out = dfx0.copy()
         out[CTRL["v"], TAN["R"]] = -rot @ skew(a_m - x[REP["ba"]])
         out[CTRL["v"], TAN["ba"]] = -rot
         # d(boxplus(g, dg))/d(dg) at 0
         out[CTRL["v"], TAN["g"]] = -skew(g) @ sphere_basis(g)
-        out[CTRL["R"], TAN["bw"]] = -np.eye(3)
         return out
 
     def df_dw(x, u):
         rot = x[REP["R"]].reshape(3, 3)
-        out = np.zeros((man.control_dim, NOISE_DIM))
+        out = dfw0.copy()
         out[CTRL["v"], 0:3] = -rot
-        out[CTRL["R"], 3:6] = -np.eye(3)
-        out[CTRL["ba"], 6:9] = np.eye(3)
-        out[CTRL["bw"], 9:12] = np.eye(3)
         return out
 
     def h(x, v, rows):

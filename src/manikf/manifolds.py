@@ -10,9 +10,11 @@ geometry:
   for Euclidean space and the rotation group this coincides with boxplus,
   on the sphere it is the ambient rotation action.
 
-``diff_u(x, u)`` = d[boxminus(boxplus(x, u + d), boxplus(x, u))]/dd at d = 0
-is the update's J and L (on SO(3), the right Jacobian A(u)^T); ``diff_v(x, v)``
-is the pair (G_x, G_v) of the step y = oplus(x, v), the derivatives at d = 0 of
+The chart Jacobians also return the point they step to, bitwise that of
+boxplus or oplus: ``diff_u(x, u)`` is (y, J) for y = boxplus(x, u) and
+J = d[boxminus(boxplus(x, u + d), y)]/dd at d = 0, the update's J and L (on
+SO(3), the right Jacobian A(u)^T); ``diff_v(x, v)`` is (y, G_x, G_v) for the
+step y = oplus(x, v), G_x and G_v the derivatives at d = 0 of
 boxminus(oplus(boxplus(x, d), v), y) and boxminus(oplus(x, v + d), y).
 """
 from __future__ import annotations
@@ -39,10 +41,10 @@ class Manifold:
     def oplus(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def diff_u(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def diff_u(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def diff_v(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def diff_v(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def _check_shape(self, x: np.ndarray) -> None:
@@ -88,10 +90,10 @@ class Euclidean(Manifold):
     oplus = boxplus
 
     def diff_u(self, x, u):
-        return np.eye(self.dim)
+        return self.boxplus(x, u), np.eye(self.dim)
 
     def diff_v(self, x, v):
-        return np.eye(self.dim), np.eye(self.dim)
+        return self.boxplus(x, v), np.eye(self.dim), np.eye(self.dim)
 
     def __repr__(self):
         return f"Euclidean({self.dim})"
@@ -121,12 +123,14 @@ class SO3(Manifold):
     oplus = boxplus
 
     def diff_u(self, x, u):
-        self._check_tangent(u)
-        return so3.mat_a(u).T
+        return self.boxplus(x, u), so3.mat_a(u).T
 
     def diff_v(self, x, v):
+        # G_x = Exp(-v) = Exp(v)^T bit for bit: _rodrigues negates only its a terms
+        self._check_shape(x)
         self._check_control(v)
-        return so3.so3_exp(-v), so3.mat_a(v).T
+        e = so3.so3_exp(v)
+        return (self.to_matrix(x) @ e).reshape(9), e.T, so3.mat_a(v).T
 
     def validate_point(self, x):
         self._check_shape(x)
@@ -143,8 +147,8 @@ class Sphere2(Manifold):
     the derivative B(z)^T skew(z) / r^2 of boxminus(., z) at z with that of
     z = R x, by skew(z) R = R skew(x), skew(x)^2 = x x^T - r^2 I, B(z)^T z = 0
     and, with A = ``so3.mat_a``, Exp(w) A(w)^T = A(w). At v = 0, w = B(x) u
-    and R = Exp(w) give diff_u = B(z)^T A(w) B(x); at u = 0, R = Exp(v) and
-    C = B(z)^T R give diff_v = (C B(x), C A(v)^T).
+    and R = Exp(w) give diff_u's J = B(z)^T A(w) B(x); at u = 0, R = Exp(v) and
+    C = B(z)^T R give diff_v's (C B(x), C A(v)^T). Both return z = R x.
     """
 
     dim = 2
@@ -172,17 +176,20 @@ class Sphere2(Manifold):
         return sphere.sphere_oplus(x, v)
 
     def diff_u(self, x, u):
+        self._check_shape(x)
         self._check_tangent(u)
         b = sphere.sphere_basis(x)
         w = b @ u
         z = so3.so3_exp(w) @ x
-        return sphere.sphere_basis(z).T @ so3.mat_a(w) @ b
+        return z, sphere.sphere_basis(z).T @ so3.mat_a(w) @ b
 
     def diff_v(self, x, v):
+        self._check_shape(x)
         self._check_control(v)
         rv = so3.so3_exp(v)
-        c = sphere.sphere_basis(rv @ x).T @ rv
-        return c @ sphere.sphere_basis(x), c @ so3.mat_a(v).T
+        z = rv @ x
+        c = sphere.sphere_basis(z).T @ rv
+        return z, c @ sphere.sphere_basis(x), c @ so3.mat_a(v).T
 
     def validate_point(self, x):
         self._check_shape(x)
@@ -220,6 +227,10 @@ class Compound(Manifold):
         # (part, rep slice, tangent slice, velocity slice) of the curved parts
         table = zip(self.parts, self.rep_slices, self.tan_slices, self.ctrl_slices)
         self._table = tuple(row for row, f in zip(table, flat) if not f)
+        # the Jacobians' constant part, I on the Euclidean indices, which each call copies
+        self._eye_u = np.zeros((self.dim, self.dim))
+        self._eye_v = np.zeros((self.dim, self.control_dim))
+        self._eye_u[self._et, self._et] = self._eye_v[self._et, self._ec] = 1.0
 
     def boxplus(self, x, u):
         self._check_shape(x)
@@ -249,19 +260,22 @@ class Compound(Manifold):
         return out
 
     def diff_u(self, x, u):
-        out = np.zeros((self.dim, self.dim))
-        out[self._et, self._et] = 1.0
+        self._check_shape(x)
+        self._check_tangent(u)
+        y, out = x.copy(), self._eye_u.copy()
+        y[self._er] += u[self._et]
         for p, rs, ts, _ in self._table:
-            out[ts, ts] = p.diff_u(x[rs], u[ts])
-        return out
+            y[rs], out[ts, ts] = p.diff_u(x[rs], u[ts])
+        return y, out
 
     def diff_v(self, x, v):
-        gx = np.zeros((self.dim, self.dim))
-        gv = np.zeros((self.dim, self.control_dim))
-        gx[self._et, self._et] = gv[self._et, self._ec] = 1.0
+        self._check_shape(x)
+        self._check_control(v)
+        y, gx, gv = x.copy(), self._eye_u.copy(), self._eye_v.copy()
+        y[self._er] += v[self._ec]
         for p, rs, ts, cs in self._table:
-            gx[ts, ts], gv[ts, cs] = p.diff_v(x[rs], v[cs])
-        return gx, gv
+            y[rs], gx[ts, ts], gv[ts, cs] = p.diff_v(x[rs], v[cs])
+        return y, gx, gv
 
     def validate_point(self, x):
         self._check_shape(x)  # all a Euclidean part checks

@@ -1,4 +1,6 @@
 """Tests for the quaternion-parameterized comparison filter."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,14 @@ from manikf.baseline import (
     normalize_state,
     quat_to_rot,
     rot_to_quat,
+    _xi,
     tangent_cov,
     to_manifold,
 )
 from manikf.errors import ContractViolationError
 from manikf.filter import FilterState, predict
 from manikf.lidar_inertial import GRAVITY, state_manifold
-from manikf.so3 import so3_exp
+from manikf.so3 import skew, so3_exp
 
 from helpers import (
     assert_additive_noise,
@@ -37,6 +40,34 @@ def test_quat_to_rot_matches_exponential():
         theta = np.linalg.norm(w)
         q = np.concatenate([[np.cos(theta / 2)], np.sin(theta / 2) * w / theta])
         assert_close(quat_to_rot(q), so3_exp(w), tol=1e-12)
+
+
+def _quat_to_rot_reference(q):
+    """The matrix formula quat_to_rot evaluates entry by entry: the bits to keep."""
+    w, v = q[0], q[1:]
+    return (w * w - v @ v) * np.eye(3) + 2.0 * np.outer(v, v) + 2.0 * w * skew(v)
+
+
+def _xi_reference(q):
+    """The matrix formula _xi evaluates entry by entry: the bits to keep."""
+    w, v = q[0], q[1:]
+    return np.vstack([-v, w * np.eye(3) + skew(v)])
+
+
+def test_quaternion_kernels_match_their_matrix_formulas_bitwise():
+    # non-unit and unit quaternions over six decades, w of both signs, each
+    # component set to exactly +0.0 and -0.0 in turn, and every quaternion
+    # with entries in {0, -0, 1, -1}; tobytes tells the signs of zeros apart
+    rng = np.random.default_rng(21)
+    qs = rng.standard_normal((10000, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (10000, 1))
+    qs[::2] /= np.linalg.norm(qs[::2], axis=1, keepdims=True)
+    for i, (k, zero) in enumerate(itertools.product(range(4), (0.0, -0.0))):
+        qs[i::16, k] = zero
+    assert (qs[:, 0] < 0.0).sum() > 4000
+    signs = np.array(list(itertools.product((0.0, -0.0, 1.0, -1.0), repeat=4)))
+    for q in np.concatenate([qs, signs]):
+        for got, want in ((quat_to_rot(q), _quat_to_rot_reference(q)), (_xi(q), _xi_reference(q))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), q
 
 
 def test_rot_to_quat_roundtrip():

@@ -91,20 +91,20 @@ def test_diff_u_identity_cases():
     # SO(3) diff_u(x, 0) is exactly I, on S^2 it is B(x)^T B(x)
     rng = np.random.default_rng(4)
     man = Euclidean(3)
-    assert np.array_equal(man.diff_u(np.zeros(3), np.zeros(3)), np.eye(3))
+    assert np.array_equal(man.diff_u(np.zeros(3), np.zeros(3))[1], np.eye(3))
     so3 = SO3()
     x = random_point(so3, rng)
-    assert np.array_equal(so3.diff_u(x, np.zeros(3)), np.eye(3))
+    assert np.array_equal(so3.diff_u(x, np.zeros(3))[1], np.eye(3))
     sph = Sphere2(2.5)
     x = random_point(sph, rng)
-    assert np.allclose(sph.diff_u(x, np.zeros(2)), np.eye(2), atol=1e-12)
+    assert np.allclose(sph.diff_u(x, np.zeros(2))[1], np.eye(2), atol=1e-12)
 
 
 def assert_diffs_match_fd(man, x, u, v, msg=""):
     """diff_u(x, u) and both matrices of diff_v(x, v) against central differences."""
-    assert_close(man.diff_u(x, u), fd_diff_u(man, x, u, np.zeros(man.control_dim)),
+    assert_close(man.diff_u(x, u)[1], fd_diff_u(man, x, u, np.zeros(man.control_dim)),
                  tol=1e-5, msg=f"diff_u {msg}")
-    for got, want, what in zip(man.diff_v(x, v), fd_step_pair(man, x, v), "xv"):
+    for got, want, what in zip(man.diff_v(x, v)[1:], fd_step_pair(man, x, v), "xv"):
         assert_close(got, want, tol=1e-5, msg=f"diff_v G_{what} {msg}")
 
 
@@ -137,6 +137,21 @@ def test_dimension_errors():
         man.boxminus(np.zeros(8), np.eye(3).reshape(9))
     with pytest.raises(DimensionError):
         Sphere2(1.0).oplus(np.array([0.0, 0.0, 1.0]), np.zeros(2))
+
+
+def test_fused_diffs_check_the_point_shape():
+    # diff_u and diff_v compute the boxplus and oplus point, so they reject a
+    # wrong-shaped point as boxplus and oplus do
+    rng = np.random.default_rng(14)
+    for man in make_manifolds() + [compound(Euclidean(2), SO3(), Sphere2(9.81)),
+                                   state_manifold()]:
+        x = random_point(man, rng)
+        u, v = np.zeros(man.dim), np.zeros(man.control_dim)
+        for bad in (x[:-1], np.append(x, 0.0), x.reshape(1, -1)):
+            with pytest.raises(DimensionError):
+                man.diff_u(bad, u)
+            with pytest.raises(DimensionError):
+                man.diff_v(bad, v)
 
 
 def test_validate_point():
@@ -176,8 +191,8 @@ def test_compound_block_diagonal_exact():
         x = random_point(man, rng)
         u = 0.5 * rng.standard_normal(man.dim)
         v = 0.5 * rng.standard_normal(man.control_dim)
-        du = man.diff_u(x, u)
-        gx, gv = man.diff_v(x, v)
+        _, du = man.diff_u(x, u)
+        _, gx, gv = man.diff_v(x, v)
         for i, ts_i in enumerate(man.tan_slices):
             for j, (ts_j, cs_j) in enumerate(zip(man.tan_slices, man.ctrl_slices)):
                 if i != j:
@@ -205,26 +220,31 @@ def test_compound_single_child_matches_child():
     v = rng.standard_normal(3)
     assert np.array_equal(man.boxplus(x, u), child.boxplus(x, u))
     assert np.array_equal(man.oplus(x, v), child.oplus(x, v))
-    assert np.allclose(man.diff_u(x, u), child.diff_u(x, u))
-    for got, want in zip(man.diff_v(x, v), child.diff_v(x, v)):
+    for got, want in zip((*man.diff_u(x, u), *man.diff_v(x, v)),
+                         (*child.diff_u(x, u), *child.diff_v(x, v))):
         assert np.allclose(got, want)
 
 
 def _from_parts(man, x, y, u, v):
     """Each Compound operator as the concatenation or block diagonal of its
-    parts' own operators, in the order the compound returns them."""
+    parts' own operators, in the order the compound returns them; each part's
+    diff_u and diff_v step to bitwise its boxplus and oplus point."""
     table = list(zip(man.parts, man.rep_slices, man.tan_slices, man.ctrl_slices))
     du = np.zeros((man.dim, man.dim))
     gx = np.zeros((man.dim, man.dim))
     gv = np.zeros((man.dim, man.control_dim))
     for p, rs, ts, cs in table:
-        du[ts, ts] = p.diff_u(x[rs], u[ts])
-        gx[ts, ts], gv[ts, cs] = p.diff_v(x[rs], v[cs])
+        yu, du[ts, ts] = p.diff_u(x[rs], u[ts])
+        yv, gx[ts, ts], gv[ts, cs] = p.diff_v(x[rs], v[cs])
+        assert yu.tobytes() == p.boxplus(x[rs], u[ts]).tobytes(), (p, "diff_u point")
+        assert yv.tobytes() == p.oplus(x[rs], v[cs]).tobytes(), (p, "diff_v point")
+    boxplus = np.concatenate([p.boxplus(x[rs], u[ts]) for p, rs, ts, _ in table])
+    oplus = np.concatenate([p.oplus(x[rs], v[cs]) for p, rs, _, cs in table])
     return (
-        np.concatenate([p.boxplus(x[rs], u[ts]) for p, rs, ts, _ in table]),
+        boxplus,
         np.concatenate([p.boxminus(y[rs], x[rs]) for p, rs, _, _ in table]),
-        np.concatenate([p.oplus(x[rs], v[cs]) for p, rs, _, cs in table]),
-        du, gx, gv,
+        oplus,
+        boxplus, du, oplus, gx, gv,
     )
 
 
@@ -245,9 +265,12 @@ def test_compound_matches_its_parts_bitwise():
                 u = with_norm(rng, man.dim, norm)
                 v = with_norm(rng, man.control_dim, norm)
                 got = (man.boxplus(x, u), man.boxminus(y, x), man.oplus(x, v),
-                       man.diff_u(x, u), *man.diff_v(x, v))
-                for what, g, w in zip(("boxplus", "boxminus", "oplus", "diff_u", "G_x", "G_v"),
-                                      got, _from_parts(man, x, y, u, v)):
+                       *man.diff_u(x, u), *man.diff_v(x, v))
+                want = _from_parts(man, x, y, u, v)
+                names = ("boxplus", "boxminus", "oplus", "diff_u point", "diff_u",
+                         "diff_v point", "G_x", "G_v")
+                assert len(got) == len(want) == len(names)
+                for what, g, w in zip(names, got, want):
                     assert g.shape == w.shape and g.tobytes() == w.tobytes(), (man, what, norm)
 
 

@@ -3,16 +3,18 @@
     python3 tools/record_digest.py
 
 Runs trials 0-2 of three scenarios (circle, fast-rotation, and a circle
-with 200 points per update), and of the circle again with the iteration
-cap at the first linearization (nmax 0), each through the manifold filter
-and the quaternion baseline, all at scenario seed 1024, and hashes every
-field of each record that a numerical change could move: errors, 3-sigma
-envelopes, NEES, the estimates, the iteration counts, the final metrics and
-the failure state. Two checkouts whose filters compute bitwise the same numbers
-print the same digests. One line per case, then the digest over all cases,
-then a ``trajectories`` line: the digest of the generated inputs of the same
-three scenarios and trials (truth, IMU readings, and each scan row's point,
-normal and anchor), which moves only when scan or trajectory generation does.
+with 200 points per update), of the circle again with the iteration cap at
+the first linearization (nmax 0), and of fast-rotation again with the
+baseline's constraints left to normalization alone (baseline_mode "hard"),
+each through the manifold filter and the quaternion baseline, all at
+scenario seed 1024, and hashes every field of each record that a numerical
+change could move: errors, 3-sigma envelopes, NEES, the estimates, the
+iteration counts, the final metrics and the failure state. Two checkouts
+whose filters compute bitwise the same numbers print the same digests. One
+line per case, then the digest over all cases, then a ``trajectories``
+line: the digest of the generated inputs of the same three scenarios and
+trials (truth, IMU readings, and each scan row's point, normal and anchor),
+which moves only when scan or trajectory generation does.
 
 The package is imported from the ``src/`` directory next to this script,
 with one BLAS thread, so that the digest does not depend on the thread count.
@@ -43,7 +45,10 @@ SCENARIOS = {
                        points_per_update=200),
 }
 # cases that differ from a scenario above only in the filter's settings: same inputs
-VARIANTS = {"circle-nmax0": dict(SCENARIOS["circle"], nmax=0)}
+VARIANTS = {
+    "circle-nmax0": dict(SCENARIOS["circle"], nmax=0),
+    "fast-rotation-hard": dict(SCENARIOS["fast-rotation"], baseline_mode="hard"),
+}
 FILTERS = ("ikfom", "quat")
 
 
@@ -73,15 +78,15 @@ def main() -> None:
             case = hashlib.sha256()
             for trial in TRIALS:
                 case.update(record_bytes(run_trial(cfg, trial, keep_estimates=True)))
-            print(f"{name:14s} {filt:6s} {case.hexdigest()}")
+            print(f"{name:18s} {filt:6s} {case.hexdigest()}")
             total.update(case.digest())
-    print(f"{'all':21s} {total.hexdigest()}")
+    print(f"{'all':25s} {total.hexdigest()}")
     inputs = hashlib.sha256()
     for scenario in SCENARIOS.values():
         for trial in TRIALS:
             cfg = ScenarioConfig(seed=SEED, **scenario)
             inputs.update(trajectory_bytes(generate_trajectory(cfg, trial)))
-    print(f"{'trajectories':21s} {inputs.hexdigest()}")
+    print(f"{'trajectories':25s} {inputs.hexdigest()}")
 
 
 if __name__ == "__main__":
