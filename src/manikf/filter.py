@@ -130,19 +130,18 @@ def update(
 ) -> Tuple[FilterState, UpdateDiagnostics]:
     """Iterated measurement update; returns (new FilterState, diagnostics).
 
-    Each iterate relinearizes h at the current estimate x_j, keeping the
-    prior fixed: J = diff_u(x, dxj), dxj = boxminus(x_j, x), re-expresses
-    it in the chart at x_j; iteration 0 is the same Gauss-Newton step at
-    x_0 = x, where dxj = 0 and J = I. Each step x_{j+1} = boxplus(x_j, dxo)
-    comes from diff_u(x_j, dxo) with its L, and the last step's L moves the
-    posterior into the chart at the final estimate. The gain is in square-root
-    information form, so nothing m x m is formed: with P = L_P L_P^T,
-    B = J L_P, w = 1/sigma, A = (w H) B and M = I + A^T A, the step is
-    dxo = -J dxj + B M^-1 A^T (w r + (w H) J dxj) and the posterior is
-    B M^-1 B^T: the innovation form rewritten by the push-through identity.
-    After each step below the cap, h is evaluated once at x_{j+1}: with the
-    whitened linearization error eps = w (h(x_j) + H dxo - h(x_{j+1})), the
-    next step is about B M^-1 A^T eps, of length |L_M^-1 A^T eps| under the
+    Gauss-Newton on the MAP cost |L_P^-1 d|^2 + |w (z - h(x (+) d))|^2, with
+    P = L_P L_P^T, w = 1/sigma and d in the prior's chart. Every iterate is
+    x_j = boxplus(x, L_P y_j), with y_j in whitened prior coordinates and
+    y_0 = 0; one diff_u(x, L_P y_j) gives x_j and the J_j that carries the
+    prior into x_j's chart (J_0 = I). The gain is in square-root information
+    form, so nothing m x m is formed: with B = J_j L_P, A = (w H) B and
+    M = I + A^T A, the next iterate is y' = M^-1 A^T (w r + A y_j), the
+    innovation form rewritten by the push-through identity, and the posterior
+    is J' L_P M^-1 L_P^T J'^T in the chart at the final estimate x'.
+    After each step below the cap, h is evaluated once at x': with the
+    whitened linearization error eps = w (r' - r) + A (y' - y_j), the next
+    step is about B M^-1 A^T eps, of length |L_M^-1 A^T eps| under the
     posterior. It stops once that is below CONVERGENCE_TOL / 2, a rule free
     of the state's units under which a linear h stops at iteration 0.
     An R that is not len(z) square and diagonal, a non-positive variance or
@@ -178,39 +177,34 @@ def update(
             raise UpdateSolverError("measurement model returned non-finite values")
         return r
 
-    # J dxj and B = J L_P at the prior, where dxj = 0 and J = I
-    xj, r, jdx, b, converged = state.x, residual(state.x), np.zeros(n), l_prior, False
+    # y and B = J L_P at the prior, where y = 0 and J = I
+    xj, r, y, b, converged = state.x, residual(state.x), np.zeros(n), l_prior, False
     for j in range(config.max_iterations + 1):
         h_mat = np.asarray(model.dh_dx(xj, ctx), dtype=float)
         if not np.isfinite(h_mat).all():
             raise UpdateSolverError("measurement model returned non-finite values")
-        wh = w[:, None] * h_mat
-        a = wh @ b
+        a = (w[:, None] * h_mat) @ b
         m_mat = np.eye(n) + a.T @ a
         # LAPACK's own Cholesky, as cho_factor/cho_solve call it, without their
         # wrapper cost; the factor's finiteness check replaces their check_finite
         m_fac, info = scipy.linalg.lapack.dpotrf(m_mat, lower=1, clean=0)
         if info != 0 or not np.isfinite(m_fac).all():
             raise UpdateSolverError("gain matrix I + A^T A could not be factorized")
-        y = scipy.linalg.lapack.dpotrs(m_fac, a.T @ (w * r + wh @ jdx), lower=1)[0]
-        dxo = b @ y - jdx
-        x_next, l_mat = man.diff_u(xj, dxo)
+        y_next = scipy.linalg.lapack.dpotrs(m_fac, a.T @ (w * r + a @ y), lower=1)[0]
+        x_next, jmat = man.diff_u(state.x, l_prior @ y_next)
         if j == config.max_iterations:
             break
-        # eps = w (h(x_j) + H dxo - h(x_{j+1})); half the tolerance, as eps
-        # leaves out how H and J turn between x_j and x_{j+1}
+        # eps = w (h(x_j) + H dxo - h(x')), the step in x_j's chart being
+        # dxo = B (y' - y); half the tolerance, as eps leaves out how H and J turn
         r_next = residual(x_next)
-        e = scipy.linalg.blas.dtrsv(m_fac, a.T @ (w * (r_next - r + h_mat @ dxo)), lower=1)
+        e = scipy.linalg.blas.dtrsv(m_fac, a.T @ (w * (r_next - r) + a @ (y_next - y)), lower=1)
         converged = float(e @ e) < (0.5 * CONVERGENCE_TOL) ** 2
         if converged:
             break
-        xj, r = x_next, r_next
-        dxj = man.boxminus(xj, state.x)
-        jmat = man.diff_u(state.x, dxj)[1]
-        jdx, b = jmat @ dxj, jmat @ l_prior
+        xj, r, y, b = x_next, r_next, y_next, jmat @ l_prior
 
-    # P+ = B M^-1 B^T = C^T C with C = L_M^-1 B^T; L moves it to the chart at x_next.
+    # P+ = J' L_P M^-1 L_P^T J'^T = G G^T with G = J' (L_M^-1 L_P^T)^T.
     # BLAS trsm, as LAPACK trtrs (solve_triangular) stalled for ms with 2 BLAS threads.
-    g = l_mat @ scipy.linalg.blas.dtrsm(1.0, m_fac, b.T, lower=1).T
+    g = jmat @ scipy.linalg.blas.dtrsm(1.0, m_fac, l_prior.T, lower=1).T
     p_final = g @ g.T
     return FilterState(x_next, 0.5 * (p_final + p_final.T)), UpdateDiagnostics(j, converged)

@@ -139,6 +139,7 @@ def run_trial(
     except (ArithmeticError, UpdateSolverError) as exc:
         failed, failure = True, f"step {k_done + 1}: {exc}"
         errors, sigma3, nees = errors[: k_done + 1], sigma3[: k_done + 1], nees[: k_done + 1]
+        est = None if est is None else est[: k_done + 1]
 
     xm, truth = to_manifold(state.x), traj.truth[-1]
     rot_err = so3_log(xm[REP["R_ext"]].reshape(3, 3).T @ truth[REP["R_ext"]].reshape(3, 3))

@@ -12,10 +12,13 @@ geometry:
 
 The chart Jacobians also return the point they step to, bitwise that of
 boxplus or oplus: ``diff_u(x, u)`` is (y, J) for y = boxplus(x, u) and
-J = d[boxminus(boxplus(x, u + d), y)]/dd at d = 0, the update's J and L (on
-SO(3), the right Jacobian A(u)^T); ``diff_v(x, v)`` is (y, G_x, G_v) for the
-step y = oplus(x, v), G_x and G_v the derivatives at d = 0 of
+J = d[boxminus(boxplus(x, u + d), y)]/dd at d = 0 (on SO(3), the right
+Jacobian A(u)^T): the update's iterate and the J that carries the prior's
+chart into the iterate's. ``diff_v(x, v)`` is (y, G_x, G_v) for the step
+y = oplus(x, v), G_x and G_v the derivatives at d = 0 of
 boxminus(oplus(boxplus(x, d), v), y) and boxminus(oplus(x, v + d), y).
+The filter calls only the two Jacobians; boxplus, boxminus and oplus serve
+the harness (its initial state and errors) and the tests.
 """
 from __future__ import annotations
 

@@ -1,9 +1,12 @@
 """Filter-level tests: textbook Kalman equivalence, prediction charts,
 iterated-update behaviour, and failure modes."""
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 from manikf.errors import DimensionError, UpdateSolverError
 from manikf.filter import (
@@ -184,29 +187,81 @@ def test_iterated_update_converges_on_attitude():
     assert max(iterations) >= 1
 
 
-def test_update_reaches_the_fixed_point_from_a_large_error(monkeypatch):
-    # The stop test predicts the next step from h alone, leaving out how H and
-    # J turn. From a 0.3 rad attitude and 0.1 m position error, far outside the
-    # prior, the estimate must still lie within CONVERGENCE_TOL, under the
-    # posterior, of the fixed point of the same update iterated to 1e-9.
+def _scan_updates(n_draws=20, rot_err=0.3, pos_err=0.1):
+    """Seeded lidar-inertial updates (30 planes, 5 edges, row sigma 0.01)
+    under the scenario's default prior, from an estimate off the truth by
+    rot_err rad in attitude and pos_err m in position (by default far outside
+    the prior): (model, state, z, R, rows) per draw."""
     model, man = lidar_inertial_model(), state_manifold()
     sigma, p0 = 0.01, ScenarioConfig().init_cov()
-    for seed in range(20):
+    for seed in range(n_draws):
         rng = np.random.default_rng(seed)
         truth = random_li_state(rng)
         rows = random_scan(rng, 30, 5)
         z = model.h(truth, np.zeros(len(rows)), rows) + sigma * rng.standard_normal(len(rows))
         e = np.zeros(TANGENT_DIM)
-        e[TAN["R"]], e[TAN["p"]] = with_norm(rng, 3, 0.3), with_norm(rng, 3, 0.1)
-        state, r = FilterState(man.boxplus(truth, e), p0), sigma**2 * np.eye(len(rows))
+        e[TAN["R"]], e[TAN["p"]] = with_norm(rng, 3, rot_err), with_norm(rng, 3, pos_err)
+        yield model, FilterState(man.boxplus(truth, e), p0), z, sigma**2 * np.eye(len(rows)), rows
+
+
+def _posterior_distance(man, x, ref):
+    """|x boxminus ref.x| under the covariance ref.P."""
+    gap = man.boxminus(x, ref.x)
+    return float(np.sqrt(gap @ np.linalg.solve(ref.P, gap)))
+
+
+def test_update_reaches_the_fixed_point_from_a_large_error(monkeypatch):
+    # The stop test predicts the next step from h alone, leaving out how H and
+    # J turn. The estimate must still lie within CONVERGENCE_TOL, under the
+    # posterior, of the fixed point of the same update iterated to 1e-9.
+    for model, state, z, r, rows in _scan_updates():
         out, diag = update(model, state, z, r, ctx=rows, config=UpdateConfig(max_iterations=15))
         with monkeypatch.context() as tight:
             tight.setattr("manikf.filter.CONVERGENCE_TOL", 1e-9)
             ref, diag_ref = update(model, state, z, r, ctx=rows,
                                    config=UpdateConfig(max_iterations=50))
         assert diag.converged and diag.iterations >= 1 and diag_ref.converged
-        gap = man.boxminus(out.x, ref.x)
-        assert np.sqrt(gap @ np.linalg.solve(ref.P, gap)) <= CONVERGENCE_TOL
+        assert _posterior_distance(model.manifold, out.x, ref) <= CONVERGENCE_TOL
+
+
+def test_fixed_point_is_the_map_estimate(monkeypatch):
+    # An oracle independent of update's algebra: minimize the MAP cost
+    # |L_P^-1 d|^2 + |w (z - h(x boxplus d))|^2 over d in the prior's chart
+    # with a general least-squares solver (finite-difference Jacobian). The
+    # update iterated to 1e-9 must land on x boxplus d* under its posterior.
+    monkeypatch.setattr("manikf.filter.CONVERGENCE_TOL", 1e-9)
+    for model, state, z, r, rows in _scan_updates():
+        man, l_prior = model.manifold, np.linalg.cholesky(state.P)
+        w, vzero = 1.0 / np.sqrt(np.diagonal(r)), np.zeros(len(z))
+
+        def cost_rows(d):
+            x = man.boxplus(state.x, d)
+            return np.concatenate([scipy.linalg.solve_triangular(l_prior, d, lower=True),
+                                   w * (z - model.h(x, vzero, rows))])
+
+        fit = scipy.optimize.least_squares(cost_rows, np.zeros(man.dim))
+        assert fit.success
+        ref, diag = update(model, state, z, r, ctx=rows, config=UpdateConfig(max_iterations=50))
+        assert diag.converged
+        assert _posterior_distance(man, man.boxplus(state.x, fit.x), ref) <= 1e-4
+
+
+def test_update_takes_one_chart_step_per_linearization():
+    # Every iterate is the prior boxplus a step in the prior's chart, so each
+    # linearization costs one diff_u at the prior, which also gives the J that
+    # carries the prior (and at the end the posterior); nothing goes back
+    # through boxminus. The last case starts at the truth, where h is about
+    # linear along the first step and the update stops there.
+    cases = list(_scan_updates()) + list(_scan_updates(1, 0.0, 0.0))
+    iterations = []
+    for model, state, z, r, rows in cases:
+        man = model.manifold
+        with mock.patch.object(man, "diff_u", wraps=man.diff_u) as diff_u, \
+                mock.patch.object(man, "boxminus", wraps=man.boxminus) as boxminus:
+            _, diag = update(model, state, z, r, ctx=rows, config=UpdateConfig(max_iterations=15))
+        assert (diff_u.call_count, boxminus.call_count) == (diag.iterations + 1, 0)
+        iterations.append(diag.iterations)
+    assert min(iterations[:-1]) >= 1 and iterations[-1] == 0
 
 
 def _curved_model(scale):

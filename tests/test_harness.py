@@ -76,10 +76,11 @@ def test_baseline_trial_runs_both_modes():
 def test_failure_is_recorded_not_raised():
     # zero prior variance on the extrinsics leaves P without a Cholesky factor
     cfg = _short_cfg(init_sigma=(0.1, 0.1, 0.05, 0.02, 0.002, 0.03, 0.0, 0.0), duration=0.2)
-    rec = run_trial(cfg)
+    rec = run_trial(cfg, keep_estimates=True)
     assert rec.failed
     assert rec.failure.startswith("step 1: prior covariance could not be factorized")
     assert rec.errors.shape[0] == 1  # truncated at the failure
+    assert rec.est_rep.shape[0] == rec.errors.shape[0]
 
 
 def _with_measurement(monkeypatch, wrap, field="h"):

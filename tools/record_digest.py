@@ -11,10 +11,12 @@ scenario seed 1024, and hashes every field of each record that a numerical
 change could move: errors, 3-sigma envelopes, NEES, the estimates, the
 iteration counts, the final metrics and the failure state. Two checkouts
 whose filters compute bitwise the same numbers print the same digests. One
-line per case, then the digest over all cases, then a ``trajectories``
-line: the digest of the generated inputs of the same three scenarios and
-trials (truth, IMU readings, and each scan row's point, normal and anchor),
-which moves only when scan or trajectory generation does.
+line per case, ending in how many of its updates relinearized (took more
+than one linearization) out of all it ran: the updates that a change to the
+iterated update's later steps can move. Then the digest over all cases, then
+a ``trajectories`` line: the digest of the generated inputs of the same
+three scenarios and trials (truth, IMU readings, and each scan row's point,
+normal and anchor), which moves only when scan or trajectory generation does.
 
 The package is imported from the ``src/`` directory next to this script,
 with one BLAS thread, so that the digest does not depend on the thread count.
@@ -75,10 +77,13 @@ def main() -> None:
     for name, scenario in {**SCENARIOS, **VARIANTS}.items():
         for filt in FILTERS:
             cfg = ScenarioConfig(seed=SEED, filter=filt, **scenario)
-            case = hashlib.sha256()
+            case, relinearized, updates = hashlib.sha256(), 0, 0
             for trial in TRIALS:
-                case.update(record_bytes(run_trial(cfg, trial, keep_estimates=True)))
-            print(f"{name:18s} {filt:6s} {case.hexdigest()}")
+                rec = run_trial(cfg, trial, keep_estimates=True)
+                case.update(record_bytes(rec))
+                relinearized += sum(i > 0 for i in rec.iterations)
+                updates += len(rec.iterations)
+            print(f"{name:18s} {filt:6s} {case.hexdigest()} {relinearized:4d}/{updates}")
             total.update(case.digest())
     print(f"{'all':25s} {total.hexdigest()}")
     inputs = hashlib.sha256()
