@@ -88,7 +88,7 @@ def _load_config(args) -> tuple:
 
 
 def _cmd_simulate(cfg: ScenarioConfig, trials: int, out: Path) -> int:
-    record = run_trial(cfg, trial=0, keep_estimates=True)
+    record = run_trial(cfg, trial=0)
     out.mkdir(parents=True, exist_ok=True)
     write_trial_csv(record, out / "trial.csv")
     write_summary_json(summarize([record]), out / "summary.json")

@@ -19,26 +19,28 @@ from .lidar_inertial import (
     make_state,
     state_manifold,
 )
-from .so3 import so3_log
+from .so3 import so3_log  # noqa: F401  unused here; perfbench's tracer wraps it by name
 from .trajectory import ScenarioConfig, Trajectory, generate_trajectory
 
 
 @dataclass
 class TrialRecord:
-    """Everything measured in one filter run on one simulated trajectory."""
+    """Everything measured in one filter run on one simulated trajectory: a
+    row per state from the initial one to step k_done (K unless the trial
+    failed), and the final metrics, the block norms of the last error."""
 
     times: np.ndarray
     truth: np.ndarray  # (K+1, 36) manifold representation
-    errors: np.ndarray  # (K+1, 23) tangent error truth boxminus estimate
-    sigma3: np.ndarray  # (K+1, 23) 3-sigma envelope from the tangent covariance
-    nees: np.ndarray  # (K+1,) errors against the tangent covariance
+    est_rep: np.ndarray  # (k_done+1, 36) estimates, manifold rep
+    errors: np.ndarray  # (k_done+1, 23) tangent error truth boxminus estimate
+    sigma3: np.ndarray  # (k_done+1, 23) 3-sigma envelope from the tangent covariance
+    nees: np.ndarray  # (k_done+1,) errors against the tangent covariance
     iterations: List[int]
     final_drift: float
     final_ext_rot_deg: float
     final_ext_pos: float
     failed: bool = False
     failure: str = ""
-    est_rep: Optional[np.ndarray] = None  # (K+1, 36) estimates, manifold rep
 
 
 def _init_state(man, truth0: np.ndarray, cfg: ScenarioConfig, trial: int):
@@ -65,28 +67,23 @@ def _identity(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _own_cov(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return p  # the manifold filter's P is already the tangent covariance
-
-
-def _sigma3(p: np.ndarray) -> np.ndarray:
-    return 3.0 * np.sqrt(np.maximum(np.diag(p), 0.0))
-
-
 def run_trial(
     cfg: ScenarioConfig,
     trial: int = 0,
     traj: Optional[Trajectory] = None,
-    keep_estimates: bool = False,
 ) -> TrialRecord:
     """Run the selected filter over one simulated trajectory.
 
-    Both filters share one loop. The quaternion baseline brings its own
-    model, initial state and covariance, and renormalizes its state after
-    every predict and update. Both filters' errors, 3-sigma envelopes, NEES
-    and final metrics are taken in the shared 23-dim tangent space, where
-    ``baseline.tangent_cov`` maps the baseline's P. Numerical failures end
-    the trial as a failed record; any other exception propagates.
+    Both filters share one loop, which only filters: each step predicts,
+    projects, updates, projects and stores x and P. The quaternion baseline
+    brings its own model, initial state and covariance, and its projection
+    renormalizes the state. After the loop, both filters' errors, 3-sigma
+    envelopes, NEES and final metrics are taken from the stored rows in the
+    shared 23-dim tangent space, where ``baseline.tangent_cov`` maps the
+    baseline's P. A numerical failure in the loop ends the trial as a failed
+    record of the steps before it. Any other exception propagates, as does
+    any raised after the loop (a ``CutLocusError`` from an antipodal gravity
+    error is not a failed trial).
     """
     cfg.validate()
     if traj is None:
@@ -97,33 +94,22 @@ def run_trial(
         augmented = cfg.baseline_mode == "augmented"
         model = qb.baseline_model(augmented=augmented)
         x0, p0 = qb.from_manifold(x0), qb.initial_cov(cfg.init_sigma)
-        to_manifold, project, tangent_cov = qb.to_manifold, qb.normalize_state, qb.tangent_cov
+        project = qb.normalize_state
         r_extra = np.full(qb.N_CONSTRAINTS if augmented else 0, qb.CONSTRAINT_SIGMA**2)
     else:
         model = lidar_inertial_model()
-        to_manifold, project, tangent_cov = _identity, _identity, _own_cov
+        project = _identity
         r_extra = np.zeros(0)
     qmat = cfg.process_noise()
     ucfg = UpdateConfig(max_iterations=cfg.nmax)
     state = FilterState(x0, p0)
 
     k_steps = traj.imu.shape[0]
-    errors = np.zeros((k_steps + 1, TANGENT_DIM))
-    sigma3 = np.zeros((k_steps + 1, TANGENT_DIM))
-    nees = np.zeros(k_steps + 1)
+    xs = np.empty((k_steps + 1,) + x0.shape)
+    ps = np.empty((k_steps + 1,) + p0.shape)
+    xs[0], ps[0] = x0, p0
     iters: List[int] = []
-    est = np.zeros((k_steps + 1, man.rep_dim)) if keep_estimates else None
     failed, failure = False, ""
-
-    def record(k: int) -> None:
-        xm = to_manifold(state.x)
-        errors[k] = man.boxminus(traj.truth[k], xm)
-        p = tangent_cov(state.x, state.P)
-        sigma3[k], nees[k] = _sigma3(p), _nees(errors[k], p)
-        if est is not None:
-            est[k] = xm
-
-    record(0)
     k_done = 0
     try:
         for k, rows in enumerate(traj.features):
@@ -134,28 +120,30 @@ def run_trial(
             state, diag = update(model, state, z, np.diag(rdiag), ctx=rows, config=ucfg)
             state.x = project(state.x)
             iters.append(diag.iterations)
-            record(k + 1)
             k_done = k + 1
+            xs[k_done], ps[k_done] = state.x, state.P
     except (ArithmeticError, UpdateSolverError) as exc:
         failed, failure = True, f"step {k_done + 1}: {exc}"
-        errors, sigma3, nees = errors[: k_done + 1], sigma3[: k_done + 1], nees[: k_done + 1]
-        est = None if est is None else est[: k_done + 1]
 
-    xm, truth = to_manifold(state.x), traj.truth[-1]
-    rot_err = so3_log(xm[REP["R_ext"]].reshape(3, 3).T @ truth[REP["R_ext"]].reshape(3, 3))
+    xs, ps = xs[: k_done + 1], ps[: k_done + 1]
+    if cfg.filter == "quat":
+        ps = np.array([qb.tangent_cov(x, p) for x, p in zip(xs, ps)])
+        xs = np.array([qb.to_manifold(x) for x in xs])
+    errors = np.array([man.boxminus(t, x) for t, x in zip(traj.truth, xs)])
+    last = errors[-1]
     return TrialRecord(
         times=traj.times,
         truth=traj.truth,
+        est_rep=xs,
         errors=errors,
-        sigma3=sigma3,
-        nees=nees,
+        sigma3=3.0 * np.sqrt(np.maximum(np.diagonal(ps, axis1=1, axis2=2), 0.0)),
+        nees=np.array([_nees(e, p) for e, p in zip(errors, ps)]),
         iterations=iters,
-        final_drift=float(np.linalg.norm(truth[REP["p"]] - xm[REP["p"]])),
-        final_ext_rot_deg=float(np.degrees(np.linalg.norm(rot_err))),
-        final_ext_pos=float(np.linalg.norm(truth[REP["p_ext"]] - xm[REP["p_ext"]])),
+        final_drift=float(np.linalg.norm(last[TAN["p"]])),
+        final_ext_rot_deg=float(np.degrees(np.linalg.norm(last[TAN["R_ext"]]))),
+        final_ext_pos=float(np.linalg.norm(last[TAN["p_ext"]])),
         failed=failed,
         failure=failure,
-        est_rep=est,
     )
 
 
@@ -200,8 +188,6 @@ def trial_csv_rows(record: TrialRecord) -> List[str]:
     charted relative to the trial's initial gravity estimate so truth and
     estimate share one 2-dim chart.
     """
-    if record.est_rep is None:
-        raise ValueError("record was collected without keep_estimates")
     man = state_manifold()
     z3, eye = np.zeros(3), np.eye(3)
     origin = make_state(z3, z3, eye, z3, z3, record.est_rep[0][REP["g"]], eye, z3)

@@ -15,6 +15,7 @@ from manikf.harness import (
     write_summary_json,
     write_trial_csv,
 )
+from manikf.lidar_inertial import REP, TAN
 from manikf.trajectory import ScenarioConfig
 
 from helpers import assert_close
@@ -49,7 +50,7 @@ def test_trial_record_shapes_and_metrics():
     assert all(0 <= i <= cfg.nmax for i in rec.iterations)
     assert np.all(np.isfinite(rec.nees))
     assert 0.0 <= gravity_containment(rec) <= 1.0
-    assert rec.est_rep is None
+    assert rec.est_rep.shape == (k + 1, 36)
 
 
 def test_trials_are_deterministic():
@@ -58,8 +59,8 @@ def test_trials_are_deterministic():
         _short_cfg(filter="quat", baseline_mode="hard"),
         _short_cfg(filter="quat", baseline_mode="augmented"),
     ):
-        a = run_trial(cfg, trial=2, keep_estimates=True)
-        b = run_trial(cfg, trial=2, keep_estimates=True)
+        a = run_trial(cfg, trial=2)
+        b = run_trial(cfg, trial=2)
         assert np.array_equal(a.errors, b.errors)
         assert np.array_equal(a.est_rep, b.est_rep)
         assert trial_csv_rows(a) == trial_csv_rows(b)
@@ -76,11 +77,85 @@ def test_baseline_trial_runs_both_modes():
 def test_failure_is_recorded_not_raised():
     # zero prior variance on the extrinsics leaves P without a Cholesky factor
     cfg = _short_cfg(init_sigma=(0.1, 0.1, 0.05, 0.02, 0.002, 0.03, 0.0, 0.0), duration=0.2)
-    rec = run_trial(cfg, keep_estimates=True)
+    rec = run_trial(cfg)
     assert rec.failed
     assert rec.failure.startswith("step 1: prior covariance could not be factorized")
     assert rec.errors.shape[0] == 1  # truncated at the failure
     assert rec.est_rep.shape[0] == rec.errors.shape[0]
+    # the final metrics are read off the last recorded step, not the state
+    # the failed step left behind
+    last = rec.errors[-1]
+    assert rec.final_drift == np.linalg.norm(last[TAN["p"]])
+    assert rec.final_ext_pos == np.linalg.norm(last[TAN["p_ext"]])
+    assert rec.final_ext_rot_deg == np.degrees(np.linalg.norm(last[TAN["R_ext"]]))
+
+
+def _captured_steps(monkeypatch, fail_at=None):
+    """Wrap harness.predict, harness.update and qb.normalize_state as
+    perfbench's Capture wraps update. Returns the list that fills with each
+    step's projected (x, P), the initial state first. The update call
+    number ``fail_at`` raises FloatingPointError instead."""
+    predict, update, normalize = harness.predict, harness.update, harness.qb.normalize_state
+    steps = []
+
+    def captured_predict(model, state, *args):
+        if not steps:
+            steps.append([state.x.copy(), state.P.copy()])
+        return predict(model, state, *args)
+
+    def captured_update(model, state, z, R, ctx=None, config=None):
+        if len(steps) == fail_at:
+            raise FloatingPointError("synthetic")
+        out = update(model, state, z, R, ctx=ctx, config=config)
+        steps.append([out[0].x, out[0].P])
+        return out
+
+    def captured_normalize(x):
+        y = normalize(x)
+        if x is steps[-1][0]:  # the projection of the update's posterior
+            steps[-1][0] = y
+        return y
+
+    monkeypatch.setattr(harness, "predict", captured_predict)
+    monkeypatch.setattr(harness, "update", captured_update)
+    monkeypatch.setattr(harness.qb, "normalize_state", captured_normalize)
+    return steps
+
+
+@pytest.mark.parametrize("fail_at", [None, 4])
+@pytest.mark.parametrize("filt", ["ikfom", "quat"])
+def test_record_matches_the_per_step_reference(monkeypatch, filt, fail_at):
+    # the record, built after the loop, against each step's posterior put
+    # through the per-step formulas
+    cfg = _short_cfg(filter=filt, baseline_mode="augmented", duration=0.3)
+    steps = _captured_steps(monkeypatch, fail_at)
+    rec = run_trial(cfg, trial=1)
+    n_rows = cfg.n_steps + 1 if fail_at is None else fail_at
+    assert rec.failed == (fail_at is not None)
+    assert len(steps) == n_rows
+    to_manifold, tangent_cov = {
+        "ikfom": (lambda x: x, lambda x, p: p),
+        "quat": (harness.qb.to_manifold, harness.qb.tangent_cov),
+    }[filt]
+    man = harness.state_manifold()
+    est, errors, sigma3, nees = [], [], [], []
+    for truth, (x, p) in zip(rec.truth, steps):
+        xm, pt = to_manifold(x), tangent_cov(x, p)
+        est.append(xm)
+        errors.append(man.boxminus(truth, xm))
+        sigma3.append(3.0 * np.sqrt(np.maximum(np.diag(pt), 0.0)))
+        nees.append(harness._nees(errors[-1], pt))
+    for got, want in ((rec.est_rep, est), (rec.errors, errors), (rec.sigma3, sigma3),
+                      (rec.nees, nees)):
+        assert got.shape[0] == n_rows
+        assert np.array_equal(got, np.array(want))
+    assert len(rec.iterations) == n_rows - 1
+    # the final metrics as they were taken from the last estimate
+    xm, truth = est[-1], rec.truth[n_rows - 1]
+    rot = harness.so3_log(xm[REP["R_ext"]].reshape(3, 3).T @ truth[REP["R_ext"]].reshape(3, 3))
+    assert rec.final_drift == np.linalg.norm(truth[REP["p"]] - xm[REP["p"]])
+    assert rec.final_ext_pos == np.linalg.norm(truth[REP["p_ext"]] - xm[REP["p_ext"]])
+    assert rec.final_ext_rot_deg == np.degrees(np.linalg.norm(rot))
 
 
 def _with_measurement(monkeypatch, wrap, field="h"):
@@ -185,7 +260,7 @@ def test_summarize_keys_and_failure_handling(tmp_path):
 
 def test_csv_schema(tmp_path):
     cfg = _short_cfg(duration=0.2)
-    rec = run_trial(cfg, keep_estimates=True)
+    rec = run_trial(cfg)
     rows = trial_csv_rows(rec)
     assert rows[0] == "step,t,block,component,truth,estimate,error,sigma3"
     assert len(rows) == 1 + (cfg.n_steps + 1) * 23
@@ -198,14 +273,11 @@ def test_csv_schema(tmp_path):
     path = tmp_path / "trial.csv"
     write_trial_csv(rec, path)
     assert path.read_text().splitlines() == rows
-    # records without stored estimates cannot be dumped
-    with pytest.raises(ValueError):
-        trial_csv_rows(run_trial(cfg))
 
 
 def test_csv_gravity_chart_is_relative_to_initial_estimate():
     cfg = _short_cfg(duration=0.2)
-    rec = run_trial(cfg, keep_estimates=True)
+    rec = run_trial(cfg)
     rows = trial_csv_rows(rec)
     g_rows = [r.split(",") for r in rows[1:] if r.split(",")[2] == "g"]
     first = [r for r in g_rows if r[0] == "0"]

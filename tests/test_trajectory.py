@@ -285,6 +285,6 @@ def test_trajectories_are_read_only():
                 row.u_dir, row.q):
         with pytest.raises(ValueError):
             arr[0] += 1.0
-    record = run_trial(cfg, traj=traj, keep_estimates=True)
+    record = run_trial(cfg, traj=traj)
     assert not record.failed
     assert len(trial_csv_rows(record)) == 1 + (cfg.n_steps + 1) * 23

@@ -79,7 +79,7 @@ def main() -> None:
             cfg = ScenarioConfig(seed=SEED, filter=filt, **scenario)
             case, relinearized, updates = hashlib.sha256(), 0, 0
             for trial in TRIALS:
-                rec = run_trial(cfg, trial, keep_estimates=True)
+                rec = run_trial(cfg, trial)
                 case.update(record_bytes(rec))
                 relinearized += sum(i > 0 for i in rec.iterations)
                 updates += len(rec.iterations)
