@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import baseline as qb
 from .errors import UpdateSolverError
@@ -19,7 +18,7 @@ from .lidar_inertial import (
     make_state,
     state_manifold,
 )
-from .so3 import so3_log  # noqa: F401  unused here; perfbench's tracer wraps it by name
+from .so3 import dot_rows, so3_log  # noqa: F401  perfbench's tracer wraps so3_log here
 from .trajectory import ScenarioConfig, Trajectory, generate_trajectory
 
 
@@ -51,20 +50,18 @@ def _init_state(man, truth0: np.ndarray, cfg: ScenarioConfig, trial: int):
     return man.boxplus(truth0, e), p0
 
 
-def _nees(err: np.ndarray, p: np.ndarray) -> float:
-    """err^T p^-1 err through LAPACK's upper Cholesky, as cho_factor/cho_solve
-    take it; inf if p is not positive definite, ValueError if p or err is
-    not finite (the check_finite those wrappers make)."""
+def _nees(err: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """NEES err^T p^-1 err of each row of (..., n) errors and (..., n, n)
+    covariances p = U^T U, by one batched Cholesky factor and one solve of
+    U^T y = err: inf where p has no factor; ValueError on non-finite input."""
     if not (np.isfinite(p).all() and np.isfinite(err).all()):
         raise ValueError("NEES of a non-finite error or covariance")
-    fac, info = scipy.linalg.lapack.dpotrf(p, clean=0)
-    if info != 0:
-        return float("inf")  # failure to factor counts as an inconsistency event
-    return float(err @ scipy.linalg.lapack.dpotrs(fac, err)[0])
-
-
-def _identity(x: np.ndarray) -> np.ndarray:
-    return x
+    try:
+        fac = np.linalg.cholesky(p, upper=True)
+    except np.linalg.LinAlgError:  # some p has no factor: inf in its row alone
+        return np.array([_nees(e, q) for e, q in zip(err, p)]) if p.ndim > 2 else np.inf
+    y = np.linalg.solve(np.swapaxes(fac, -1, -2), err[..., None])[..., 0]
+    return dot_rows(y, y)
 
 
 def run_trial(
@@ -98,7 +95,7 @@ def run_trial(
         r_extra = np.full(qb.N_CONSTRAINTS if augmented else 0, qb.CONSTRAINT_SIGMA**2)
     else:
         model = lidar_inertial_model()
-        project = _identity
+        project = np.asarray  # the manifold state needs no projection: x itself back
         r_extra = np.zeros(0)
     qmat = cfg.process_noise()
     ucfg = UpdateConfig(max_iterations=cfg.nmax)
@@ -129,7 +126,7 @@ def run_trial(
     if cfg.filter == "quat":
         ps = np.array([qb.tangent_cov(x, p) for x, p in zip(xs, ps)])
         xs = np.array([qb.to_manifold(x) for x in xs])
-    errors = np.array([man.boxminus(t, x) for t, x in zip(traj.truth, xs)])
+    errors = man.boxminus(traj.truth[: k_done + 1], xs)
     last = errors[-1]
     return TrialRecord(
         times=traj.times,
@@ -137,7 +134,7 @@ def run_trial(
         est_rep=xs,
         errors=errors,
         sigma3=3.0 * np.sqrt(np.maximum(np.diagonal(ps, axis1=1, axis2=2), 0.0)),
-        nees=np.array([_nees(e, p) for e, p in zip(errors, ps)]),
+        nees=_nees(errors, ps),
         iterations=iters,
         final_drift=float(np.linalg.norm(last[TAN["p"]])),
         final_ext_rot_deg=float(np.degrees(np.linalg.norm(last[TAN["R_ext"]]))),
@@ -191,10 +188,10 @@ def trial_csv_rows(record: TrialRecord) -> List[str]:
     man = state_manifold()
     z3, eye = np.zeros(3), np.eye(3)
     origin = make_state(z3, z3, eye, z3, z3, record.est_rep[0][REP["g"]], eye, z3)
+    est_t = man.boxminus(record.est_rep, origin)
+    truth_t = man.boxminus(record.truth[: len(est_t)], origin)
     rows = [_CSV_HEADER]
-    for k in range(record.errors.shape[0]):
-        truth_t = man.boxminus(record.truth[k], origin)
-        est_t = man.boxminus(record.est_rep[k], origin)
+    for k in range(len(est_t)):
         t = record.times[k]
         for name, sl in TAN.items():
             for c in range(sl.stop - sl.start):
@@ -203,7 +200,7 @@ def trial_csv_rows(record: TrialRecord) -> List[str]:
                     "%d,%.*g,%s,%d,%.*g,%.*g,%.*g,%.*g"
                     % (
                         k, 17, t, name, c,
-                        17, truth_t[i], 17, est_t[i],
+                        17, truth_t[k, i], 17, est_t[k, i],
                         17, record.errors[k, i], 17, record.sigma3[k, i],
                     )
                 )

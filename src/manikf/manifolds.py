@@ -5,7 +5,8 @@ that compound states are plain concatenations. Three operators define the
 geometry:
 
 * ``boxplus(x, u)``   -- retract a tangent increment u (dim ``dim``) at x.
-* ``boxminus(y, x)``  -- chart coordinates of y in the chart centred at x.
+* ``boxminus(y, x)``  -- chart coordinates of y in the chart centred at x;
+  y and x may be (..., rep_dim) stacks that broadcast; the rest take one point.
 * ``oplus(x, v)``     -- apply an exogenous velocity v (dim ``control_dim``);
   for Euclidean space and the rotation group this coincides with boxplus,
   on the sphere it is the ambient rotation action.
@@ -58,6 +59,10 @@ class Manifold:
                 f"point must have shape ({self.rep_dim},), got {x.shape}"
             )
 
+    def _check_stacks(self, *xs: np.ndarray) -> None:
+        if any(x.shape[-1:] != (self.rep_dim,) for x in xs):
+            raise DimensionError(f"points must have shape (..., {self.rep_dim})")
+
     def validate_point(self, x: np.ndarray) -> None:
         self._check_shape(x)
 
@@ -86,8 +91,7 @@ class Euclidean(Manifold):
         return x + u
 
     def boxminus(self, y, x):
-        self._check_shape(y)
-        self._check_shape(x)
+        self._check_stacks(y, x)
         return y - x
 
     oplus = boxplus
@@ -119,9 +123,9 @@ class SO3(Manifold):
         return (self.to_matrix(x) @ so3.so3_exp(u)).reshape(9)
 
     def boxminus(self, y, x):
-        self._check_shape(y)
-        self._check_shape(x)
-        return so3.so3_log(self.to_matrix(x).T @ self.to_matrix(y))
+        self._check_stacks(y, x)
+        rx, ry = (a.reshape(a.shape[:-1] + (3, 3)) for a in (x, y))
+        return so3.so3_log(np.swapaxes(rx, -1, -2) @ ry)
 
     oplus = boxplus
 
@@ -169,8 +173,7 @@ class Sphere2(Manifold):
         return sphere.sphere_boxplus(x, u)
 
     def boxminus(self, y, x):
-        self._check_shape(y)
-        self._check_shape(x)
+        self._check_stacks(y, x)
         return sphere.sphere_boxminus(y, x)
 
     def oplus(self, x, v):
@@ -245,13 +248,9 @@ class Compound(Manifold):
         return out
 
     def boxminus(self, y, x):
-        self._check_shape(y)
-        self._check_shape(x)
-        out = np.empty(self.dim)
-        out[self._et] = y[self._er] - x[self._er]
-        for p, rs, ts, _ in self._table:
-            out[ts] = p.boxminus(y[rs], x[rs])
-        return out
+        self._check_stacks(y, x)
+        return np.concatenate([p.boxminus(y[..., rs], x[..., rs])
+                               for p, rs in zip(self.parts, self.rep_slices)], axis=-1)
 
     def oplus(self, x, v):
         self._check_shape(x)

@@ -1,10 +1,10 @@
 """Rotation-group numerics: exponential/logarithm maps and chart Jacobians.
 
 Everything operates on plain numpy arrays: rotation vectors are shape (3,),
-rotations are 3x3 matrices. All closed forms switch to Taylor series below
-``SMALL_ANGLE`` because they divide by the rotation angle. The scalar
-arithmetic runs on Python floats (read with ``tolist``, ``math`` functions),
-which round as numpy's float64 scalars do at a fraction of their call cost.
+rotations 3x3 matrices; ``so3_log`` also takes (..., 3, 3) stacks. All closed
+forms switch to Taylor series below ``SMALL_ANGLE``, as they divide by the
+angle. The per-step kernels run on Python floats (``tolist``, ``math``), which
+round as numpy's float64 scalars do at a fraction of their call cost.
 """
 from __future__ import annotations
 
@@ -80,35 +80,37 @@ def check_rotation(r: np.ndarray) -> None:
         )
 
 
-def so3_log(r: np.ndarray) -> np.ndarray:
-    """Rotation vector of a rotation matrix, angle in [0, pi].
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i over the last axis, each summed as ndarray.dot sums (BLAS ddot)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    Near the angle-pi cut the axis is recovered from the dominant diagonal
-    of (R+I)/2, where the generic sin-based formula degenerates. The angle
-    stays np.arctan2: math.atan2 rounds differently on some inputs.
+
+def so3_log(r: np.ndarray) -> np.ndarray:
+    """Rotation vectors, shape (..., 3), of a (..., 3, 3) stack of rotation
+    matrices, angles in [0, pi]; one matrix is a stack of one.
+
+    Near the angle-pi cut the generic sin-based formula degenerates, and the
+    axis is the dominant column of (R+R^T+2I)/4 = axis axis^T + O((pi-theta)^2),
+    taken only when some matrix needs it; each matrix takes its own branch.
     """
-    check_rotation(r)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
-    # sin(theta) * axis
-    s_vec = np.array([(r21 - r12) / 2.0, (r02 - r20) / 2.0, (r10 - r01) / 2.0])
-    s = math.sqrt(s_vec.dot(s_vec))  # the sum np.linalg.norm takes
-    c = (r00 + r11 + r22 - 1.0) / 2.0  # np.trace's summation order
-    theta = float(np.arctan2(s, c))
-    if c <= -1.0 + 1e-6:
-        if s > 1e-6:
-            # sin(theta) still carries the axis accurately here
-            return theta * (s_vec / s)
-        # angle at/near pi: symmetrizing (R+I)/2 leaves axis axis^T + O((pi-theta)^2)
-        q = ((r + r.T) / 2.0 + _I3) / 2.0
-        i = int(np.argmax(np.diag(q)))
-        axis = q[:, i] / np.sqrt(max(q[i, i], 1e-300))
-        axis /= np.linalg.norm(axis)
-        if s > 1e-12 and axis @ s_vec < 0.0:
-            axis = -axis
-        return theta * axis
-    if theta < SMALL_ANGLE:
-        return s_vec * (1.0 + theta * theta / 6.0)
-    return s_vec * (theta / s)
+    for m in r.reshape((-1,) + r.shape[-2:]):
+        check_rotation(m)
+    m = r.reshape(r.shape[:-2] + (9,))  # row-major: r_ij is m[3 i + j]
+    s_vec = (m[..., [7, 2, 3]] - m[..., [5, 6, 1]]) / 2.0  # sin(theta) * axis
+    s = np.sqrt(dot_rows(s_vec, s_vec))[..., None]
+    c = ((m[..., 0] + m[..., 4] + m[..., 8] - 1.0) / 2.0)[..., None]  # np.trace's order
+    theta = np.arctan2(s, c)
+    out = np.where(theta < SMALL_ANGLE, s_vec * (1.0 + theta * theta / 6.0),
+                   s_vec * np.divide(theta, s, out=np.zeros_like(s), where=s > 0.0))
+    near_pi = (c <= -1.0 + 1e-6) & (s <= 1e-6)  # where s no longer carries the axis
+    if near_pi.any():
+        q = ((r + np.swapaxes(r, -1, -2)) / 2.0 + _I3) / 2.0
+        i = np.argmax(np.diagonal(q, axis1=-2, axis2=-1), axis=-1)[..., None, None]
+        axis = np.take_along_axis(q, i, axis=-1)[..., 0]  # the column q[:, i]
+        axis = axis / np.sqrt(dot_rows(axis, axis))[..., None]
+        axis = np.where((s > 1e-12) & (dot_rows(axis, s_vec)[..., None] < 0.0), -axis, axis)
+        out = np.where(near_pi, theta * axis, out)
+    return out
 
 
 def mat_a(u: np.ndarray) -> np.ndarray:

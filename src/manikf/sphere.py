@@ -1,8 +1,8 @@
 """Numerics for the sphere of radius r embedded in R^3.
 
-Points are 3-vectors of norm r; tangent increments live in R^2 through a
-point-dependent orthonormal basis of the tangent plane. Perturbations act
-by rotation so the radius is preserved exactly.
+Points are 3-vectors of norm r (``sphere_boxminus`` also takes stacks);
+tangent increments live in R^2 through a point-dependent orthonormal basis
+of the tangent plane. Perturbations act by rotation, preserving the radius.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError, CutLocusError
-from .so3 import mat_a, skew, so3_exp
+from .so3 import dot_rows, mat_a, skew, so3_exp
 
 RADIUS_TOL = 1e-6  # relative norm error check_sphere accepts
 
@@ -60,19 +60,21 @@ def sphere_boxplus(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def sphere_boxminus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Tangent coordinates at x pointing to y; inverse of sphere_boxplus.
+    """Tangent coordinates (..., 2) at x pointing to y, for (..., 3) stacks
+    that broadcast; inverse of sphere_boxplus.
 
     Undefined at the antipode of x, where every direction is a shortest
-    path; that case raises CutLocusError.
+    path; that case, in any row, raises CutLocusError.
     """
-    cx = skew(x) @ y
-    s = math.sqrt(cx.dot(cx))  # the sum np.linalg.norm takes
-    c = float(x @ y)
-    if s < 1e-9 * float(x @ x):
-        if c < 0.0:
-            raise CutLocusError("points are antipodal; boxminus is undefined")
-        return np.zeros(2)
-    return sphere_basis(x).T @ ((np.arctan2(s, c) / s) * cx)
+    cx = x[..., [1, 2, 0]] * y[..., [2, 0, 1]] - x[..., [2, 0, 1]] * y[..., [1, 2, 0]]
+    s = np.sqrt(dot_rows(cx, cx))
+    c = dot_rows(x, y)
+    same = s < 1e-9 * dot_rows(x, x)
+    if np.any(same & (c < 0.0)):
+        raise CutLocusError("points are antipodal; boxminus is undefined")
+    w = np.divide(np.arctan2(s, c), s, out=np.zeros_like(s), where=~same)[..., None] * cx
+    b = np.array([sphere_basis(p) for p in x.reshape(-1, 3)]).reshape(x.shape[:-1] + (3, 2))
+    return (w[..., None, :] @ b)[..., 0, :]
 
 
 def sphere_oplus(x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from manikf import harness
 from manikf.errors import DimensionError
@@ -15,7 +16,7 @@ from manikf.harness import (
     write_summary_json,
     write_trial_csv,
 )
-from manikf.lidar_inertial import REP, TAN
+from manikf.lidar_inertial import REP, TAN, TANGENT_DIM
 from manikf.trajectory import ScenarioConfig
 
 from helpers import assert_close
@@ -144,18 +145,23 @@ def test_record_matches_the_per_step_reference(monkeypatch, filt, fail_at):
         est.append(xm)
         errors.append(man.boxminus(truth, xm))
         sigma3.append(3.0 * np.sqrt(np.maximum(np.diag(pt), 0.0)))
-        nees.append(harness._nees(errors[-1], pt))
-    for got, want in ((rec.est_rep, est), (rec.errors, errors), (rec.sigma3, sigma3),
-                      (rec.nees, nees)):
+        nees.append(errors[-1] @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(pt), errors[-1]))
+    for got, want in ((rec.est_rep, est), (rec.sigma3, sigma3)):
         assert got.shape[0] == n_rows
         assert np.array_equal(got, np.array(want))
+    # the record's errors and NEES come from stack kernels, which round apart
+    # from the per-row ones: 1e-12 relative
+    assert rec.errors.shape == (n_rows, TANGENT_DIM) and rec.nees.shape == (n_rows,)
+    assert_close(rec.errors, errors, tol=1e-12)
+    np.testing.assert_allclose(rec.nees, nees, rtol=1e-12, atol=0.0)
     assert len(rec.iterations) == n_rows - 1
     # the final metrics as they were taken from the last estimate
     xm, truth = est[-1], rec.truth[n_rows - 1]
     rot = harness.so3_log(xm[REP["R_ext"]].reshape(3, 3).T @ truth[REP["R_ext"]].reshape(3, 3))
     assert rec.final_drift == np.linalg.norm(truth[REP["p"]] - xm[REP["p"]])
     assert rec.final_ext_pos == np.linalg.norm(truth[REP["p_ext"]] - xm[REP["p_ext"]])
-    assert rec.final_ext_rot_deg == np.degrees(np.linalg.norm(rot))
+    np.testing.assert_allclose(rec.final_ext_rot_deg, np.degrees(np.linalg.norm(rot)),
+                               rtol=1e-12, atol=0.0)
 
 
 def _with_measurement(monkeypatch, wrap, field="h"):
@@ -218,6 +224,30 @@ def test_nees_contract():
                 harness._nees(err, q)
         with pytest.raises(ValueError):
             harness._nees(np.full(5, bad), p)
+    # on a stack, each row reads that row's own NEES
+    a = rng.standard_normal((6, 5, 5))
+    ps, errs = a @ np.swapaxes(a, 1, 2) + np.eye(5), rng.standard_normal((6, 5))
+    clean = harness._nees(errs, ps)
+    assert clean.shape == (6,)
+    for e, p, got in zip(errs, ps, clean):
+        assert_close(got, e @ np.linalg.solve(p, e), tol=1e-13)
+        assert got == harness._nees(e, p)
+    # an indefinite row reads inf, and only that row
+    bad = ps.copy()
+    bad[2] = np.diag([1.0, -1.0, 1.0, 1.0, 1.0])
+    out = harness._nees(errs, bad)
+    assert out[2] == np.inf
+    assert np.array_equal(np.delete(out, 2), np.delete(clean, 2))
+    # non-finite input anywhere in the stack is an error
+    for value in (np.nan, np.inf):
+        q = ps.copy()
+        q[4, 1, 3] = value
+        with pytest.raises(ValueError):
+            harness._nees(errs, q)
+        e = errs.copy()
+        e[5, 0] = value
+        with pytest.raises(ValueError):
+            harness._nees(e, ps)
 
 
 def test_baseline_collapse_is_a_failed_trial(monkeypatch):

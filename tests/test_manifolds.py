@@ -274,6 +274,22 @@ def test_compound_matches_its_parts_bitwise():
                     assert g.shape == w.shape and g.tobytes() == w.tobytes(), (man, what, norm)
 
 
+def test_boxminus_on_stacks_matches_per_point_calls():
+    rng = np.random.default_rng(15)
+    for man in (state_manifold(), compound(Euclidean(2), SO3(), Sphere2(9.81), SO3())):
+        x = random_point(man, rng)
+        ys = np.array([random_point(man, rng, near=x) for _ in range(12)])
+        xs = np.array([random_point(man, rng, near=y) for y in ys])
+        want = np.array([man.boxminus(y, x) for y in ys])
+        assert np.array_equal(man.boxminus(ys, x), want)  # one point against a stack
+        assert np.array_equal(man.boxminus(ys, xs), [man.boxminus(y, p) for y, p in zip(ys, xs)])
+        assert man.boxminus(ys.reshape(3, 4, -1), x).shape == (3, 4, man.dim)
+        with pytest.raises(DimensionError):
+            man.boxminus(ys[:, :-1], x)
+        with pytest.raises(DimensionError):
+            man.boxminus(ys, x[:-1])
+
+
 def test_compound_validate_point_checks_every_part():
     man = compound(Euclidean(2), SO3(), Euclidean(1), Sphere2(9.81), Euclidean(3))
     x = random_point(man, np.random.default_rng(13))

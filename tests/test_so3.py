@@ -95,6 +95,13 @@ def test_log_rejects_non_rotation():
         so3_log(np.eye(3) * 1.1)
     with pytest.raises(ContractViolationError):
         so3_log(np.diag([1.0, 1.0, -1.0]))  # det -1
+    stack = np.array([np.eye(3), so3_exp(np.array([0.1, 0.2, 0.3])), np.eye(3)])
+    stack[2, 0, 0] = 1.1
+    with pytest.raises(ContractViolationError):  # one bad matrix in a stack
+        so3_log(stack)
+    for shape in ((9,), (3, 4), (2, 9)):
+        with pytest.raises(ContractViolationError):
+            so3_log(np.zeros(shape))
 
 
 def test_mat_a_zero():
@@ -254,8 +261,21 @@ def test_kernels_match_numpy_scalar_formulas():
         assert np.array_equal(skew(w), _np_skew(w))
         _assert_ulp_close(so3_exp(w), _np_exp(w))
         _assert_ulp_close(mat_a(w), _np_mat_a(w))
-        r = _np_exp(w)
-        _assert_ulp_close(so3_log(r), _np_log(r))
+
+
+def test_log_of_a_stack_matches_numpy_scalar_formula():
+    # every switch point in one stack: each row takes its own branch
+    rs = np.array([_np_exp(w) for w in _kernel_inputs()])
+    logs = so3_log(rs)
+    assert logs.shape == (len(rs), 3)
+    for r, got in zip(rs, logs):
+        _assert_ulp_close(got, _np_log(r))
+        assert np.array_equal(so3_log(r), got)  # one matrix is a stack of one
+    assert np.array_equal(so3_log(rs.reshape(-1, 1, 3, 3)), logs[:, None])
+    # the stack holds small angles, the near-pi sub-branch (sin theta <= 1e-6) and pi
+    theta = np.linalg.norm(logs, axis=1)
+    assert np.any(theta < SMALL_ANGLE) and np.any(np.sin(theta) < 1e-7)
+    assert np.any(np.pi - theta < 1e-12)
 
 
 @settings(max_examples=400, deadline=None)

@@ -161,6 +161,27 @@ def test_boxminus_antipodal_raises():
                 sphere_boxminus(-x, x)
 
 
+def test_boxminus_on_a_stack():
+    rng = np.random.default_rng(12)
+    for r in BOXMINUS_RADII:
+        xs = np.array([random_point(Sphere2(r), rng) for _ in range(20)])
+        ys = np.array([random_point(Sphere2(r), rng) for _ in range(20)])
+        ys[::4] = xs[::4]
+        got = sphere_boxminus(ys, xs)
+        assert got.shape == (20, 2)
+        for y, x, g in zip(ys, xs, got):
+            assert np.array_equal(sphere_boxminus(y, x), g)
+        assert np.array_equal(got[::4], np.zeros((5, 2)))
+        # one point against a stack, and a stack of stacks
+        assert np.array_equal(sphere_boxminus(ys, xs[3]),
+                              np.array([sphere_boxminus(y, xs[3]) for y in ys]))
+        assert np.array_equal(sphere_boxminus(ys.reshape(4, 5, 3), xs.reshape(4, 5, 3)),
+                              got.reshape(4, 5, 2))
+        ys[7] = -xs[7]
+        with pytest.raises(CutLocusError):  # one antipodal row
+            sphere_boxminus(ys, xs)
+
+
 def test_oplus_rotation_cases():
     x = np.array([0.0, 0.0, 1.0])
     assert np.allclose(sphere_oplus(x, np.array([0.0, 0.0, 2 * np.pi])), x)

@@ -8,15 +8,22 @@ the first linearization (nmax 0), and of fast-rotation again with the
 baseline's constraints left to normalization alone (baseline_mode "hard"),
 each through the manifold filter and the quaternion baseline, all at
 scenario seed 1024, and hashes every field of each record that a numerical
-change could move: errors, 3-sigma envelopes, NEES, the estimates, the
-iteration counts, the final metrics and the failure state. Two checkouts
-whose filters compute bitwise the same numbers print the same digests. One
-line per case, ending in how many of its updates relinearized (took more
-than one linearization) out of all it ran: the updates that a change to the
-iterated update's later steps can move. Then the digest over all cases, then
-a ``trajectories`` line: the digest of the generated inputs of the same
-three scenarios and trials (truth, IMU readings, and each scan row's point,
-normal and anchor), which moves only when scan or trajectory generation does.
+change could move. Two checkouts whose filters compute bitwise the same
+numbers print the same digests. Two lines per case:
+
+* ``estimates``: what the filter computed -- the estimates, 3-sigma
+  envelopes, iteration counts, failure state and final drift; it ends in how
+  many of the case's updates relinearized (took more than one linearization)
+  out of all it ran: the updates that a change to the iterated update's
+  later steps can move;
+* ``metrics``: what the record measures against the truth through the chart
+  and covariance kernels -- errors, NEES and the final extrinsic errors --
+  which a change to those kernels alone moves, by rounding.
+
+Then the digest of all estimates lines and of all metrics lines, then a
+``trajectories`` line: the digest of the generated inputs of the same three
+scenarios and trials (truth, IMU readings, and each scan row's point, normal
+and anchor), which moves only when scan or trajectory generation does.
 
 The package is imported from the ``src/`` directory next to this script,
 with one BLAS thread, so that the digest does not depend on the thread count.
@@ -54,13 +61,20 @@ VARIANTS = {
 FILTERS = ("ikfom", "quat")
 
 
-def record_bytes(rec) -> bytes:
-    """The record's numerical fields as bytes, in a fixed order."""
-    arrays = (rec.errors, rec.sigma3, rec.nees, rec.est_rep,
-              np.asarray(rec.iterations, dtype=np.int64),
-              np.array([rec.final_drift, rec.final_ext_rot_deg, rec.final_ext_pos]))
-    out = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+def _bytes(*arrays) -> bytes:
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+def estimate_bytes(rec) -> bytes:
+    """The record's filter outputs as bytes, in a fixed order."""
+    out = _bytes(rec.est_rep, rec.sigma3, np.asarray(rec.iterations, dtype=np.int64),
+                 np.array([rec.final_drift]))
     return out + repr((rec.failed, rec.failure)).encode()
+
+
+def metric_bytes(rec) -> bytes:
+    """The record's errors against the truth as bytes, in a fixed order."""
+    return _bytes(rec.errors, rec.nees, np.array([rec.final_ext_rot_deg, rec.final_ext_pos]))
 
 
 def trajectory_bytes(traj) -> bytes:
@@ -73,25 +87,29 @@ def trajectory_bytes(traj) -> bytes:
 
 
 def main() -> None:
-    total = hashlib.sha256()
+    totals = {"estimates": hashlib.sha256(), "metrics": hashlib.sha256()}
     for name, scenario in {**SCENARIOS, **VARIANTS}.items():
         for filt in FILTERS:
             cfg = ScenarioConfig(seed=SEED, filter=filt, **scenario)
-            case, relinearized, updates = hashlib.sha256(), 0, 0
+            est, met, relinearized, updates = hashlib.sha256(), hashlib.sha256(), 0, 0
             for trial in TRIALS:
                 rec = run_trial(cfg, trial)
-                case.update(record_bytes(rec))
+                est.update(estimate_bytes(rec))
+                met.update(metric_bytes(rec))
                 relinearized += sum(i > 0 for i in rec.iterations)
                 updates += len(rec.iterations)
-            print(f"{name:18s} {filt:6s} {case.hexdigest()} {relinearized:4d}/{updates}")
-            total.update(case.digest())
-    print(f"{'all':25s} {total.hexdigest()}")
+            print(f"{name:18s} {filt:6s} estimates {est.hexdigest()} {relinearized:4d}/{updates}")
+            print(f"{name:18s} {filt:6s} metrics   {met.hexdigest()}")
+            totals["estimates"].update(est.digest())
+            totals["metrics"].update(met.digest())
+    for kind, total in totals.items():
+        print(f"{'all ' + kind:35s} {total.hexdigest()}")
     inputs = hashlib.sha256()
     for scenario in SCENARIOS.values():
         for trial in TRIALS:
             cfg = ScenarioConfig(seed=SEED, **scenario)
             inputs.update(trajectory_bytes(generate_trajectory(cfg, trial)))
-    print(f"{'trajectories':25s} {inputs.hexdigest()}")
+    print(f"{'trajectories':35s} {inputs.hexdigest()}")
 
 
 if __name__ == "__main__":
