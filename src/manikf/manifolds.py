@@ -1,25 +1,25 @@
 """State manifolds and the chart operators the filter is written against.
 
 Every manifold stores points as flat numpy vectors of length ``rep_dim`` so
-that compound states are plain concatenations. Three operators define the
-geometry:
+that compound states are plain concatenations. Each manifold defines three
+operators:
 
-* ``boxplus(x, u)``   -- retract a tangent increment u (dim ``dim``) at x.
-* ``boxminus(y, x)``  -- chart coordinates of y in the chart centred at x;
+* ``boxminus(y, x)`` -- chart coordinates of y in the chart centred at x;
   y and x may be (..., rep_dim) stacks that broadcast; the rest take one point.
-* ``oplus(x, v)``     -- apply an exogenous velocity v (dim ``control_dim``);
-  for Euclidean space and the rotation group this coincides with boxplus,
-  on the sphere it is the ambient rotation action.
+* ``diff_u(x, u)`` -- (y, J) for y = boxplus(x, u), a tangent increment u
+  (dim ``dim``) retracted at x, and J = d[boxminus(boxplus(x, u + d), y)]/dd
+  at d = 0 (on SO(3), the right Jacobian A(u)^T): the update's iterate and
+  the J that carries the prior's chart into the iterate's.
+* ``diff_v(x, v)`` -- (y, G_x, G_v) for y = oplus(x, v), an exogenous
+  velocity v (dim ``control_dim``) applied at x, and G_x, G_v the derivatives
+  at d = 0 of boxminus(oplus(boxplus(x, d), v), y) and
+  boxminus(oplus(x, v + d), y). On R^n and SO(3) oplus is boxplus; on the
+  sphere it is the ambient rotation action.
 
-The chart Jacobians also return the point they step to, bitwise that of
-boxplus or oplus: ``diff_u(x, u)`` is (y, J) for y = boxplus(x, u) and
-J = d[boxminus(boxplus(x, u + d), y)]/dd at d = 0 (on SO(3), the right
-Jacobian A(u)^T): the update's iterate and the J that carries the prior's
-chart into the iterate's. ``diff_v(x, v)`` is (y, G_x, G_v) for the step
-y = oplus(x, v), G_x and G_v the derivatives at d = 0 of
-boxminus(oplus(boxplus(x, d), v), y) and boxminus(oplus(x, v + d), y).
-The filter calls only the two Jacobians; boxplus, boxminus and oplus serve
-the harness (its initial state and errors) and the tests.
+The paper's boxplus and oplus are the points of the two Jacobians, defined
+once on ``Manifold``: ``diff_u(x, u)[0]`` and ``diff_v(x, v)[0]``. The filter
+calls only ``diff_u`` and ``diff_v``; boxplus, boxminus and oplus serve the
+harness (its initial state and errors) and the tests.
 """
 from __future__ import annotations
 
@@ -30,20 +30,21 @@ from .errors import ContractViolationError, DimensionError
 
 
 class Manifold:
-    """Interface shared by all state manifolds."""
+    """Interface shared by all state manifolds: each implements ``boxminus``,
+    ``diff_u`` and ``diff_v``, and boxplus and oplus are the points of the two."""
 
     dim: int  # tangent dimension
     rep_dim: int  # length of the flat point vector
     control_dim: int  # dimension of the oplus velocity
 
     def boxplus(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.diff_u(x, u)[0]
 
     def boxminus(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def oplus(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.diff_v(x, v)[0]
 
     def diff_u(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -85,22 +86,17 @@ class Euclidean(Manifold):
             raise DimensionError("Euclidean dimension must be positive")
         self.dim = self.rep_dim = self.control_dim = n
 
-    def boxplus(self, x, u):
-        self._check_shape(x)
-        self._check_tangent(u)
-        return x + u
-
     def boxminus(self, y, x):
         self._check_stacks(y, x)
         return y - x
 
-    oplus = boxplus
-
     def diff_u(self, x, u):
-        return self.boxplus(x, u), np.eye(self.dim)
+        self._check_shape(x)
+        self._check_tangent(u)
+        return x + u, np.eye(self.dim)
 
     def diff_v(self, x, v):
-        return self.boxplus(x, v), np.eye(self.dim), np.eye(self.dim)
+        return self.diff_u(x, v) + (np.eye(self.dim),)
 
     def __repr__(self):
         return f"Euclidean({self.dim})"
@@ -117,20 +113,15 @@ class SO3(Manifold):
     def to_matrix(x: np.ndarray) -> np.ndarray:
         return x.reshape(3, 3)
 
-    def boxplus(self, x, u):
-        self._check_shape(x)
-        self._check_tangent(u)
-        return (self.to_matrix(x) @ so3.so3_exp(u)).reshape(9)
-
     def boxminus(self, y, x):
         self._check_stacks(y, x)
         rx, ry = (a.reshape(a.shape[:-1] + (3, 3)) for a in (x, y))
         return so3.so3_log(np.swapaxes(rx, -1, -2) @ ry)
 
-    oplus = boxplus
-
     def diff_u(self, x, u):
-        return self.boxplus(x, u), so3.mat_a(u).T
+        self._check_shape(x)
+        self._check_tangent(u)
+        return (self.to_matrix(x) @ so3.so3_exp(u)).reshape(9), so3.mat_a(u).T
 
     def diff_v(self, x, v):
         # G_x = Exp(-v) = Exp(v)^T bit for bit: _rodrigues negates only its a terms
@@ -167,19 +158,9 @@ class Sphere2(Manifold):
             raise ContractViolationError("sphere radius must be positive")
         self.radius = float(radius)
 
-    def boxplus(self, x, u):
-        self._check_shape(x)
-        self._check_tangent(u)
-        return sphere.sphere_boxplus(x, u)
-
     def boxminus(self, y, x):
         self._check_stacks(y, x)
         return sphere.sphere_boxminus(y, x)
-
-    def oplus(self, x, v):
-        self._check_shape(x)
-        self._check_control(v)
-        return sphere.sphere_oplus(x, v)
 
     def diff_u(self, x, u):
         self._check_shape(x)
@@ -238,28 +219,13 @@ class Compound(Manifold):
         self._eye_v = np.zeros((self.dim, self.control_dim))
         self._eye_u[self._et, self._et] = self._eye_v[self._et, self._ec] = 1.0
 
-    def boxplus(self, x, u):
-        self._check_shape(x)
-        self._check_tangent(u)
-        out = x.copy()
-        out[self._er] += u[self._et]
-        for p, rs, ts, _ in self._table:
-            out[rs] = p.boxplus(x[rs], u[ts])
-        return out
+    # Manifold's own, named here because perfbench's tracer wraps Compound's by name
+    boxplus, oplus = Manifold.boxplus, Manifold.oplus
 
     def boxminus(self, y, x):
         self._check_stacks(y, x)
         return np.concatenate([p.boxminus(y[..., rs], x[..., rs])
                                for p, rs in zip(self.parts, self.rep_slices)], axis=-1)
-
-    def oplus(self, x, v):
-        self._check_shape(x)
-        self._check_control(v)
-        out = x.copy()
-        out[self._er] += v[self._ec]
-        for p, rs, _, cs in self._table:
-            out[rs] = p.oplus(x[rs], v[cs])
-        return out
 
     def diff_u(self, x, u):
         self._check_shape(x)

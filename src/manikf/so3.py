@@ -1,10 +1,11 @@
 """Rotation-group numerics: exponential/logarithm maps and chart Jacobians.
 
 Everything operates on plain numpy arrays: rotation vectors are shape (3,),
-rotations 3x3 matrices; ``so3_log`` also takes (..., 3, 3) stacks. All closed
-forms switch to Taylor series below ``SMALL_ANGLE``, as they divide by the
-angle. The per-step kernels run on Python floats (``tolist``, ``math``), which
-round as numpy's float64 scalars do at a fraction of their call cost.
+rotations 3x3 matrices; ``so3_log`` and ``check_rotation`` also take
+(..., 3, 3) stacks. All closed forms switch to Taylor series below
+``SMALL_ANGLE``, as they divide by the angle. The per-step kernels run on
+Python floats (``tolist``, ``math``), which round as numpy's float64 scalars
+do at a fraction of their call cost.
 """
 from __future__ import annotations
 
@@ -59,24 +60,18 @@ def so3_exp(w: np.ndarray) -> np.ndarray:
 
 
 def check_rotation(r: np.ndarray) -> None:
-    """Raise unless r is orthonormal with determinant +1.
+    """Raise unless every matrix of the (..., 3, 3) stack r is orthonormal
+    with determinant +1; one matrix is a stack of one.
 
-    The orthonormality error is the Frobenius norm of r^T r - I, from the
-    column inner products; the determinant is the cofactor expansion along
-    the first row. A NaN fails neither comparison, as with numpy's norm and det.
+    The orthonormality error is the Frobenius norm of r^T r - I. A NaN entry
+    makes both errors NaN, which fails neither comparison and passes.
     """
-    if r.shape != (3, 3):
-        raise ContractViolationError(f"rotation must be 3x3, got {r.shape}")
-    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
-    # entries of r^T r - I: squared column norms less 1, and the column dots
-    n0, n1, n2 = (a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0,
-                  c * c + f * f + i * i - 1.0)
-    d01, d02, d12 = a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i
-    err = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2 + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12))
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if err > ROTATION_TOL or abs(det - 1.0) > ROTATION_TOL:
+    if r.shape[-2:] != (3, 3):
+        raise ContractViolationError(f"rotations must be (..., 3, 3), got {r.shape}")
+    err = np.linalg.norm(np.swapaxes(r, -1, -2) @ r - _I3, axis=(-2, -1))
+    if np.any(err > ROTATION_TOL) or np.any(np.abs(np.linalg.det(r) - 1.0) > ROTATION_TOL):
         raise ContractViolationError(
-            f"matrix is not a rotation (orthonormality error {err:.2e})"
+            f"matrix is not a rotation (orthonormality error {np.max(err):.2e})"
         )
 
 
@@ -93,8 +88,7 @@ def so3_log(r: np.ndarray) -> np.ndarray:
     axis is the dominant column of (R+R^T+2I)/4 = axis axis^T + O((pi-theta)^2),
     taken only when some matrix needs it; each matrix takes its own branch.
     """
-    for m in r.reshape((-1,) + r.shape[-2:]):
-        check_rotation(m)
+    check_rotation(r)
     m = r.reshape(r.shape[:-2] + (9,))  # row-major: r_ij is m[3 i + j]
     s_vec = (m[..., [7, 2, 3]] - m[..., [5, 6, 1]]) / 2.0  # sin(theta) * axis
     s = np.sqrt(dot_rows(s_vec, s_vec))[..., None]

@@ -3,6 +3,8 @@
 Points are 3-vectors of norm r (``sphere_boxminus`` also takes stacks);
 tangent increments live in R^2 through a point-dependent orthonormal basis
 of the tangent plane. Perturbations act by rotation, preserving the radius.
+``sphere_boxplus``, ``sphere_oplus`` and ``sphere_m`` are reference formulas
+for the tests; perfbench's tracer still wraps them by name.
 """
 from __future__ import annotations
 

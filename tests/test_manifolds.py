@@ -4,8 +4,9 @@ import pytest
 
 from manikf.errors import ContractViolationError, DimensionError
 from manikf.lidar_inertial import state_manifold
-from manikf.manifolds import Compound, Euclidean, SO3, Sphere2, compound
+from manikf.manifolds import Compound, Euclidean, Manifold, SO3, Sphere2, compound
 from manikf.so3 import so3_exp
+from manikf.sphere import sphere_boxplus, sphere_oplus
 
 from helpers import assert_close, fd_diff_u, fd_step_pair
 from manifold_samples import ball, random_point, with_norm
@@ -51,12 +52,23 @@ def test_so3_boxminus_inverts():
 
 
 def test_so3_oplus_equals_boxplus():
+    # both are x Exp(v), bit for bit
     man = SO3()
     rng = np.random.default_rng(1)
     for _ in range(50):
         x = random_point(man, rng)
         v = rng.standard_normal(3)
-        assert np.array_equal(man.oplus(x, v), man.boxplus(x, v))
+        want = (x.reshape(3, 3) @ so3_exp(v)).reshape(9)
+        assert man.oplus(x, v).tobytes() == want.tobytes()
+        assert man.boxplus(x, v).tobytes() == want.tobytes()
+
+
+def test_boxplus_and_oplus_are_defined_once():
+    # both are the points of diff_u and diff_v; no class computes them a second time
+    for cls in (Euclidean, SO3, Sphere2):
+        assert not {"boxplus", "oplus"} & vars(cls).keys(), cls
+    assert vars(Compound)["boxplus"] is Manifold.boxplus
+    assert vars(Compound)["oplus"] is Manifold.oplus
 
 
 def test_operator_roundtrips_all_manifolds():
@@ -225,21 +237,36 @@ def test_compound_single_child_matches_child():
         assert np.allclose(got, want)
 
 
+def _part_points(p, x, u, v):
+    """x boxplus u and x oplus v on one part, by formulas that no manifold
+    class computes: x + u on R^n, x Exp(u) on SO(3), Exp(B(x) u) x and
+    Exp(v) x on S^2."""
+    if isinstance(p, Euclidean):
+        return x + u, x + v
+    if isinstance(p, SO3):
+        return ((x.reshape(3, 3) @ so3_exp(w)).reshape(9) for w in (u, v))
+    return sphere_boxplus(x, u), sphere_oplus(x, v)
+
+
 def _from_parts(man, x, y, u, v):
     """Each Compound operator as the concatenation or block diagonal of its
     parts' own operators, in the order the compound returns them; each part's
-    diff_u and diff_v step to bitwise its boxplus and oplus point."""
+    diff_u and diff_v step to bitwise the point of its boxplus and oplus
+    formula, and the compound's boxplus and oplus are their concatenations."""
     table = list(zip(man.parts, man.rep_slices, man.tan_slices, man.ctrl_slices))
     du = np.zeros((man.dim, man.dim))
     gx = np.zeros((man.dim, man.dim))
     gv = np.zeros((man.dim, man.control_dim))
+    boxplus, oplus = [], []
     for p, rs, ts, cs in table:
         yu, du[ts, ts] = p.diff_u(x[rs], u[ts])
         yv, gx[ts, ts], gv[ts, cs] = p.diff_v(x[rs], v[cs])
-        assert yu.tobytes() == p.boxplus(x[rs], u[ts]).tobytes(), (p, "diff_u point")
-        assert yv.tobytes() == p.oplus(x[rs], v[cs]).tobytes(), (p, "diff_v point")
-    boxplus = np.concatenate([p.boxplus(x[rs], u[ts]) for p, rs, ts, _ in table])
-    oplus = np.concatenate([p.oplus(x[rs], v[cs]) for p, rs, _, cs in table])
+        want_u, want_v = _part_points(p, x[rs], u[ts], v[cs])
+        assert yu.tobytes() == want_u.tobytes(), (p, "diff_u point")
+        assert yv.tobytes() == want_v.tobytes(), (p, "diff_v point")
+        boxplus.append(want_u)
+        oplus.append(want_v)
+    boxplus, oplus = np.concatenate(boxplus), np.concatenate(oplus)
     return (
         boxplus,
         np.concatenate([p.boxminus(y[rs], x[rs]) for p, rs, _, _ in table]),

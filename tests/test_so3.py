@@ -307,9 +307,21 @@ def test_check_rotation_verdict_matches_matrix_form(w, kind, log_size, sign, dir
     assert accepted == _np_is_rotation(r)
 
 
-@pytest.mark.parametrize("shape", [(3,), (9,), (2, 2), (3, 4), (4, 3), (4, 4), (1, 3, 3)])
+@pytest.mark.parametrize("shape", [(3,), (9,), (2, 2), (3, 4), (4, 3), (4, 4)])
 def test_check_rotation_rejects_non_3x3(shape):
     r = np.zeros(shape)
     r.flat[:: (shape[-1] + 1)] = 1.0
     with pytest.raises(ContractViolationError):
         check_rotation(r)
+
+
+def test_check_rotation_takes_stacks():
+    check_rotation(np.eye(3)[None])  # a stack of one
+    rng = np.random.default_rng(43)
+    stack = np.array([so3_exp(w) for w in rng.uniform(-3.0, 3.0, (8, 3))]).reshape(2, 4, 3, 3)
+    check_rotation(stack)
+    for bad in (1.0 + 10.0 * ROTATION_TOL, -1.0):  # a scaled column, a reflection
+        one_off = stack.copy()
+        one_off[1, 2, :, 0] *= bad
+        with pytest.raises(ContractViolationError):
+            check_rotation(one_off)
