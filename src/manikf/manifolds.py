@@ -1,8 +1,9 @@
 """State manifolds and the chart operators the filter is written against.
 
 Every manifold stores points as flat numpy vectors of length ``rep_dim`` so
-that compound states are plain concatenations. Each manifold defines three
-operators:
+that compound states are plain concatenations. ``Manifold``'s operators check
+shapes once and call the unchecked kernels each manifold implements
+(``_boxminus``, ``_diff_u``, ``_diff_v``):
 
 * ``boxminus(y, x)`` -- chart coordinates of y in the chart centred at x;
   y and x may be (..., rep_dim) stacks that broadcast; the rest take one point.
@@ -16,10 +17,11 @@ operators:
   boxminus(oplus(x, v + d), y). On R^n and SO(3) oplus is boxplus; on the
   sphere it is the ambient rotation action.
 
-The paper's boxplus and oplus are the points of the two Jacobians, defined
-once on ``Manifold``: ``diff_u(x, u)[0]`` and ``diff_v(x, v)[0]``. The filter
-calls only ``diff_u`` and ``diff_v``; boxplus, boxminus and oplus serve the
-harness (its initial state and errors) and the tests.
+The paper's boxplus and oplus are the points of the two Jacobians:
+``diff_u(x, u)[0]`` and ``diff_v(x, v)[0]``. A ``Compound`` calls its parts'
+kernels, so each point is checked once, where it enters the chart layer. The
+filter calls only ``diff_u`` and ``diff_v``; boxplus, boxminus and oplus
+serve the harness (its initial state and errors) and the tests.
 """
 from __future__ import annotations
 
@@ -30,8 +32,9 @@ from .errors import ContractViolationError, DimensionError
 
 
 class Manifold:
-    """Interface shared by all state manifolds: each implements ``boxminus``,
-    ``diff_u`` and ``diff_v``, and boxplus and oplus are the points of the two."""
+    """Interface shared by all state manifolds. The public operators are defined
+    here only: each checks shapes and calls a subclass's unchecked kernel,
+    ``_boxminus``, ``_diff_u``, ``_diff_v`` or ``_validate``."""
 
     dim: int  # tangent dimension
     rep_dim: int  # length of the flat point vector
@@ -41,41 +44,36 @@ class Manifold:
         return self.diff_u(x, u)[0]
 
     def boxminus(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        if y.shape[-1:] != (self.rep_dim,) or x.shape[-1:] != (self.rep_dim,):
+            raise DimensionError(f"points must have shape (..., {self.rep_dim})")
+        return self._boxminus(y, x)
 
     def oplus(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.diff_v(x, v)[0]
 
     def diff_u(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        self._check(x, u, self.dim, "tangent")
+        return self._diff_u(x, u)
 
     def diff_v(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def _check_shape(self, x: np.ndarray) -> None:
-        # operators run in the filter's hot loop: check dimensions only;
-        # call validate_point for the full (orthonormality/norm) invariants
-        if x.shape != (self.rep_dim,):
-            raise DimensionError(
-                f"point must have shape ({self.rep_dim},), got {x.shape}"
-            )
-
-    def _check_stacks(self, *xs: np.ndarray) -> None:
-        if any(x.shape[-1:] != (self.rep_dim,) for x in xs):
-            raise DimensionError(f"points must have shape (..., {self.rep_dim})")
+        self._check(x, v, self.control_dim, "velocity")
+        return self._diff_v(x, v)
 
     def validate_point(self, x: np.ndarray) -> None:
-        self._check_shape(x)
+        self._check(x)
+        self._validate(x)
 
-    def _check_tangent(self, u: np.ndarray) -> None:
-        if u.shape != (self.dim,):
-            raise DimensionError(f"tangent must have shape ({self.dim},), got {u.shape}")
+    def _validate(self, x: np.ndarray) -> None:
+        """Raise ContractViolationError unless the (rep_dim,) point x is on the manifold."""
 
-    def _check_control(self, v: np.ndarray) -> None:
-        if v.shape != (self.control_dim,):
-            raise DimensionError(
-                f"velocity must have shape ({self.control_dim},), got {v.shape}"
-            )
+    def _check(self, x: np.ndarray, w: np.ndarray | None = None, n: int = 0,
+               what: str = "") -> None:
+        # operators run in the filter's hot loop: check dimensions only;
+        # validate_point also checks the (orthonormality/norm) invariants
+        if x.shape != (self.rep_dim,):
+            raise DimensionError(f"point must have shape ({self.rep_dim},), got {x.shape}")
+        if w is not None and w.shape != (n,):
+            raise DimensionError(f"{what} must have shape ({n},), got {w.shape}")
 
 
 class Euclidean(Manifold):
@@ -86,17 +84,14 @@ class Euclidean(Manifold):
             raise DimensionError("Euclidean dimension must be positive")
         self.dim = self.rep_dim = self.control_dim = n
 
-    def boxminus(self, y, x):
-        self._check_stacks(y, x)
+    def _boxminus(self, y, x):
         return y - x
 
-    def diff_u(self, x, u):
-        self._check_shape(x)
-        self._check_tangent(u)
+    def _diff_u(self, x, u):
         return x + u, np.eye(self.dim)
 
-    def diff_v(self, x, v):
-        return self.diff_u(x, v) + (np.eye(self.dim),)
+    def _diff_v(self, x, v):
+        return self._diff_u(x, v) + (np.eye(self.dim),)
 
     def __repr__(self):
         return f"Euclidean({self.dim})"
@@ -113,25 +108,19 @@ class SO3(Manifold):
     def to_matrix(x: np.ndarray) -> np.ndarray:
         return x.reshape(3, 3)
 
-    def boxminus(self, y, x):
-        self._check_stacks(y, x)
+    def _boxminus(self, y, x):
         rx, ry = (a.reshape(a.shape[:-1] + (3, 3)) for a in (x, y))
         return so3.so3_log(np.swapaxes(rx, -1, -2) @ ry)
 
-    def diff_u(self, x, u):
-        self._check_shape(x)
-        self._check_tangent(u)
+    def _diff_u(self, x, u):
         return (self.to_matrix(x) @ so3.so3_exp(u)).reshape(9), so3.mat_a(u).T
 
-    def diff_v(self, x, v):
+    def _diff_v(self, x, v):
         # G_x = Exp(-v) = Exp(v)^T bit for bit: _rodrigues negates only its a terms
-        self._check_shape(x)
-        self._check_control(v)
         e = so3.so3_exp(v)
         return (self.to_matrix(x) @ e).reshape(9), e.T, so3.mat_a(v).T
 
-    def validate_point(self, x):
-        self._check_shape(x)
+    def _validate(self, x):
         so3.check_rotation(self.to_matrix(x))
 
     def __repr__(self):
@@ -158,28 +147,22 @@ class Sphere2(Manifold):
             raise ContractViolationError("sphere radius must be positive")
         self.radius = float(radius)
 
-    def boxminus(self, y, x):
-        self._check_stacks(y, x)
+    def _boxminus(self, y, x):
         return sphere.sphere_boxminus(y, x)
 
-    def diff_u(self, x, u):
-        self._check_shape(x)
-        self._check_tangent(u)
+    def _diff_u(self, x, u):
         b = sphere.sphere_basis(x)
         w = b @ u
         z = so3.so3_exp(w) @ x
         return z, sphere.sphere_basis(z).T @ so3.mat_a(w) @ b
 
-    def diff_v(self, x, v):
-        self._check_shape(x)
-        self._check_control(v)
+    def _diff_v(self, x, v):
         rv = so3.so3_exp(v)
         z = rv @ x
         c = sphere.sphere_basis(z).T @ rv
         return z, c @ sphere.sphere_basis(x), c @ so3.mat_a(v).T
 
-    def validate_point(self, x):
-        self._check_shape(x)
+    def _validate(self, x):
         sphere.check_sphere(x, self.radius)
 
     def __repr__(self):
@@ -219,36 +202,31 @@ class Compound(Manifold):
         self._eye_v = np.zeros((self.dim, self.control_dim))
         self._eye_u[self._et, self._et] = self._eye_v[self._et, self._ec] = 1.0
 
-    # Manifold's own, named here because perfbench's tracer wraps Compound's by name
-    boxplus, oplus = Manifold.boxplus, Manifold.oplus
+    # Manifold's checked operators, named here because perfbench's tracer wraps these five by name
+    boxplus, boxminus, oplus, diff_u, diff_v = (
+        Manifold.boxplus, Manifold.boxminus, Manifold.oplus, Manifold.diff_u, Manifold.diff_v)
 
-    def boxminus(self, y, x):
-        self._check_stacks(y, x)
-        return np.concatenate([p.boxminus(y[..., rs], x[..., rs])
+    def _boxminus(self, y, x):
+        return np.concatenate([p._boxminus(y[..., rs], x[..., rs])
                                for p, rs in zip(self.parts, self.rep_slices)], axis=-1)
 
-    def diff_u(self, x, u):
-        self._check_shape(x)
-        self._check_tangent(u)
+    def _diff_u(self, x, u):
         y, out = x.copy(), self._eye_u.copy()
         y[self._er] += u[self._et]
         for p, rs, ts, _ in self._table:
-            y[rs], out[ts, ts] = p.diff_u(x[rs], u[ts])
+            y[rs], out[ts, ts] = p._diff_u(x[rs], u[ts])
         return y, out
 
-    def diff_v(self, x, v):
-        self._check_shape(x)
-        self._check_control(v)
+    def _diff_v(self, x, v):
         y, gx, gv = x.copy(), self._eye_u.copy(), self._eye_v.copy()
         y[self._er] += v[self._ec]
         for p, rs, ts, cs in self._table:
-            y[rs], gx[ts, ts], gv[ts, cs] = p.diff_v(x[rs], v[cs])
+            y[rs], gx[ts, ts], gv[ts, cs] = p._diff_v(x[rs], v[cs])
         return y, gx, gv
 
-    def validate_point(self, x):
-        self._check_shape(x)  # all a Euclidean part checks
-        for p, rs, _, _ in self._table:
-            p.validate_point(x[rs])
+    def _validate(self, x):
+        for p, rs, _, _ in self._table:  # a Euclidean part has no invariant
+            p._validate(x[rs])
 
     def __repr__(self):
         return "Compound(" + ", ".join(repr(p) for p in self.parts) + ")"

@@ -9,7 +9,7 @@ from manikf.so3 import so3_exp
 from manikf.sphere import sphere_boxplus, sphere_oplus
 
 from helpers import assert_close, fd_diff_u, fd_step_pair
-from manifold_samples import ball, random_point, with_norm
+from manifold_samples import ball, random_point, random_tangent, with_norm
 
 
 def make_manifolds():
@@ -69,6 +69,12 @@ def test_boxplus_and_oplus_are_defined_once():
         assert not {"boxplus", "oplus"} & vars(cls).keys(), cls
     assert vars(Compound)["boxplus"] is Manifold.boxplus
     assert vars(Compound)["oplus"] is Manifold.oplus
+    # and every public operator is Manifold's, which checks the shapes once
+    names = ("boxplus", "oplus", "boxminus", "diff_u", "diff_v")
+    for cls in (Euclidean, SO3, Sphere2):
+        assert not set(names) & vars(cls).keys(), cls
+    for name in names:
+        assert vars(Compound)[name] is vars(Manifold)[name], name
 
 
 def test_operator_roundtrips_all_manifolds():
@@ -164,6 +170,13 @@ def test_fused_diffs_check_the_point_shape():
                 man.diff_u(bad, u)
             with pytest.raises(DimensionError):
                 man.diff_v(bad, v)
+        # and a wrong-shaped tangent or velocity
+        for bad in (u[:-1], np.append(u, 0.0), u.reshape(1, -1)):
+            with pytest.raises(DimensionError):
+                man.diff_u(x, bad)
+        for bad in (v[:-1], np.append(v, 0.0), v.reshape(1, -1)):
+            with pytest.raises(DimensionError):
+                man.diff_v(x, bad)
 
 
 def test_validate_point():
@@ -328,3 +341,23 @@ def test_compound_validate_point_checks_every_part():
             man.validate_point(bad)
     with pytest.raises(DimensionError):
         man.validate_point(x[:-1])
+
+
+def test_nested_compound_matches_flat():
+    # an outer compound calls an inner one's unchecked kernels: the nesting
+    # must not change a bit, and the outer operator still checks the shapes
+    nested = compound(compound(SO3(), Euclidean(2)), Sphere2(1.0), Euclidean(1))
+    flat = compound(SO3(), Euclidean(2), Sphere2(1.0), Euclidean(1))
+    assert (nested.dim, nested.rep_dim, nested.control_dim) == (
+        flat.dim, flat.rep_dim, flat.control_dim)
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        x = random_point(flat, rng)
+        u, v = random_tangent(flat, rng), rng.standard_normal(flat.control_dim)
+        ys = np.array([random_point(flat, rng, near=x) for _ in range(3)])
+        got = nested.diff_u(x, u) + nested.diff_v(x, v) + (nested.boxminus(ys, x),)
+        want = flat.diff_u(x, u) + flat.diff_v(x, v) + (flat.boxminus(ys, x),)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    with pytest.raises(DimensionError):
+        nested.diff_u(x, u[:-1])
