@@ -94,26 +94,26 @@ def fd_jacobian(fun, x, eps=1e-6):
     return out
 
 
-def fd_diff_u(man, x, u, v, eps=1e-6):
-    """FD of boxminus(oplus(boxplus(x, u'), v), y) in u' at u, y fixed."""
-    y = man.oplus(man.boxplus(x, u), v)
-    return fd_jacobian(
-        lambda uu: man.boxminus(man.oplus(man.boxplus(x, uu), v), y), u, eps
-    )
+def _fd_chart(man, step, a, y, eps):
+    """Central differences of boxminus(step(a'), y) in a' at a, as fd_jacobian
+    takes them, with the 2n points' boxminus taken as one stack."""
+    e = eps * np.eye(len(a))
+    d = man.boxminus(np.array([step(aa) for aa in np.concatenate([a + e, a - e])]), y)
+    return (d[:len(a)] - d[len(a):]).T / (2.0 * eps)
 
 
-def fd_diff_v(man, x, u, v, eps=1e-6):
-    """FD of boxminus(oplus(boxplus(x, u), v'), y) in v' at v, y fixed."""
-    y = man.oplus(man.boxplus(x, u), v)
-    return fd_jacobian(
-        lambda vv: man.boxminus(man.oplus(man.boxplus(x, u), vv), y), v, eps
-    )
+def fd_diff_u(man, x, u, eps=1e-6):
+    """FD oracle of diff_u(x, u): boxminus(boxplus(x, u'), y) in u' at u, y fixed."""
+    return _fd_chart(man, lambda uu: man.boxplus(x, uu), u, man.boxplus(x, u), eps)
 
 
 def fd_step_pair(man, x, v, eps=1e-6):
-    """FD oracle of diff_v(x, v): (G_x, G_v) of the step oplus(x, v)."""
-    zero = np.zeros(man.dim)
-    return fd_diff_u(man, x, zero, v, eps), fd_diff_v(man, x, zero, v, eps)
+    """FD oracle of diff_v(x, v): G_x and G_v of y = oplus(x, v), as the
+    central differences of boxminus(oplus(boxplus(x, e), v), y) in e at 0
+    and of boxminus(oplus(x, v'), y) in v' at v."""
+    y = man.oplus(x, v)
+    return (_fd_chart(man, lambda e: man.oplus(man.boxplus(x, e), v), np.zeros(man.dim), y, eps),
+            _fd_chart(man, lambda vv: man.oplus(x, vv), v, y, eps))
 
 
 def assert_additive_noise(h, x, ctx, n):

@@ -6,6 +6,15 @@ linear problem, statistical consistency over a Monte-Carlo batch, extrinsic
 self-calibration accuracy, a paired drift comparison against the
 quaternion-vector baseline, and landmark-constancy of the bearing block.
 Each check carries an explicit wall-clock budget.
+
+The Jacobian sweep is the suite's one random finite-difference check of
+each analytic Jacobian. It takes 500 random draws of each input (250 of
+each baseline constraint mode): the chart Jacobians of R^4, SO(3), S^2, a
+three-part compound and the one-part compound(Sphere2(3.0)); the
+lidar-inertial f and h on plane, edge and mixed scans; the baseline's f and
+h in both constraint modes, every other state on the q and g constraint
+sets and the others off them; and every process block, the bearing block
+with the default linear depth and with d = d' = d'' = exp.
 """
 import dataclasses
 import time
@@ -91,13 +100,12 @@ def test_all_jacobians_match_finite_differences():
 
     # chart Jacobians of all manifolds, including a compound state
     for man in (Euclidean(4), SO3(), Sphere2(9.81),
-                compound(Euclidean(2), SO3(), Sphere2(1.0))):
+                compound(Euclidean(2), SO3(), Sphere2(1.0)), compound(Sphere2(3.0))):
         for _ in range(points):
             x = random_point(man, rng)
             u = 0.3 * rng.standard_normal(man.dim)
             v = 0.3 * rng.standard_normal(man.control_dim)
-            _check_jac(man.diff_u(x, u)[1], fd_diff_u(man, x, u, np.zeros(man.control_dim)),
-                       f"diff_u {type(man).__name__}")
+            _check_jac(man.diff_u(x, u)[1], fd_diff_u(man, x, u), f"diff_u {type(man).__name__}")
             for got, want, what in zip(man.diff_v(x, v)[1:], fd_step_pair(man, x, v), "xv"):
                 _check_jac(got, want, f"diff_v G_{what} {type(man).__name__}")
 
@@ -123,9 +131,9 @@ def test_all_jacobians_match_finite_differences():
         bmodel = baseline_model(augmented=augmented)
         for k in range(points // 2):
             x = from_manifold(random_li_state(rng))
-            # hold q and g off their constraint sets; Jacobians must still match
-            x[BREP["q"]] *= 1.01
-            x[BREP["g"]] *= 0.99
+            if k % 2:  # q and g off their constraint sets; Jacobians must match there too
+                x[BREP["q"]] *= 1.01
+                x[BREP["g"]] *= 0.99
             u = rng.standard_normal(6)
             fx = lambda e: np.asarray(bmodel.f(x + e, u, np.zeros(B_NOISE_DIM)))
             fw = lambda w: np.asarray(bmodel.f(x, u, w))
@@ -148,6 +156,9 @@ def test_all_jacobians_match_finite_differences():
         (block_gravity_body(), lambda: rng.standard_normal(3)),
         (block_bearing_landmark(), lambda: (rng.standard_normal(3),
                                             rng.standard_normal(3))),
+        # a depth map whose d'' is not zero
+        (block_bearing_landmark(d=np.exp, d_prime=np.exp, d_second=np.exp),
+         lambda: (rng.standard_normal(3), rng.standard_normal(3))),
     )
     for blk, draw_u in blocks:
         bman = blk.manifold

@@ -24,7 +24,6 @@ from manikf.lidar_inertial import GRAVITY, state_manifold
 from manikf.so3 import skew, so3_exp
 
 from helpers import (
-    assert_additive_noise,
     assert_close,
     fd_jacobian,
     random_li_state,
@@ -101,39 +100,6 @@ def test_normalize_state():
     bad[BREP["g"]] = 0.0
     with pytest.raises(FloatingPointError):
         normalize_state(bad)
-
-
-def test_process_jacobians_match_fd():
-    rng = np.random.default_rng(7)
-    model = baseline_model()
-    for _ in range(20):
-        x = from_manifold(random_li_state(rng))
-        u = np.concatenate([rng.standard_normal(3), 0.5 * rng.standard_normal(3)])
-        fx = lambda e: np.asarray(model.f(x + e, u, np.zeros(NOISE_DIM)))
-        fw = lambda w: np.asarray(model.f(x, u, w))
-        assert_close(model.df_dx(x, u), fd_jacobian(fx, np.zeros(STATE_DIM)),
-                     tol=1e-5, floor=1e-7)
-        assert_close(model.df_dw(x, u), fd_jacobian(fw, np.zeros(NOISE_DIM)),
-                     tol=1e-5, floor=1e-7)
-
-
-@pytest.mark.parametrize("augmented", [False, True])
-def test_measurement_jacobians_match_fd(augmented):
-    rng = np.random.default_rng(9)
-    model = baseline_model(augmented=augmented)
-    for n_plane, n_edge in ((6, 0), (2, 2)):
-        for _ in range(5):
-            x = from_manifold(random_li_state(rng))
-            # perturb off the constraint sets: Jacobians must hold there too
-            x[BREP["q"]] *= 1.02
-            x[BREP["g"]] *= 0.99
-            rows = random_scan(rng, n_plane, n_edge)
-            nv = len(rows.g) + (N_CONSTRAINTS if augmented else 0)
-            hx = lambda e: np.asarray(model.h(x + e, np.zeros(nv), rows))
-            assert_close(model.dh_dx(x, rows),
-                         fd_jacobian(hx, np.zeros(STATE_DIM)),
-                         tol=1e-5, floor=1e-7)
-            assert_additive_noise(model.h, x, rows, nv)
 
 
 def test_augmented_rows_and_noise_dim():

@@ -11,7 +11,7 @@ from manikf.blocks import (
 from manikf.filter import FilterState, predict
 from manikf.so3 import so3_exp
 
-from helpers import assert_close, fd_jacobian
+from helpers import assert_close
 from manifold_samples import with_norm
 
 
@@ -19,13 +19,6 @@ def _step(block, x, u, dt):
     """Noise-free step oplus(x, dt * f(x, u, 0)) through the filter's predict."""
     dim = block.manifold.dim
     return predict(block, FilterState(x, np.zeros((dim, dim))), u, dt, np.zeros((0, 0))).x
-
-
-def _fd_df_dx(block, x, u):
-    man = block.manifold
-    w = np.zeros(block.df_dw(x, u).shape[1])
-    fun = lambda e: np.asarray(block.f(man.boxplus(x, e), u, w), dtype=float)
-    return fd_jacobian(fun, np.zeros(man.dim))
 
 
 def test_attitude_global_matches_body():
@@ -40,15 +33,6 @@ def test_attitude_global_matches_body():
         u = rng.standard_normal(3)
         dt = rng.uniform(0.001, 0.1)
         assert_close(_step(g_blk, x, u, dt), _step(b_blk, x, r.T @ u, dt), tol=1e-12)
-
-
-def test_attitude_jacobians_match_fd():
-    rng = np.random.default_rng(6)
-    for blk in (block_attitude_global(), block_attitude_body()):
-        for _ in range(40):
-            x = so3_exp(rng.standard_normal(3)).reshape(9)
-            u = rng.standard_normal(3)
-            assert_close(blk.df_dx(x, u), _fd_df_dx(blk, x, u), tol=1e-6)
 
 
 def test_gravity_blocks_preserve_norm():
@@ -85,19 +69,6 @@ def test_bearing_rate_tangent_for_pure_translation():
         u = (np.zeros(3), rng.standard_normal(3))
         f = blk.f(state, u, np.zeros(0))
         assert abs(f[:3] @ x) < 1e-12
-
-
-def test_bearing_jacobian_matches_fd():
-    blk = block_bearing_landmark(
-        d=lambda rho: np.exp(rho),
-        d_prime=lambda rho: np.exp(rho),
-        d_second=lambda rho: np.exp(rho),
-    )
-    rng = np.random.default_rng(14)
-    for _ in range(50):
-        state = np.concatenate([with_norm(rng, 3), [rng.uniform(-0.5, 1.0)]])
-        u = (rng.standard_normal(3), rng.standard_normal(3))
-        assert_close(blk.df_dx(state, u), _fd_df_dx(blk, state, u), tol=1e-5)
 
 
 def test_landmark_reconstruction_is_constant():

@@ -21,7 +21,6 @@ from manikf.sphere import sphere_basis
 from manikf.trajectory import SCENARIOS, ScenarioConfig, generate_trajectory
 
 from helpers import (
-    assert_additive_noise,
     assert_close,
     fd_jacobian,
     random_li_state,
@@ -219,21 +218,6 @@ def test_plane_and_edge_paths_agree(quat):
                  tol=1e-12, floor=1e-14)
 
 
-def test_process_jacobians_match_fd():
-    rng = np.random.default_rng(9)
-    model = lidar_inertial_model()
-    man = model.manifold
-    for _ in range(20):
-        x = random_li_state(rng)
-        u = np.concatenate([rng.standard_normal(3), 0.5 * rng.standard_normal(3)])
-        fx = lambda e: np.asarray(model.f(man.boxplus(x, e), u, np.zeros(NOISE_DIM)))
-        fw = lambda w: np.asarray(model.f(x, u, w))
-        assert_close(model.df_dx(x, u), fd_jacobian(fx, np.zeros(TANGENT_DIM)),
-                     tol=1e-5, floor=1e-7)
-        assert_close(model.df_dw(x, u), fd_jacobian(fw, np.zeros(NOISE_DIM)),
-                     tol=1e-5, floor=1e-7)
-
-
 def test_process_jacobian_sparsity():
     # only the v, R, ba, g columns of the velocity rows and the bw column of
     # the attitude row may be populated
@@ -249,22 +233,6 @@ def test_process_jacobian_sparsity():
     mask[3:6, TAN["g"]] = True
     mask[6:9, TAN["bw"]] = True
     assert np.all(jac[~mask] == 0.0)
-
-
-def test_measurement_jacobians_match_fd():
-    rng = np.random.default_rng(13)
-    model = lidar_inertial_model()
-    man = model.manifold
-    for n_plane, n_edge in ((8, 0), (3, 2), (0, 3)):
-        for _ in range(5):
-            x = random_li_state(rng)
-            rows = random_scan(rng, n_plane, n_edge)
-            nv = len(rows.g)
-            hx = lambda e: np.asarray(model.h(man.boxplus(x, e), np.zeros(nv), rows))
-            assert_close(model.dh_dx(x, rows),
-                         fd_jacobian(hx, np.zeros(TANGENT_DIM)),
-                         tol=1e-5, floor=1e-7)
-            assert_additive_noise(model.h, x, rows, nv)
 
 
 def test_point_noise_is_unit_variance_per_row():

@@ -118,33 +118,21 @@ def test_diff_u_identity_cases():
     assert np.allclose(sph.diff_u(x, np.zeros(2))[1], np.eye(2), atol=1e-12)
 
 
-def assert_diffs_match_fd(man, x, u, v, msg=""):
-    """diff_u(x, u) and both matrices of diff_v(x, v) against central differences."""
-    assert_close(man.diff_u(x, u)[1], fd_diff_u(man, x, u, np.zeros(man.control_dim)),
-                 tol=1e-5, msg=f"diff_u {msg}")
-    for got, want, what in zip(man.diff_v(x, v)[1:], fd_step_pair(man, x, v), "xv"):
-        assert_close(got, want, tol=1e-5, msg=f"diff_v G_{what} {msg}")
-
-
 def test_diffs_match_fd():
-    rng = np.random.default_rng(5)
-    switch_rng = np.random.default_rng(55)
+    # both sides of SMALL_ANGLE = 1e-4, for the step's v and the update's u, and
+    # a large step; the random draws are in the acceptance Jacobian sweep
+    rng = np.random.default_rng(55)
     for man in make_manifolds():
-        cases = [
-            (random_point(man, rng), 0.6 * rng.standard_normal(man.dim),
-             0.6 * rng.standard_normal(man.control_dim))
-            for _ in range(150)
-        ]
-        # both sides of SMALL_ANGLE = 1e-4, for the step's v and the update's u
         for norm in (5e-5, 2e-4, 2.5):
             for _ in range(10):
-                x = random_point(man, switch_rng)
-                v = with_norm(switch_rng, man.control_dim, norm)
-                cases.append((x, with_norm(switch_rng, man.dim, norm), v))
-        for x, u, v in cases:
-            assert_diffs_match_fd(
-                man, x, u, v, f"{man} |u|={np.linalg.norm(u):.1e} |v|={np.linalg.norm(v):.1e}"
-            )
+                x = random_point(man, rng)
+                v = with_norm(rng, man.control_dim, norm)
+                u = with_norm(rng, man.dim, norm)
+                msg = f"{man} |u|=|v|={norm:.1e}"
+                assert_close(man.diff_u(x, u)[1], fd_diff_u(man, x, u), tol=1e-5,
+                             msg=f"diff_u {msg}")
+                for got, want, what in zip(man.diff_v(x, v)[1:], fd_step_pair(man, x, v), "xv"):
+                    assert_close(got, want, tol=1e-5, msg=f"diff_v G_{what} {msg}")
 
 
 def test_dimension_errors():
@@ -188,66 +176,12 @@ def test_validate_point():
         Sphere2(1.0).validate_point(np.array([0.0, 2.0, 0.0]))
 
 
-def test_compound_blockwise_operators():
-    man = compound(Euclidean(3), SO3())
-    rng = np.random.default_rng(6)
-    x = random_point(man, rng)
-    u = rng.standard_normal(6)
-    y = man.boxplus(x, u)
-    assert np.allclose(y[:3], x[:3] + u[:3])
-    assert np.allclose(
-        y[3:].reshape(3, 3), x[3:].reshape(3, 3) @ so3_exp(u[3:]), atol=1e-12
-    )
-    assert np.allclose(man.boxminus(y, x), u, atol=1e-12)
-
-
 def test_compound_dims_and_slices():
     man = compound(Euclidean(3), SO3(), Sphere2(9.81))
     assert (man.dim, man.control_dim, man.rep_dim) == (8, 9, 15)
     assert man.tan_slices == (slice(0, 3), slice(3, 6), slice(6, 8))
     assert man.ctrl_slices == (slice(0, 3), slice(3, 6), slice(6, 9))
     assert man.rep_slices == (slice(0, 3), slice(3, 12), slice(12, 15))
-
-
-def test_compound_block_diagonal_exact():
-    man = compound(Euclidean(2), SO3(), Sphere2(1.0))
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x = random_point(man, rng)
-        u = 0.5 * rng.standard_normal(man.dim)
-        v = 0.5 * rng.standard_normal(man.control_dim)
-        _, du = man.diff_u(x, u)
-        _, gx, gv = man.diff_v(x, v)
-        for i, ts_i in enumerate(man.tan_slices):
-            for j, (ts_j, cs_j) in enumerate(zip(man.tan_slices, man.ctrl_slices)):
-                if i != j:
-                    assert np.all(du[ts_i, ts_j] == 0.0)
-                    assert np.all(gx[ts_i, ts_j] == 0.0)
-                    assert np.all(gv[ts_i, cs_j] == 0.0)
-
-
-def test_compound_diffs_match_fd():
-    man = compound(Euclidean(2), SO3(), Sphere2(9.81))
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        x = random_point(man, rng)
-        u = 0.5 * rng.standard_normal(man.dim)
-        v = 0.5 * rng.standard_normal(man.control_dim)
-        assert_diffs_match_fd(man, x, u, v)
-
-
-def test_compound_single_child_matches_child():
-    child = Sphere2(3.0)
-    man = compound(child)
-    rng = np.random.default_rng(9)
-    x = random_point(child, rng)
-    u = rng.standard_normal(2)
-    v = rng.standard_normal(3)
-    assert np.array_equal(man.boxplus(x, u), child.boxplus(x, u))
-    assert np.array_equal(man.oplus(x, v), child.oplus(x, v))
-    for got, want in zip((*man.diff_u(x, u), *man.diff_v(x, v)),
-                         (*child.diff_u(x, u), *child.diff_v(x, v))):
-        assert np.allclose(got, want)
 
 
 def _part_points(p, x, u, v):
@@ -296,6 +230,7 @@ def test_compound_matches_its_parts_bitwise():
         compound(Euclidean(2), SO3(), Euclidean(1), Sphere2(9.81), Euclidean(3)),
         compound(Euclidean(2), Euclidean(3)),
         compound(SO3(), Sphere2(1.0), SO3()),
+        compound(Sphere2(3.0)),
         state_manifold(),
     ):
         for norm in (0.0, 5e-5, 2e-4, 2.5):
