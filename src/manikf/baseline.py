@@ -16,13 +16,15 @@ the 23-dim tangent space, with P mapped there by ``tangent_cov``.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .filter import SystemModel
 from .lidar_inertial import GRAVITY, NOISE_DIM, REP, TAN, TANGENT_DIM, scan_residuals
 from .manifolds import Euclidean, compound
-from .so3 import cross_rows, skew, so3_log
-from .sphere import sphere_basis
+from .so3 import dot_rows, so3_log
+from .sphere import _basis_stack
 
 # the R^26 layout is read off a compound, as REP is; the model runs on one
 # Euclidean(STATE_DIM), which is cheaper per call than the compound
@@ -33,16 +35,28 @@ N_CONSTRAINTS = 3
 CONSTRAINT_SIGMA = 1e-3  # pseudo-measurement noise of the constraint rows
 
 
-def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a (not necessarily unit) quaternion, (w^2 - v^T v) I +
-    2 v v^T + 2 w skew(v), each entry computed as that sum is, on Python floats."""
-    w, x, y, z = q.tolist()
-    s = w * w - float(q[1:].dot(q[1:]))  # the sum v @ v takes
+def _rot_rows(w, x, y, z, s):
+    """The rows of R(q) = (w^2 - v^T v) I + 2 v v^T + 2 w skew(v) for
+    s = w^2 - v^T v, each entry summed as that sum is, on floats or on arrays."""
     w2, xy, xz, yz = 2.0 * w, 2.0 * (x * y), 2.0 * (x * z), 2.0 * (y * z)
     o, d = s * 0.0, w2 * 0.0  # s I off the diagonal, 2 w skew(v) on it
-    return np.array([[(s + 2.0 * (x * x)) + d, (o + xy) - w2 * z, (o + xz) + w2 * y],
-                     [(o + xy) + w2 * z, (s + 2.0 * (y * y)) + d, (o + yz) - w2 * x],
-                     [(o + xz) - w2 * y, (o + yz) + w2 * x, (s + 2.0 * (z * z)) + d]])
+    return [[(s + 2.0 * (x * x)) + d, (o + xy) - w2 * z, (o + xz) + w2 * y],
+            [(o + xy) + w2 * z, (s + 2.0 * (y * y)) + d, (o + yz) - w2 * x],
+            [(o + xz) - w2 * y, (o + yz) + w2 * x, (s + 2.0 * (z * z)) + d]]
+
+
+def quat_to_rot(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix of a (not necessarily unit) quaternion, on Python floats."""
+    w, x, y, z = q.tolist()
+    s = w * w - float(q[1:].dot(q[1:]))  # the sum v @ v takes
+    return np.array(_rot_rows(w, x, y, z, s))
+
+
+def _quat_to_rot_stack(q: np.ndarray) -> np.ndarray:
+    """quat_to_rot of each row of a (..., 4) stack, bit for bit (BENCH_32.json)."""
+    v = q[..., 1:]
+    rows = _rot_rows(*np.moveaxis(q, -1, 0), q[..., 0] * q[..., 0] - dot_rows(v, v))
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def rot_to_quat(r: np.ndarray) -> np.ndarray:
@@ -53,32 +67,37 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
     return np.concatenate([[np.cos(t)], np.sinc(t / np.pi) * half])
 
 
-def _xi(q: np.ndarray) -> np.ndarray:
-    """d(q * [0, w])/dw: 4x3 matrix with q_dot = 0.5 * xi(q) w, the rows -v^T
-    over w I + skew(v), each entry computed as that sum is, on Python floats."""
-    w, x, y, z = q.tolist()
+def _xi_rows(w, x, y, z):
+    """The rows of d(q * [0, w])/dw, 4x3 with q_dot = 0.5 * xi(q) w: -v^T over
+    w I + skew(v), each entry summed as that sum is, on floats or on arrays."""
     d, o = w + 0.0, w * 0.0  # w I on and off the diagonal, plus skew(v)'s zero or entry
-    return np.array([[-x, -y, -z], [d, o - z, o + y], [o + z, d, o - x], [o - y, o + x, d]])
+    return [[-x, -y, -z], [d, o - z, o + y], [o + z, d, o - x], [o - y, o + x, d]]
+
+
+def _xi(q: np.ndarray) -> np.ndarray:
+    """xi(q) of one quaternion, on Python floats."""
+    return np.array(_xi_rows(*q.tolist()))
+
+
+def _xi_stack(q: np.ndarray) -> np.ndarray:
+    """_xi of each row of a (..., 4) stack, bit for bit (BENCH_32.json)."""
+    return np.moveaxis(np.array(_xi_rows(*np.moveaxis(q, -1, 0))), (0, 1), (-2, -1))
 
 
 def _omega(w: np.ndarray) -> np.ndarray:
-    """d(q * [0, w])/dq: 4x4 right-multiplication matrix."""
-    out = np.zeros((4, 4))
-    out[0, 1:] = -w
-    out[1:, 0] = w
-    out[1:, 1:] = -skew(w)
-    return out
+    """d(q * [0, w])/dq: 4x4 right-multiplication matrix, [0, -w^T] over
+    [w, -skew(w)], on Python floats."""
+    x, y, z = w.tolist()
+    return np.array([[0.0, -x, -y, -z], [x, -0.0, z, -y], [y, -z, -0.0, x], [z, y, -x, -0.0]])
 
 
-def _rows_drot_dq(q: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Batched u_i^T d(R(q) s_i)/dq, shape (m, 4), for the quadratic (non-unit) R(q)."""
-    w, v = q[0], q[1:]
-    us = np.einsum("ij,ij->i", u, s)
-    uxs = cross_rows(u, s)
-    out = np.empty((u.shape[0], 4))
-    out[:, 0] = 2.0 * (w * us - uxs @ v)  # u . (v x s) = -v . (u x s)
-    out[:, 1:] = 2.0 * ((u @ v)[:, None] * s + (s @ v)[:, None] * u - us[:, None] * v - w * uxs)
-    return out
+def _drot_dq(q: np.ndarray) -> np.ndarray:
+    """dR(q)/dq, shape (3, 3, 4), entry [i, j, k] = dR_ij/dq_k, of the quadratic
+    (non-unit) R(q); each entry is +-2 times a component, on Python floats."""
+    w, x, y, z = [2.0 * c for c in q.tolist()]
+    return np.array([w, x, -y, -z, -z, y, x, -w, y, z, w, x,
+                     z, y, x, w, w, -x, y, -z, -x, -w, z, y,
+                     -y, z, -w, x, x, w, z, y, w, -x, -y, z]).reshape(3, 3, 4)
 
 
 def from_manifold(x36: np.ndarray) -> np.ndarray:
@@ -90,12 +109,11 @@ def from_manifold(x36: np.ndarray) -> np.ndarray:
 
 
 def to_manifold(x26: np.ndarray) -> np.ndarray:
-    """The lidar-inertial manifold representation; quaternions are normalized."""
-    return np.concatenate([
-        quat_to_rot(x26[sl] / np.linalg.norm(x26[sl])).reshape(9)
-        if key in ("q", "q_ext") else x26[sl]
-        for key, sl in BREP.items()
-    ])
+    """The lidar-inertial manifold representation of a (..., 26) stack, q normalized."""
+    def rot(q):  # R of the normalized quaternion, as (..., 9)
+        return _quat_to_rot_stack(q / np.sqrt(dot_rows(q, q))[..., None]).reshape(*q.shape[:-1], 9)
+    return np.concatenate([rot(x26[..., sl]) if key in ("q", "q_ext") else x26[..., sl]
+                           for key, sl in BREP.items()], axis=-1)
 
 
 def initial_cov(init_sigma) -> np.ndarray:
@@ -115,30 +133,37 @@ for _key in ("p", "v", "ba", "bw", "p_ext"):
 
 
 def tangent_cov(x: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """P in the 23-dim lidar-inertial tangent space: G P G^T, where
+    """P in the 23-dim lidar-inertial tangent space, of (..., 26) and
+    (..., 26, 26) stacks: G P G^T, where
     G = d[to_manifold(x + d) boxminus to_manifold(x)]/dd is 2 xi(q)^T on unit
     quaternions, B(g)^T skew(g) / |g|^2 on gravity and I elsewhere. G drops the
     radial directions, and since boxminus compares rotations, q and -q agree."""
-    g = x[BREP["g"]]
-    G = _G_EYE.copy()
-    G[TAN["R"], BREP["q"]] = 2.0 * _xi(x[BREP["q"]]).T
-    G[TAN["R_ext"], BREP["q_ext"]] = 2.0 * _xi(x[BREP["q_ext"]]).T
-    G[TAN["g"], BREP["g"]] = sphere_basis(g).T @ skew(g) / (g @ g)
-    return G @ P @ G.T
+    g = x[..., BREP["g"]]
+    G = np.broadcast_to(_G_EYE, x.shape[:-1] + _G_EYE.shape).copy()
+    for tan, key in (("R", "q"), ("R_ext", "q_ext")):
+        G[..., TAN[tan], BREP[key]] = 2.0 * np.swapaxes(_xi_stack(x[..., BREP[key]]), -1, -2)
+    skew_g = np.zeros(g.shape + (3,))
+    skew_g[..., [2, 0, 1], [1, 2, 0]], skew_g[..., [1, 2, 0], [2, 0, 1]] = g, -g
+    # B^T C-ordered, as sphere_basis(g).T is: the product rounds by its layout
+    bt = np.ascontiguousarray(np.swapaxes(_basis_stack(g), -1, -2))
+    G[..., TAN["g"], BREP["g"]] = bt @ skew_g / dot_rows(g, g)[..., None, None]
+    return G @ P @ np.swapaxes(G, -1, -2)
 
 
 def normalize_state(x: np.ndarray) -> np.ndarray:
     """Project q, q_ext, g back onto their constraint sets; P is not touched."""
     out = x.copy()
     for key in ("q", "q_ext"):
-        n = np.linalg.norm(out[BREP[key]])
+        q = out[BREP[key]]
+        n = math.sqrt(q.dot(q))  # the sum np.linalg.norm takes
         if n < 1e-12:
             raise FloatingPointError(f"{key} collapsed to zero; cannot normalize")
-        out[BREP[key]] /= n
-    gn = np.linalg.norm(out[BREP["g"]])
+        q /= n
+    g = out[BREP["g"]]
+    gn = math.sqrt(g.dot(g))
     if gn < 1e-12:
         raise FloatingPointError("gravity estimate collapsed to zero")
-    out[BREP["g"]] *= GRAVITY / gn
+    g *= GRAVITY / gn
     return out
 
 
@@ -175,7 +200,7 @@ def baseline_model(augmented: bool = False) -> SystemModel:
         q = x[BREP["q"]]
         a = a_m - x[BREP["ba"]]
         out = dfx0.copy()
-        out[BREP["v"], BREP["q"]] = _rows_drot_dq(q, np.eye(3), np.tile(a, (3, 1)))
+        out[BREP["v"], BREP["q"]] = a @ _drot_dq(q)
         out[BREP["v"], BREP["ba"]] = -quat_to_rot(q)
         out[BREP["q"], BREP["q"]] = 0.5 * _omega(w_m - x[BREP["bw"]])
         out[BREP["q"], BREP["bw"]] = -0.5 * _xi(q)
@@ -205,8 +230,9 @@ def baseline_model(augmented: bool = False) -> SystemModel:
         n = len(rows.g)
         out = np.zeros((n + extra, STATE_DIM))
         out[:n, BREP["p"]] = rows.g
-        out[:n, BREP["q"]] = _rows_drot_dq(q, rows.g, s)
-        out[:n, BREP["q_ext"]] = _rows_drot_dq(q_ext, gr, rows.p_f)
+        for key, u, s_rows in (("q", rows.g, s), ("q_ext", gr, rows.p_f)):  # u_i^T d(R s_i)/dq
+            t = (u @ _drot_dq(x[BREP[key]]).reshape(3, 12)).reshape(n, 3, 4)
+            out[:n, BREP[key]] = (s_rows[:, None, :] @ t)[:, 0]
         out[:n, BREP["p_ext"]] = gr
         if augmented:
             out[n, BREP["q"]] = 2.0 * q

@@ -100,6 +100,7 @@ def run_trial(
     qmat = cfg.process_noise()
     ucfg = UpdateConfig(max_iterations=cfg.nmax)
     state = FilterState(x0, p0)
+    noise = {}  # z and R by row count, built once
 
     k_steps = traj.imu.shape[0]
     xs = np.empty((k_steps + 1,) + x0.shape)
@@ -112,9 +113,10 @@ def run_trial(
         for k, rows in enumerate(traj.features):
             state = predict(model, state, traj.imu[k], cfg.dt, qmat)
             state.x = project(state.x)
-            z = np.zeros(len(rows) + r_extra.size)
-            rdiag = np.concatenate([np.full(len(rows), cfg.sigma_feature**2), r_extra])
-            state, diag = update(model, state, z, np.diag(rdiag), ctx=rows, config=ucfg)
+            if len(rows) not in noise:
+                rdiag = np.concatenate([np.full(len(rows), cfg.sigma_feature**2), r_extra])
+                noise[len(rows)] = np.zeros(rdiag.size), np.diag(rdiag)
+            state, diag = update(model, state, *noise[len(rows)], ctx=rows, config=ucfg)
             state.x = project(state.x)
             iters.append(diag.iterations)
             k_done = k + 1
@@ -124,8 +126,7 @@ def run_trial(
 
     xs, ps = xs[: k_done + 1], ps[: k_done + 1]
     if cfg.filter == "quat":
-        ps = np.array([qb.tangent_cov(x, p) for x, p in zip(xs, ps)])
-        xs = np.array([qb.to_manifold(x) for x in xs])
+        xs, ps = qb.to_manifold(xs), qb.tangent_cov(xs, ps)
     errors = man.boxminus(traj.truth[: k_done + 1], xs)
     last = errors[-1]
     return TrialRecord(

@@ -83,15 +83,16 @@ class Euclidean(Manifold):
         if n < 1:
             raise DimensionError("Euclidean dimension must be positive")
         self.dim = self.rep_dim = self.control_dim = n
+        self._eye = np.eye(n)  # both Jacobians, which each call copies
 
     def _boxminus(self, y, x):
         return y - x
 
     def _diff_u(self, x, u):
-        return x + u, np.eye(self.dim)
+        return x + u, self._eye.copy()
 
     def _diff_v(self, x, v):
-        return self._diff_u(x, v) + (np.eye(self.dim),)
+        return x + v, self._eye.copy(), self._eye.copy()
 
     def __repr__(self):
         return f"Euclidean({self.dim})"

@@ -16,6 +16,7 @@ from .errors import ContractViolationError, CutLocusError
 from .so3 import dot_rows, mat_a, skew, so3_exp
 
 RADIUS_TOL = 1e-6  # relative norm error check_sphere accepts
+_IJK = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])  # (i, j, k) = (i, i + 1, i + 2) mod 3
 
 
 def check_sphere(x: np.ndarray, r: float) -> None:
@@ -41,19 +42,30 @@ def sphere_basis(x: np.ndarray) -> np.ndarray:
     c = max(n)
     i = n.index(c)  # the first largest, as np.argmax
     j, k = (i + 1) % 3, (i + 2) % 3
-    wj, wk, d, z = -n[k], n[j], 1.0 + c, c * 0.0  # w_i = 0; z off the diagonal of c I
-    # columns j, k of c I + skew(w) + w w^T / (1 + c), each entry summed in that
-    # order so that even the signs of zeros match; F-ordered as that column
-    # slice is, since the BLAS products that take B round differently on a
-    # C-ordered copy of the same values, and the filter's records would change
+    # F-ordered as a column slice of that rotation is, since the BLAS products
+    # that take B round differently on a C-ordered copy of the same values,
+    # and the filter's records would change
     b = np.empty((3, 2), order="F")
-    b[i, 0] = (z - wk) + 0.0 * wj / d
-    b[j, 0] = c + wj * wj / d
-    b[k, 0] = wk * wj / d + 0.0
-    b[i, 1] = (z + wj) + 0.0 * wk / d
-    b[j, 1] = z + wj * wk / d
-    b[k, 1] = c + wk * wk / d
+    (b[i, 0], b[j, 0], b[k, 0]), (b[i, 1], b[j, 1], b[k, 1]) = _basis_columns(c, -n[k], n[j])
     return b
+
+
+def _basis_columns(c, wj, wk):
+    """Rows i, j, k of columns j, k of c I + skew(w) + w w^T / (1 + c), w_i = 0, each
+    entry summed in that order so that even zero signs match; on floats or arrays."""
+    d, z = 1.0 + c, c * 0.0  # z off the diagonal of c I
+    return (((z - wk) + 0.0 * wj / d, c + wj * wj / d, wk * wj / d + 0.0),
+            ((z + wj) + 0.0 * wk / d, z + wj * wk / d, c + wk * wk / d))
+
+
+def _basis_stack(x: np.ndarray) -> np.ndarray:
+    """sphere_basis of each row of a (..., 3) stack, bit for bit but C-ordered
+    (BENCH_32.json); row p of a basis is row p - i of its (i, j, k) frame."""
+    flat = x.reshape(-1, 3)
+    n = flat / np.sqrt(dot_rows(flat, flat))[:, None]
+    i, rows = np.argmax(n, axis=1), np.arange(len(n))[:, None]
+    c, nj, nk = n[rows, _IJK[i]].T
+    return np.array(_basis_columns(c, -nk, nj)).T[rows, _IJK[-i]].reshape(x.shape + (2,))
 
 
 def sphere_boxplus(x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -75,8 +87,7 @@ def sphere_boxminus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     if np.any(same & (c < 0.0)):
         raise CutLocusError("points are antipodal; boxminus is undefined")
     w = np.divide(np.arctan2(s, c), s, out=np.zeros_like(s), where=~same)[..., None] * cx
-    b = np.array([sphere_basis(p) for p in x.reshape(-1, 3)]).reshape(x.shape[:-1] + (3, 2))
-    return (w[..., None, :] @ b)[..., 0, :]
+    return (w[..., None, :] @ _basis_stack(x))[..., 0, :]
 
 
 def sphere_oplus(x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -14,7 +14,10 @@ from manikf.baseline import (
     normalize_state,
     quat_to_rot,
     rot_to_quat,
+    _drot_dq,
+    _quat_to_rot_stack,
     _xi,
+    _xi_stack,
     tangent_cov,
     to_manifold,
 )
@@ -53,10 +56,10 @@ def _xi_reference(q):
     return np.vstack([-v, w * np.eye(3) + skew(v)])
 
 
-def test_quaternion_kernels_match_their_matrix_formulas_bitwise():
-    # non-unit and unit quaternions over six decades, w of both signs, each
-    # component set to exactly +0.0 and -0.0 in turn, and every quaternion
-    # with entries in {0, -0, 1, -1}; tobytes tells the signs of zeros apart
+def _quaternion_sweep():
+    """Non-unit and unit quaternions over six decades, w of both signs, each
+    component set to exactly +0.0 and -0.0 in turn, and every quaternion
+    with entries in {0, -0, 1, -1}."""
     rng = np.random.default_rng(21)
     qs = rng.standard_normal((10000, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (10000, 1))
     qs[::2] /= np.linalg.norm(qs[::2], axis=1, keepdims=True)
@@ -64,9 +67,44 @@ def test_quaternion_kernels_match_their_matrix_formulas_bitwise():
         qs[i::16, k] = zero
     assert (qs[:, 0] < 0.0).sum() > 4000
     signs = np.array(list(itertools.product((0.0, -0.0, 1.0, -1.0), repeat=4)))
-    for q in np.concatenate([qs, signs]):
+    return np.concatenate([qs, signs])
+
+
+def test_quaternion_kernels_match_their_matrix_formulas_bitwise():
+    # tobytes tells the signs of zeros apart
+    for q in _quaternion_sweep():
         for got, want in ((quat_to_rot(q), _quat_to_rot_reference(q)), (_xi(q), _xi_reference(q))):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), q
+
+
+def test_stacked_quaternion_kernels_match_the_per_point_ones_bitwise():
+    # the record's stacked twins against the per-step kernels, row by row;
+    # a stack of one is the same row of a longer stack
+    qs = _quaternion_sweep()
+    for stacked, kernel in ((_quat_to_rot_stack, quat_to_rot), (_xi_stack, _xi)):
+        got = stacked(qs)
+        assert got.shape == (len(qs),) + kernel(qs[0]).shape
+        for k, q in enumerate(qs):
+            assert got[k].tobytes() == kernel(q).tobytes(), q
+        for k in (0, 17, len(qs) - 1):
+            assert stacked(qs[k:k + 1])[0].tobytes() == got[k].tobytes()
+            assert stacked(qs[k]).tobytes() == got[k].tobytes()
+        assert stacked(qs[:20].reshape(4, 5, 4)).tobytes() == got[:20].tobytes()
+
+
+def test_drot_dq_is_the_derivative_of_quat_to_rot():
+    # central differences on non-unit q, and Euler's identity for the
+    # quadratic R(q): sum_k q_k dR/dq_k = 2 R(q)
+    rng = np.random.default_rng(23)
+    for scale in (1e-2, 1.0, 3.0):
+        for _ in range(20):
+            q = scale * rng.standard_normal(4)
+            dr = _drot_dq(q)
+            assert dr.shape == (3, 3, 4)
+            jac = fd_jacobian(lambda d: quat_to_rot(q + d).reshape(9), np.zeros(4))
+            assert_close(dr.reshape(9, 4), jac, tol=1e-8, floor=1e-12 * scale * scale)
+            rot = quat_to_rot(q)
+            assert np.max(np.abs(dr @ q - 2.0 * rot)) <= 1e-14 * np.max(np.abs(rot))
 
 
 def test_rot_to_quat_roundtrip():

@@ -1,4 +1,6 @@
 """Sphere chart operators and their analytic derivatives."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from manikf.errors import ContractViolationError, CutLocusError
 from manikf.manifolds import Sphere2
 from manikf.so3 import skew, so3_exp
 from manikf.sphere import (
+    _basis_stack,
     check_sphere,
     sphere_basis,
     sphere_boxminus,
@@ -78,9 +81,11 @@ def _basis_expression(x):
     return rot[:, [j, k]]
 
 
-def test_basis_matches_matrix_expression():
-    # bitwise, signs of zeros included, and F-ordered as the column slice is:
-    # the BLAS products that take B round differently on a C-ordered copy
+def _switch_points():
+    """Points where sphere_basis switches its axis or sign: random points,
+    each axis and its antipode with signed zeros and offsets down to 1e-15,
+    ties between components and points an ulp off them, negative and zeroed
+    dominant components."""
     rng = np.random.default_rng(11)
     points = []
     for r in (1e-3, 1.0, 9.81):
@@ -103,10 +108,38 @@ def test_basis_matches_matrix_expression():
             z[rng.integers(3)] = zero
             points.append(z)
     points.append(-np.ones(3))
-    for x in points:
+    for tie in ([1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+                [-0.0, -1.0, -1.0], [-1.0, -0.0, -0.0]):
+        for x in (np.array(tie), -np.array(tie)):
+            points += [x, 9.81 * x]
+            for k, to in itertools.product(range(3), (-np.inf, np.inf)):
+                off = x.copy()
+                off[k] = np.nextafter(off[k], to)
+                points.append(off)
+    return points
+
+
+def test_basis_matches_matrix_expression():
+    # bitwise, signs of zeros included, and F-ordered as the column slice is:
+    # the BLAS products that take B round differently on a C-ordered copy
+    for x in _switch_points():
         got, want = sphere_basis(x), _basis_expression(x)
         assert got.shape == (3, 2) and got.flags.f_contiguous, x
         assert got.tobytes() == want.tobytes(), x
+
+
+def test_stacked_basis_matches_sphere_basis_bitwise():
+    # the record's stacked twin against the per-step kernel, row by row; a
+    # stack of one is the same row of a longer stack
+    points = np.array(_switch_points())
+    got = _basis_stack(points)
+    assert got.shape == (len(points), 3, 2)
+    for x, b in zip(points, got):
+        assert b.tobytes() == sphere_basis(x).tobytes(), x
+    for k in (0, 17, len(points) - 1):
+        assert _basis_stack(points[k:k + 1])[0].tobytes() == got[k].tobytes()
+        assert _basis_stack(points[k]).tobytes() == got[k].tobytes()
+    assert _basis_stack(points[:20].reshape(4, 5, 3)).tobytes() == got[:20].tobytes()
 
 
 def test_boxplus_zero():

@@ -20,10 +20,11 @@ numbers print the same digests. Two lines per case:
   and covariance kernels -- errors, NEES and the final extrinsic errors --
   which a change to those kernels alone moves, by rounding.
 
-Then the digest of all estimates lines and of all metrics lines, then a
-``trajectories`` line: the digest of the generated inputs of the same three
-scenarios and trials (truth, IMU readings, and each scan row's point, normal
-and anchor), which moves only when scan or trajectory generation does.
+Then the digest of all estimates lines and of all metrics lines, the same
+for each filter's lines alone (a change to one filter moves only its two),
+then a ``trajectories`` line: the digest of the generated inputs of the same
+three scenarios and trials (truth, IMU readings, and each scan row's point,
+normal and anchor), which moves only when scan or trajectory generation does.
 
 The package is imported from the ``src/`` directory next to this script,
 with one BLAS thread, so that the digest does not depend on the thread count.
@@ -87,7 +88,9 @@ def trajectory_bytes(traj) -> bytes:
 
 
 def main() -> None:
-    totals = {"estimates": hashlib.sha256(), "metrics": hashlib.sha256()}
+    kinds = ("estimates", "metrics")
+    totals = {key: hashlib.sha256()
+              for key in kinds + tuple(f"{filt} {kind}" for filt in FILTERS for kind in kinds)}
     for name, scenario in {**SCENARIOS, **VARIANTS}.items():
         for filt in FILTERS:
             cfg = ScenarioConfig(seed=SEED, filter=filt, **scenario)
@@ -100,8 +103,9 @@ def main() -> None:
                 updates += len(rec.iterations)
             print(f"{name:18s} {filt:6s} estimates {est.hexdigest()} {relinearized:4d}/{updates}")
             print(f"{name:18s} {filt:6s} metrics   {met.hexdigest()}")
-            totals["estimates"].update(est.digest())
-            totals["metrics"].update(met.digest())
+            for kind, digest in zip(kinds, (est, met)):
+                for key in (kind, f"{filt} {kind}"):
+                    totals[key].update(digest.digest())
     for kind, total in totals.items():
         print(f"{'all ' + kind:35s} {total.hexdigest()}")
     inputs = hashlib.sha256()
