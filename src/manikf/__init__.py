@@ -2,7 +2,7 @@
 
 The package splits into a geometry layer (``so3``, ``sphere``,
 ``manifolds``), a generic filter (``filter``), concrete system models
-(``blocks``, ``lidar_inertial``, ``baseline``), and a simulation harness
+(``lidar_inertial``, ``baseline``), and a simulation harness
 (``trajectory``, ``harness``, ``cli``).
 """
 from .errors import (

@@ -52,7 +52,7 @@ def state_manifold() -> Compound:
         SO3(),  # R
         Euclidean(3),  # b_a
         Euclidean(3),  # b_w
-        Sphere2(GRAVITY),  # g
+        Sphere2(),  # g, of norm GRAVITY
         SO3(),  # R_ext
         Euclidean(3),  # p_ext
     )

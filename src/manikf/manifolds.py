@@ -28,13 +28,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import so3, sphere
-from .errors import ContractViolationError, DimensionError
+from .errors import DimensionError
 
 
 class Manifold:
     """Interface shared by all state manifolds. The public operators are defined
     here only: each checks shapes and calls a subclass's unchecked kernel,
-    ``_boxminus``, ``_diff_u``, ``_diff_v`` or ``_validate``."""
+    ``_boxminus``, ``_diff_u`` or ``_diff_v``."""
 
     dim: int  # tangent dimension
     rep_dim: int  # length of the flat point vector
@@ -59,20 +59,12 @@ class Manifold:
         self._check(x, v, self.control_dim, "velocity")
         return self._diff_v(x, v)
 
-    def validate_point(self, x: np.ndarray) -> None:
-        self._check(x)
-        self._validate(x)
-
-    def _validate(self, x: np.ndarray) -> None:
-        """Raise ContractViolationError unless the (rep_dim,) point x is on the manifold."""
-
-    def _check(self, x: np.ndarray, w: np.ndarray | None = None, n: int = 0,
-               what: str = "") -> None:
-        # operators run in the filter's hot loop: check dimensions only;
-        # validate_point also checks the (orthonormality/norm) invariants
+    def _check(self, x: np.ndarray, w: np.ndarray, n: int, what: str) -> None:
+        # operators run in the filter's hot loop: check dimensions only; diff_u
+        # and diff_v keep each point on its manifold by construction
         if x.shape != (self.rep_dim,):
             raise DimensionError(f"point must have shape ({self.rep_dim},), got {x.shape}")
-        if w is not None and w.shape != (n,):
+        if w.shape != (n,):
             raise DimensionError(f"{what} must have shape ({n},), got {w.shape}")
 
 
@@ -121,32 +113,25 @@ class SO3(Manifold):
         e = so3.so3_exp(v)
         return (self.to_matrix(x) @ e).reshape(9), e.T, so3.mat_a(v).T
 
-    def _validate(self, x):
-        so3.check_rotation(self.to_matrix(x))
-
     def __repr__(self):
         return "SO3()"
 
 
 class Sphere2(Manifold):
-    """Sphere of radius r in R^3; tangent is R^2, velocities act by rotation.
+    """A sphere in R^3; tangent is R^2, velocities act by rotation.
 
-    No chart operator reads the radius; only ``validate_point`` does. Chain
-    the derivative B(z)^T skew(z) / r^2 of boxminus(., z) at z with that of
-    z = R x, by skew(z) R = R skew(x), skew(x)^2 = x x^T - r^2 I, B(z)^T z = 0
-    and, with A = ``so3.mat_a``, Exp(w) A(w)^T = A(w). At v = 0, w = B(x) u
-    and R = Exp(w) give diff_u's J = B(z)^T A(w) B(x); at u = 0, R = Exp(v) and
-    C = B(z)^T R give diff_v's (C B(x), C A(v)^T). Both return z = R x.
+    Each operator keeps the norm r = |x| of the point it is given, so the
+    manifold stores no radius. Chain the derivative B(z)^T skew(z) / r^2 of
+    boxminus(., z) at z with that of z = R x, by skew(z) R = R skew(x),
+    skew(x)^2 = x x^T - r^2 I, B(z)^T z = 0 and, with A = ``so3.mat_a``,
+    Exp(w) A(w)^T = A(w). At v = 0, w = B(x) u and R = Exp(w) give diff_u's
+    J = B(z)^T A(w) B(x); at u = 0, R = Exp(v) and C = B(z)^T R give
+    diff_v's (C B(x), C A(v)^T). Both return z = R x.
     """
 
     dim = 2
     rep_dim = 3
     control_dim = 3
-
-    def __init__(self, radius: float):
-        if not radius > 0.0:
-            raise ContractViolationError("sphere radius must be positive")
-        self.radius = float(radius)
 
     def _boxminus(self, y, x):
         return sphere.sphere_boxminus(y, x)
@@ -163,11 +148,8 @@ class Sphere2(Manifold):
         c = sphere.sphere_basis(z).T @ rv
         return z, c @ sphere.sphere_basis(x), c @ so3.mat_a(v).T
 
-    def _validate(self, x):
-        sphere.check_sphere(x, self.radius)
-
     def __repr__(self):
-        return f"Sphere2({self.radius})"
+        return "Sphere2()"
 
 
 class Compound(Manifold):
@@ -224,10 +206,6 @@ class Compound(Manifold):
         for p, rs, ts, cs in self._table:
             y[rs], gx[ts, ts], gv[ts, cs] = p._diff_v(x[rs], v[cs])
         return y, gx, gv
-
-    def _validate(self, x):
-        for p, rs, _, _ in self._table:  # a Euclidean part has no invariant
-            p._validate(x[rs])
 
     def __repr__(self):
         return "Compound(" + ", ".join(repr(p) for p in self.parts) + ")"

@@ -12,20 +12,10 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolationError, CutLocusError
+from .errors import CutLocusError
 from .so3 import dot_rows, mat_a, skew, so3_exp
 
-RADIUS_TOL = 1e-6  # relative norm error check_sphere accepts
 _IJK = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])  # (i, j, k) = (i, i + 1, i + 2) mod 3
-
-
-def check_sphere(x: np.ndarray, r: float) -> None:
-    """Raise unless x lies on the sphere of radius r."""
-    if x.shape != (3,):
-        raise ContractViolationError(f"sphere point must be a 3-vector, got {x.shape}")
-    n = float(np.linalg.norm(x))
-    if abs(n - r) > RADIUS_TOL * max(r, 1.0):
-        raise ContractViolationError(f"point norm {n:.6g} != radius {r:.6g}")
 
 
 def sphere_basis(x: np.ndarray) -> np.ndarray:

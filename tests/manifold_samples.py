@@ -9,8 +9,9 @@ from manikf.manifolds import Compound, Euclidean, SO3, Sphere2
 from manikf.so3 import so3_exp
 
 
-def random_point(man, rng, near=None):
-    """A random valid point; with ``near``, one at a safe chart distance."""
+def random_point(man, rng, near=None, radius=1.0):
+    """A random valid point, its sphere parts of norm ``radius``; with ``near``,
+    one at a safe chart distance from ``near``, whose norms it keeps."""
     if isinstance(man, Euclidean):
         return rng.standard_normal(man.dim)
     if isinstance(man, SO3):
@@ -19,11 +20,11 @@ def random_point(man, rng, near=None):
         return man.boxplus(near, ball(rng, 3, 2.5))
     if isinstance(man, Sphere2):
         if near is None:
-            return with_norm(rng, 3, man.radius)
+            return with_norm(rng, 3, radius)
         return man.boxplus(near, ball(rng, 2, 2.5))
     if isinstance(man, Compound):
         if near is None:
-            return np.concatenate([random_point(p, rng) for p in man.parts])
+            return np.concatenate([random_point(p, rng, radius=radius) for p in man.parts])
         return np.concatenate(
             [
                 random_point(p, rng, near=near[sl])

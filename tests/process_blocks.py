@@ -1,4 +1,4 @@
-"""Reusable one-state process blocks in the canonical discrete form.
+"""One-state process blocks in the canonical discrete form, test models.
 
 Each block is a process-only SystemModel: a manifold with the velocity map
 f and its Jacobians, so that x_{k+1} = oplus(x_k, dt * f(x_k, u_k, w_k)),
@@ -6,16 +6,14 @@ and no measurement maps. Inputs u are block-specific (rates, camera
 twists, ...); none of these demonstration blocks carries process noise, so
 ``predict`` takes them with a 0 x 0 Q.
 """
-from __future__ import annotations
-
 from typing import Callable
 
 import numpy as np
 
-from .filter import SystemModel
-from .manifolds import Euclidean, SO3, Sphere2, compound
-from .so3 import skew
-from .sphere import sphere_basis
+from manikf.filter import SystemModel
+from manikf.manifolds import Euclidean, SO3, Sphere2, compound
+from manikf.so3 import skew
+from manikf.sphere import sphere_basis
 
 
 def _no_noise(l: int) -> Callable:
@@ -42,20 +40,20 @@ def block_attitude_body() -> SystemModel:
     )
 
 
-def block_gravity_global(radius: float = 9.81) -> SystemModel:
+def block_gravity_global() -> SystemModel:
     """Constant-magnitude vector fixed in the global frame: f = 0."""
     return SystemModel(
-        manifold=Sphere2(radius),
+        manifold=Sphere2(),
         f=lambda x, u, w: np.zeros(3),
         df_dx=lambda x, u: np.zeros((3, 2)),
         df_dw=_no_noise(3),
     )
 
 
-def block_gravity_body(radius: float = 9.81) -> SystemModel:
+def block_gravity_body() -> SystemModel:
     """Constant-magnitude vector seen from a body rotating at rate u: f = -u."""
     return SystemModel(
-        manifold=Sphere2(radius),
+        manifold=Sphere2(),
         f=lambda x, u, w: -np.asarray(u, dtype=float),
         df_dx=lambda x, u: np.zeros((3, 2)),
         df_dw=_no_noise(3),
@@ -76,7 +74,7 @@ def block_bearing_landmark(
     rho_dot = -x^T v / d'(rho), so the reconstructed global landmark
     R_C (x d(rho)) + p_C is constant for exact camera motion.
     """
-    man = compound(Sphere2(1.0), Euclidean(1))
+    man = compound(Sphere2(), Euclidean(1))
 
     def f(state, u, w):
         x, rho = state[:3], state[3]

@@ -9,12 +9,13 @@ Each check carries an explicit wall-clock budget.
 
 The Jacobian sweep is the suite's one random finite-difference check of
 each analytic Jacobian. It takes 500 random draws of each input (250 of
-each baseline constraint mode): the chart Jacobians of R^4, SO(3), S^2, a
-three-part compound and the one-part compound(Sphere2(3.0)); the
-lidar-inertial f and h on plane, edge and mixed scans; the baseline's f and
-h in both constraint modes, every other state on the q and g constraint
-sets and the others off them; and every process block, the bearing block
-with the default linear depth and with d = d' = d'' = exp.
+each baseline constraint mode): the chart Jacobians of R^4, SO(3), S^2
+(points of norm 9.81), a three-part compound and the one-part
+compound(Sphere2()) (points of norm 3); the lidar-inertial f and h on
+plane, edge and mixed scans; the baseline's f and h in both constraint
+modes, every other state on the q and g constraint sets and the others off
+them; and every process block of the test module ``process_blocks``, the
+bearing block with the default linear depth and with d = d' = d'' = exp.
 """
 import dataclasses
 import time
@@ -22,13 +23,6 @@ import time
 import numpy as np
 import pytest
 
-from manikf.blocks import (
-    block_attitude_body,
-    block_attitude_global,
-    block_bearing_landmark,
-    block_gravity_body,
-    block_gravity_global,
-)
 from manikf.baseline import BREP, N_CONSTRAINTS, baseline_model, from_manifold
 from manikf.baseline import NOISE_DIM as B_NOISE_DIM
 from manikf.baseline import STATE_DIM as B_STATE_DIM
@@ -51,6 +45,13 @@ from helpers import (
     random_li_state,
     random_scan,
 )
+from process_blocks import (
+    block_attitude_body,
+    block_attitude_global,
+    block_bearing_landmark,
+    block_gravity_body,
+    block_gravity_global,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +61,12 @@ from helpers import (
 def test_operator_identities_bulk():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
-    manifolds = (Euclidean(3), SO3(), Sphere2(9.81))
+    manifolds = (Euclidean(3), SO3(), Sphere2())
     for man in manifolds:
         bplus, bminus = man.boxplus, man.boxminus
         zero = np.zeros(man.dim)
         for _ in range(10_000):
-            x = random_point(man, rng)
+            x = random_point(man, rng, radius=9.81)
             u = random_tangent(man, rng)
             # boxplus(x, 0) = x
             assert np.max(np.abs(bplus(x, zero) - x)) < 1e-9
@@ -98,11 +99,13 @@ def test_all_jacobians_match_finite_differences():
     rng = np.random.default_rng(99)
     points = 500
 
-    # chart Jacobians of all manifolds, including a compound state
-    for man in (Euclidean(4), SO3(), Sphere2(9.81),
-                compound(Euclidean(2), SO3(), Sphere2(1.0)), compound(Sphere2(3.0))):
+    # chart Jacobians of all manifolds, including a compound state; each with
+    # the radius of its sphere points
+    for man, radius in ((Euclidean(4), 1.0), (SO3(), 1.0), (Sphere2(), 9.81),
+                        (compound(Euclidean(2), SO3(), Sphere2()), 1.0),
+                        (compound(Sphere2()), 3.0)):
         for _ in range(points):
-            x = random_point(man, rng)
+            x = random_point(man, rng, radius=radius)
             u = 0.3 * rng.standard_normal(man.dim)
             v = 0.3 * rng.standard_normal(man.control_dim)
             _check_jac(man.diff_u(x, u)[1], fd_diff_u(man, x, u), f"diff_u {type(man).__name__}")
@@ -148,22 +151,22 @@ def test_all_jacobians_match_finite_differences():
                        "baseline dh_dx")
             assert_additive_noise(bmodel.h, x, rows, nv)
 
-    # process blocks
+    # process blocks, gravity of norm 9.81 and unit bearings
     blocks = (
-        (block_attitude_global(), lambda: rng.standard_normal(3)),
-        (block_attitude_body(), lambda: rng.standard_normal(3)),
-        (block_gravity_global(), lambda: rng.standard_normal(3)),
-        (block_gravity_body(), lambda: rng.standard_normal(3)),
-        (block_bearing_landmark(), lambda: (rng.standard_normal(3),
-                                            rng.standard_normal(3))),
+        (block_attitude_global(), 1.0, lambda: rng.standard_normal(3)),
+        (block_attitude_body(), 1.0, lambda: rng.standard_normal(3)),
+        (block_gravity_global(), 9.81, lambda: rng.standard_normal(3)),
+        (block_gravity_body(), 9.81, lambda: rng.standard_normal(3)),
+        (block_bearing_landmark(), 1.0, lambda: (rng.standard_normal(3),
+                                                 rng.standard_normal(3))),
         # a depth map whose d'' is not zero
-        (block_bearing_landmark(d=np.exp, d_prime=np.exp, d_second=np.exp),
+        (block_bearing_landmark(d=np.exp, d_prime=np.exp, d_second=np.exp), 1.0,
          lambda: (rng.standard_normal(3), rng.standard_normal(3))),
     )
-    for blk, draw_u in blocks:
+    for blk, radius, draw_u in blocks:
         bman = blk.manifold
         for _ in range(points):
-            x = random_point(bman, rng)
+            x = random_point(bman, rng, radius=radius)
             u = draw_u()
             w = np.zeros(blk.df_dw(x, u).shape[1])
             fx = lambda e: np.asarray(blk.f(bman.boxplus(x, e), u, w))

@@ -1,18 +1,18 @@
-"""Tests for the reusable process blocks."""
+"""Tests for the process blocks, the test models of process_blocks."""
 import numpy as np
 
-from manikf.blocks import (
+from manikf.filter import FilterState, predict
+from manikf.so3 import so3_exp
+
+from helpers import assert_close
+from manifold_samples import with_norm
+from process_blocks import (
     block_attitude_body,
     block_attitude_global,
     block_bearing_landmark,
     block_gravity_body,
     block_gravity_global,
 )
-from manikf.filter import FilterState, predict
-from manikf.so3 import so3_exp
-
-from helpers import assert_close
-from manifold_samples import with_norm
 
 
 def _step(block, x, u, dt):
@@ -37,7 +37,7 @@ def test_attitude_global_matches_body():
 
 def test_gravity_blocks_preserve_norm():
     rng = np.random.default_rng(8)
-    for blk in (block_gravity_global(9.81), block_gravity_body(9.81)):
+    for blk in (block_gravity_global(), block_gravity_body()):
         g = 9.81 * with_norm(rng, 3)
         for _ in range(200):
             g = _step(blk, g, rng.standard_normal(3), 0.01)
@@ -47,7 +47,7 @@ def test_gravity_blocks_preserve_norm():
 def test_gravity_body_tracks_rotating_frame():
     # constant body rate omega: the body-frame gravity direction must follow
     # R(t)^T g0 with R integrating the same rate
-    blk = block_gravity_body(9.81)
+    blk = block_gravity_body()
     rng = np.random.default_rng(10)
     omega = np.array([0.3, -0.5, 0.8])
     g0 = 9.81 * with_norm(rng, 3)

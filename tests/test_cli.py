@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +186,13 @@ def test_all_failed_runs_write_strict_json(tmp_path, monkeypatch):
     summary = strict(out / "compare.json")
     assert summary["failures"] == 2
     assert summary["win_rate"] is None and summary["median_drift_ratio"] is None
+
+
+def test_the_cli_loads_every_module_of_the_package():
+    # code only the tests run belongs under tests/, not in the package
+    src = Path(cli.__file__).parent
+    code = "import sys, manikf.cli; print(*(m for m in sys.modules if m.split('.')[0] == 'manikf'))"
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert {m.partition(".")[2] or "__init__" for m in out} == {p.stem for p in src.glob("*.py")}
