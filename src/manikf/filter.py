@@ -111,7 +111,7 @@ def predict(
     if Q.shape != (q, q):
         raise DimensionError(f"Q must be {(q, q)}, got {Q.shape}")
     dx = dt * np.asarray(model.f(state.x, u, np.zeros(q)), dtype=float)
-    if not np.all(np.isfinite(dx)):
+    if not np.isfinite(dx).all():
         raise FloatingPointError("process model returned non-finite velocity")
     x_next, gx, gf = man.diff_v(state.x, dx)
     fx = gx + dt * gf @ np.asarray(model.df_dx(state.x, u), dtype=float)
@@ -184,7 +184,8 @@ def update(
         if not np.isfinite(h_mat).all():
             raise UpdateSolverError("measurement model returned non-finite values")
         a = (w[:, None] * h_mat) @ b
-        m_mat = np.eye(n) + a.T @ a
+        m_mat = a.T @ a
+        m_mat.ravel()[:: n + 1] += 1.0  # M = I + A^T A, its diagonal raised in place
         # LAPACK's own Cholesky, as cho_factor/cho_solve call it, without their
         # wrapper cost; the factor's finiteness check replaces their check_finite
         m_fac, info = scipy.linalg.lapack.dpotrf(m_mat, lower=1, clean=0)
@@ -205,6 +206,6 @@ def update(
 
     # P+ = J' L_P M^-1 L_P^T J'^T = G G^T with G = J' (L_M^-1 L_P^T)^T.
     # BLAS trsm, as LAPACK trtrs (solve_triangular) stalled for ms with 2 BLAS threads.
+    # numpy takes g @ g.T by syrk, so P+ is exactly symmetric as it stands.
     g = jmat @ scipy.linalg.blas.dtrsm(1.0, m_fac, l_prior.T, lower=1).T
-    p_final = g @ g.T
-    return FilterState(x_next, 0.5 * (p_final + p_final.T)), UpdateDiagnostics(j, converged)
+    return FilterState(x_next, g @ g.T), UpdateDiagnostics(j, converged)

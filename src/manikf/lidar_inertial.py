@@ -159,10 +159,13 @@ def lidar_inertial_model() -> SystemModel:
         r_ext = x[REP["R_ext"]].reshape(3, 3)
         s = rows.p_f @ r_ext.T + x[REP["p_ext"]]  # feature points in the body frame
         a = rows.g @ rot  # row blocks g R
-        out = np.zeros((len(rows.g), TANGENT_DIM))
+        m = len(rows.g)
+        # rows -g R skew(s), then -g R R_ext skew(p_f), from one call
+        c = cross_rows(np.concatenate((s, rows.p_f)), np.concatenate((a, a @ r_ext)))
+        out = np.zeros((m, TANGENT_DIM))
         out[:, TAN["p"]] = rows.g
-        out[:, TAN["R"]] = cross_rows(s, a)  # rows -g R skew(s)
-        out[:, TAN["R_ext"]] = cross_rows(rows.p_f, a @ r_ext)
+        out[:, TAN["R"]] = c[:m]
+        out[:, TAN["R_ext"]] = c[m:]
         out[:, TAN["p_ext"]] = a
         return out
 

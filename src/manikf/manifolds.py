@@ -30,6 +30,9 @@ import numpy as np
 from . import so3, sphere
 from .errors import DimensionError
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False  # SO(3)'s G_x and G_v at v = 0, returned to every caller
+
 
 class Manifold:
     """Interface shared by all state manifolds. The public operators are defined
@@ -91,7 +94,12 @@ class Euclidean(Manifold):
 
 
 class SO3(Manifold):
-    """Rotation matrices, stored row-major as 9-vectors; tangent is R^3."""
+    """Rotation matrices, stored row-major as 9-vectors; tangent is R^3.
+
+    ``diff_v`` at v = 0, where Exp and A are exactly I, returns a copy of x
+    and a read-only I for G_x and G_v without building them: a process model
+    gives a static rotation (an extrinsic) an exactly zero velocity.
+    """
 
     dim = 3
     rep_dim = 9
@@ -109,6 +117,8 @@ class SO3(Manifold):
         return (self.to_matrix(x) @ so3.so3_exp(u)).reshape(9), so3.mat_a(u).T
 
     def _diff_v(self, x, v):
+        if not any(v.tolist()):  # every entry +-0: x Exp(0) = x
+            return x.copy(), _EYE3, _EYE3
         # G_x = Exp(-v) = Exp(v)^T bit for bit: _rodrigues negates only its a terms
         e = so3.so3_exp(v)
         return (self.to_matrix(x) @ e).reshape(9), e.T, so3.mat_a(v).T
@@ -126,7 +136,9 @@ class Sphere2(Manifold):
     skew(x)^2 = x x^T - r^2 I, B(z)^T z = 0 and, with A = ``so3.mat_a``,
     Exp(w) A(w)^T = A(w). At v = 0, w = B(x) u and R = Exp(w) give diff_u's
     J = B(z)^T A(w) B(x); at u = 0, R = Exp(v) and C = B(z)^T R give
-    diff_v's (C B(x), C A(v)^T). Both return z = R x.
+    diff_v's (C B(x), C A(v)^T). Both return z = R x. At v = 0, where
+    R = A(v) = I, ``diff_v`` returns a copy of x and (C C^T, C) with
+    C = B(x)^T, the same bits, from one basis and no Exp or A.
     """
 
     dim = 2
@@ -143,6 +155,9 @@ class Sphere2(Manifold):
         return z, sphere.sphere_basis(z).T @ so3.mat_a(w) @ b
 
     def _diff_v(self, x, v):
+        if not any(v.tolist()):
+            c = sphere.sphere_basis(x).T  # a read-only view, C-ordered as B(z)^T R is
+            return x.copy(), c @ c.T, c
         rv = so3.so3_exp(v)
         z = rv @ x
         c = sphere.sphere_basis(z).T @ rv

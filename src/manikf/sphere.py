@@ -16,10 +16,13 @@ from .errors import CutLocusError
 from .so3 import dot_rows, mat_a, skew, so3_exp
 
 _IJK = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])  # (i, j, k) = (i, i + 1, i + 2) mod 3
+# (bytes of x, basis) of the last basis sphere_basis built; one tuple, read and
+# replaced whole, so no thread can pair one point's bytes with another's basis
+_last = (b"", None)
 
 
 def sphere_basis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent basis B(x), shape (3, 2), with B^T x = 0.
+    """Orthonormal tangent basis B(x), shape (3, 2), with B^T x = 0; read-only.
 
     The basis is the smallest rotation carrying the axis e_i of x's largest
     component onto n = x/|x|, applied to the two remaining axes e_j, e_k.
@@ -27,7 +30,17 @@ def sphere_basis(x: np.ndarray) -> np.ndarray:
     c I + skew(w) + w w^T / (1 + c).
     The largest component of a unit vector is at least -1/sqrt(3), so
     1 + c >= 1 - 1/sqrt(3) > 0.42 and no x needs a special case.
+
+    B is a pure function of the 24 bytes of x, and a filter step asks for
+    the basis of one gravity estimate several times (in the process
+    Jacobian, in oplus and at the update's prior), so the last basis built
+    is kept with the bytes of its x and returned again for the same bytes.
     """
+    global _last
+    key = x.tobytes()
+    last_key, b = _last
+    if key == last_key:
+        return b
     n = (x / math.sqrt(x.dot(x))).tolist()  # the sum np.linalg.norm takes
     c = max(n)
     i = n.index(c)  # the first largest, as np.argmax
@@ -37,6 +50,8 @@ def sphere_basis(x: np.ndarray) -> np.ndarray:
     # and the filter's records would change
     b = np.empty((3, 2), order="F")
     (b[i, 0], b[j, 0], b[k, 0]), (b[i, 1], b[j, 1], b[k, 1]) = _basis_columns(c, -n[k], n[j])
+    b.flags.writeable = False
+    _last = key, b
     return b
 
 

@@ -118,11 +118,12 @@ def test_diff_u_identity_cases():
 
 
 def test_diffs_match_fd():
-    # both sides of SMALL_ANGLE = 1e-4, for the step's v and the update's u, and
-    # a large step; the random draws are in the acceptance Jacobian sweep
+    # both sides of SMALL_ANGLE = 1e-4, for the step's v and the update's u, a
+    # large step, and zero, where diff_v returns without Exp or A; the random
+    # draws are in the acceptance Jacobian sweep
     rng = np.random.default_rng(55)
     for man, radius in make_manifolds():
-        for norm in (5e-5, 2e-4, 2.5):
+        for norm in (5e-5, 2e-4, 2.5, 0.0):
             for _ in range(10):
                 x = random_point(man, rng, radius=radius)
                 v = with_norm(rng, man.control_dim, norm)

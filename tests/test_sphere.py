@@ -140,6 +140,19 @@ def test_stacked_basis_matches_sphere_basis_bitwise():
     assert _basis_stack(points[:20].reshape(4, 5, 3)).tobytes() == got[:20].tobytes()
 
 
+def test_basis_cache_returns_each_point_its_own_read_only_basis():
+    # sphere_basis keeps the last basis it built; b differs from a in its
+    # last coordinate only, so a key on fewer bytes would hand a's basis to b
+    a = np.array([0.3, -1.2, 9.7])
+    b = np.array([0.3, -1.2, 9.6])
+    for p in (a, b, a):
+        got = sphere_basis(p)
+        assert np.ascontiguousarray(got).tobytes() == _basis_stack(p[None])[0].tobytes(), p
+        assert np.max(np.abs(got.T @ p)) < 1e-12 * np.linalg.norm(p), p
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+
+
 def test_boxplus_zero():
     rng = np.random.default_rng(2)
     for r in RADII:
@@ -182,6 +195,19 @@ def test_boxminus_identity_zero():
     for r in BOXMINUS_RADII:
         x = with_norm(rng, 3, r)
         assert np.array_equal(sphere_boxminus(x, x), np.zeros(2))
+
+
+def test_boxminus_recovers_small_steps_at_every_radius():
+    # the cut-locus threshold scales with x @ x: unscaled, it would take a
+    # point of norm 1e-3 and its boxplus by 1e-5 rad for the same point
+    rng = np.random.default_rng(13)
+    for r in BOXMINUS_RADII:
+        for norm in (1e-7, 1e-6, 1e-5):
+            for _ in range(20):
+                x = with_norm(rng, 3, r)
+                u = with_norm(rng, 2, norm)
+                back = sphere_boxminus(sphere_boxplus(x, u), x)
+                assert np.linalg.norm(back - u) <= 1e-8 * norm, (r, norm)
 
 
 def test_boxminus_antipodal_raises():
