@@ -36,27 +36,28 @@ CONSTRAINT_SIGMA = 1e-3  # pseudo-measurement noise of the constraint rows
 
 
 def _rot_rows(w, x, y, z, s):
-    """The rows of R(q) = (w^2 - v^T v) I + 2 v v^T + 2 w skew(v) for
-    s = w^2 - v^T v, each entry summed as that sum is, on floats or on arrays."""
+    """The entries of R(q) = (w^2 - v^T v) I + 2 v v^T + 2 w skew(v), row by row
+    in one list, for s = w^2 - v^T v, each summed as that sum is, on floats or
+    on arrays."""
     w2, xy, xz, yz = 2.0 * w, 2.0 * (x * y), 2.0 * (x * z), 2.0 * (y * z)
     o, d = s * 0.0, w2 * 0.0  # s I off the diagonal, 2 w skew(v) on it
-    return [[(s + 2.0 * (x * x)) + d, (o + xy) - w2 * z, (o + xz) + w2 * y],
-            [(o + xy) + w2 * z, (s + 2.0 * (y * y)) + d, (o + yz) - w2 * x],
-            [(o + xz) - w2 * y, (o + yz) + w2 * x, (s + 2.0 * (z * z)) + d]]
+    return [(s + 2.0 * (x * x)) + d, (o + xy) - w2 * z, (o + xz) + w2 * y,
+            (o + xy) + w2 * z, (s + 2.0 * (y * y)) + d, (o + yz) - w2 * x,
+            (o + xz) - w2 * y, (o + yz) + w2 * x, (s + 2.0 * (z * z)) + d]
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a (not necessarily unit) quaternion, on Python floats."""
     w, x, y, z = q.tolist()
     s = w * w - float(q[1:].dot(q[1:]))  # the sum v @ v takes
-    return np.array(_rot_rows(w, x, y, z, s))
+    return np.array(_rot_rows(w, x, y, z, s)).reshape(3, 3)
 
 
 def _quat_to_rot_stack(q: np.ndarray) -> np.ndarray:
     """quat_to_rot of each row of a (..., 4) stack, bit for bit (BENCH_32.json)."""
     v = q[..., 1:]
-    rows = _rot_rows(*np.moveaxis(q, -1, 0), q[..., 0] * q[..., 0] - dot_rows(v, v))
-    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+    rows = np.array(_rot_rows(*np.moveaxis(q, -1, 0), q[..., 0] * q[..., 0] - dot_rows(v, v)))
+    return np.moveaxis(rows.reshape((3, 3) + rows.shape[1:]), (0, 1), (-2, -1))
 
 
 def rot_to_quat(r: np.ndarray) -> np.ndarray:
@@ -68,27 +69,30 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
 
 
 def _xi_rows(w, x, y, z):
-    """The rows of d(q * [0, w])/dw, 4x3 with q_dot = 0.5 * xi(q) w: -v^T over
-    w I + skew(v), each entry summed as that sum is, on floats or on arrays."""
+    """The entries of d(q * [0, w])/dw, 4x3 with q_dot = 0.5 * xi(q) w, row by
+    row in one list: -v^T over w I + skew(v), each entry summed as that sum
+    is, on floats or on arrays."""
     d, o = w + 0.0, w * 0.0  # w I on and off the diagonal, plus skew(v)'s zero or entry
-    return [[-x, -y, -z], [d, o - z, o + y], [o + z, d, o - x], [o - y, o + x, d]]
+    return [-x, -y, -z, d, o - z, o + y, o + z, d, o - x, o - y, o + x, d]
 
 
 def _xi(q: np.ndarray) -> np.ndarray:
     """xi(q) of one quaternion, on Python floats."""
-    return np.array(_xi_rows(*q.tolist()))
+    return np.array(_xi_rows(*q.tolist())).reshape(4, 3)
 
 
 def _xi_stack(q: np.ndarray) -> np.ndarray:
     """_xi of each row of a (..., 4) stack, bit for bit (BENCH_32.json)."""
-    return np.moveaxis(np.array(_xi_rows(*np.moveaxis(q, -1, 0))), (0, 1), (-2, -1))
+    rows = np.array(_xi_rows(*np.moveaxis(q, -1, 0)))
+    return np.moveaxis(rows.reshape((4, 3) + rows.shape[1:]), (0, 1), (-2, -1))
 
 
 def _omega(w: np.ndarray) -> np.ndarray:
     """d(q * [0, w])/dq: 4x4 right-multiplication matrix, [0, -w^T] over
     [w, -skew(w)], on Python floats."""
     x, y, z = w.tolist()
-    return np.array([[0.0, -x, -y, -z], [x, -0.0, z, -y], [y, -z, -0.0, x], [z, y, -x, -0.0]])
+    return np.array([0.0, -x, -y, -z, x, -0.0, z, -y,
+                     y, -z, -0.0, x, z, y, -x, -0.0]).reshape(4, 4)
 
 
 def _drot_dq(q: np.ndarray) -> np.ndarray:
@@ -189,8 +193,8 @@ def baseline_model(augmented: bool = False) -> SystemModel:
         q = x[BREP["q"]]
         out = np.zeros(STATE_DIM)
         out[BREP["p"]] = x[BREP["v"]]
-        out[BREP["v"]] = quat_to_rot(q) @ (a_m - x[BREP["ba"]] - w[0:3]) + x[BREP["g"]]
-        out[BREP["q"]] = 0.5 * _xi(q) @ (w_m - x[BREP["bw"]] - w[3:6])
+        out[BREP["v"]] = quat_to_rot(q).dot(a_m - x[BREP["ba"]] - w[0:3]) + x[BREP["g"]]
+        out[BREP["q"]] = (0.5 * _xi(q)).dot(w_m - x[BREP["bw"]] - w[3:6])
         out[BREP["ba"]] = w[6:9]
         out[BREP["bw"]] = w[9:12]
         return out
@@ -200,7 +204,7 @@ def baseline_model(augmented: bool = False) -> SystemModel:
         q = x[BREP["q"]]
         a = a_m - x[BREP["ba"]]
         out = dfx0.copy()
-        out[BREP["v"], BREP["q"]] = a @ _drot_dq(q)
+        out[BREP["v"], BREP["q"]] = a @ _drot_dq(q)  # a stack product; a.dot rounds differently
         out[BREP["v"], BREP["ba"]] = -quat_to_rot(q)
         out[BREP["q"], BREP["q"]] = 0.5 * _omega(w_m - x[BREP["bw"]])
         out[BREP["q"], BREP["bw"]] = -0.5 * _xi(q)
@@ -220,18 +224,18 @@ def baseline_model(augmented: bool = False) -> SystemModel:
         if not augmented:
             return res + v
         q, qe, g = x[BREP["q"]], x[BREP["q_ext"]], x[BREP["g"]]
-        constraints = np.array([q @ q - 1.0, g @ g - r2, qe @ qe - 1.0])
+        constraints = np.array([q.dot(q) - 1.0, g.dot(g) - r2, qe.dot(qe) - 1.0])
         return np.concatenate([res, constraints]) + v
 
     def dh_dx(x, rows):
         q, q_ext = x[BREP["q"]], x[BREP["q_ext"]]
-        gr = rows.g @ quat_to_rot(q)
-        s = rows.p_f @ quat_to_rot(q_ext).T + x[BREP["p_ext"]]
+        gr = rows.g.dot(quat_to_rot(q))
+        s = rows.p_f.dot(quat_to_rot(q_ext).T) + x[BREP["p_ext"]]
         n = len(rows.g)
         out = np.zeros((n + extra, STATE_DIM))
         out[:n, BREP["p"]] = rows.g
         for key, u, s_rows in (("q", rows.g, s), ("q_ext", gr, rows.p_f)):  # u_i^T d(R s_i)/dq
-            t = (u @ _drot_dq(x[BREP[key]]).reshape(3, 12)).reshape(n, 3, 4)
+            t = u.dot(_drot_dq(x[BREP[key]]).reshape(3, 12)).reshape(n, 3, 4)
             out[:n, BREP[key]] = (s_rows[:, None, :] @ t)[:, 0]
         out[:n, BREP["p_ext"]] = gr
         if augmented:

@@ -9,6 +9,10 @@ with the state on any :class:`~.manifolds.Manifold` and Euclidean
 measurements. The covariance lives in the tangent space at the current
 estimate; every routine that moves the estimate also transports the
 covariance through the corresponding chart Jacobian (diff_u / diff_v).
+Every product here has 1-D or 2-D operands and is taken by ``ndarray.dot``,
+which calls the same BLAS routine as ``@`` with less dispatch and gives the
+same bits (tests/test_filter.py checks both on the step's shapes); ``@``
+stays for (..., m, n) stacks, on which ``dot`` means something else.
 """
 from __future__ import annotations
 
@@ -114,9 +118,9 @@ def predict(
     if not np.isfinite(dx).all():
         raise FloatingPointError("process model returned non-finite velocity")
     x_next, gx, gf = man.diff_v(state.x, dx)
-    fx = gx + dt * gf @ np.asarray(model.df_dx(state.x, u), dtype=float)
-    fw = dt * gf @ df_dw
-    p = fx @ state.P @ fx.T + fw @ Q @ fw.T
+    fx = gx + (dt * gf).dot(np.asarray(model.df_dx(state.x, u), dtype=float))
+    fw = (dt * gf).dot(df_dw)
+    p = fx.dot(state.P).dot(fx.T) + fw.dot(Q).dot(fw.T)
     return FilterState(x_next, 0.5 * (p + p.T))
 
 
@@ -153,7 +157,7 @@ def update(
         config = UpdateConfig()
     if R.shape != (len(z), len(z)):
         raise DimensionError(f"R must be {len(z)} x {len(z)}, one row per z row, got {R.shape}")
-    var = np.diagonal(R)
+    var = R.diagonal()
     if not (var > 0.0).all() or np.count_nonzero(R) != var.size:
         raise DimensionError("R must be diagonal with positive variances")
     man = model.manifold
@@ -183,29 +187,29 @@ def update(
         h_mat = np.asarray(model.dh_dx(xj, ctx), dtype=float)
         if not np.isfinite(h_mat).all():
             raise UpdateSolverError("measurement model returned non-finite values")
-        a = (w[:, None] * h_mat) @ b
-        m_mat = a.T @ a
+        a = (w[:, None] * h_mat).dot(b)
+        m_mat = a.T.dot(a)
         m_mat.ravel()[:: n + 1] += 1.0  # M = I + A^T A, its diagonal raised in place
         # LAPACK's own Cholesky, as cho_factor/cho_solve call it, without their
         # wrapper cost; the factor's finiteness check replaces their check_finite
         m_fac, info = scipy.linalg.lapack.dpotrf(m_mat, lower=1, clean=0)
         if info != 0 or not np.isfinite(m_fac).all():
             raise UpdateSolverError("gain matrix I + A^T A could not be factorized")
-        y_next = scipy.linalg.lapack.dpotrs(m_fac, a.T @ (w * r + a @ y), lower=1)[0]
-        x_next, jmat = man.diff_u(state.x, l_prior @ y_next)
+        y_next = scipy.linalg.lapack.dpotrs(m_fac, a.T.dot(w * r + a.dot(y)), lower=1)[0]
+        x_next, jmat = man.diff_u(state.x, l_prior.dot(y_next))
         if j == config.max_iterations:
             break
         # eps = w (h(x_j) + H dxo - h(x')), the step in x_j's chart being
         # dxo = B (y' - y); half the tolerance, as eps leaves out how H and J turn
         r_next = residual(x_next)
-        e = scipy.linalg.blas.dtrsv(m_fac, a.T @ (w * (r_next - r) + a @ (y_next - y)), lower=1)
-        converged = float(e @ e) < (0.5 * CONVERGENCE_TOL) ** 2
+        e = scipy.linalg.blas.dtrsv(m_fac, a.T.dot(w * (r_next - r) + a.dot(y_next - y)), lower=1)
+        converged = float(e.dot(e)) < (0.5 * CONVERGENCE_TOL) ** 2
         if converged:
             break
-        xj, r, y, b = x_next, r_next, y_next, jmat @ l_prior
+        xj, r, y, b = x_next, r_next, y_next, jmat.dot(l_prior)
 
     # P+ = J' L_P M^-1 L_P^T J'^T = G G^T with G = J' (L_M^-1 L_P^T)^T.
     # BLAS trsm, as LAPACK trtrs (solve_triangular) stalled for ms with 2 BLAS threads.
-    # numpy takes g @ g.T by syrk, so P+ is exactly symmetric as it stands.
-    g = jmat @ scipy.linalg.blas.dtrsm(1.0, m_fac, l_prior.T, lower=1).T
-    return FilterState(x_next, g @ g.T), UpdateDiagnostics(j, converged)
+    # numpy takes g.dot(g.T) by syrk, so P+ is exactly symmetric as it stands.
+    g = jmat.dot(scipy.linalg.blas.dtrsm(1.0, m_fac, l_prior.T, lower=1).T)
+    return FilterState(x_next, g.dot(g.T)), UpdateDiagnostics(j, converged)

@@ -12,11 +12,11 @@ from .errors import UpdateSolverError
 from .filter import FilterState, UpdateConfig, predict, update
 from .lidar_inertial import (
     REP,
+    STATE_MANIFOLD,
     TAN,
     TANGENT_DIM,
     lidar_inertial_model,
     make_state,
-    state_manifold,
 )
 from .so3 import dot_rows, so3_log  # noqa: F401  perfbench's tracer wraps so3_log here
 from .trajectory import ScenarioConfig, Trajectory, generate_trajectory
@@ -85,7 +85,7 @@ def run_trial(
     cfg.validate()
     if traj is None:
         traj = generate_trajectory(cfg, trial)
-    man = state_manifold()
+    man = STATE_MANIFOLD
     x0, p0 = _init_state(man, traj.truth[0], cfg, trial)
     if cfg.filter == "quat":
         augmented = cfg.baseline_mode == "augmented"
@@ -186,7 +186,7 @@ def trial_csv_rows(record: TrialRecord) -> List[str]:
     charted relative to the trial's initial gravity estimate so truth and
     estimate share one 2-dim chart.
     """
-    man = state_manifold()
+    man = STATE_MANIFOLD
     z3, eye = np.zeros(3), np.eye(3)
     origin = make_state(z3, z3, eye, z3, z3, record.est_rep[0][REP["g"]], eye, z3)
     est_t = man.boxminus(record.est_rep, origin)

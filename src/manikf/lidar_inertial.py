@@ -20,12 +20,12 @@ import numpy as np
 
 from .errors import ContractViolationError, DimensionError
 from .filter import SystemModel
-from .manifolds import Compound, Euclidean, SO3, Sphere2, compound
+from .manifolds import Euclidean, SO3, Sphere2, compound
 from .so3 import cross_rows, skew
 from .sphere import sphere_basis
 
 GRAVITY = 9.81
-# state block names, in the order of the parts of state_manifold()
+# state block names, in the order of the parts of STATE_MANIFOLD
 BLOCKS = ("p", "v", "R", "ba", "bw", "g", "R_ext", "p_ext")
 NOISE_DIM = 12
 
@@ -43,26 +43,23 @@ class PlaneFeature:
     q: np.ndarray
 
 
-def state_manifold() -> Compound:
-    """The compound state manifold, one part per name in BLOCKS: the only
-    place the state layout is written down; REP, TAN and CTRL are read off it."""
-    return compound(
-        Euclidean(3),  # p
-        Euclidean(3),  # v
-        SO3(),  # R
-        Euclidean(3),  # b_a
-        Euclidean(3),  # b_w
-        Sphere2(),  # g, of norm GRAVITY
-        SO3(),  # R_ext
-        Euclidean(3),  # p_ext
-    )
-
-
-_LAYOUT = state_manifold()
-REP = dict(zip(BLOCKS, _LAYOUT.rep_slices))
-TAN = dict(zip(BLOCKS, _LAYOUT.tan_slices))  # the gravity error is 2-dimensional
-CTRL = dict(zip(BLOCKS, _LAYOUT.ctrl_slices))  # rows of f, the oplus velocity
-TANGENT_DIM = _LAYOUT.dim
+# The compound state manifold, one part per name in BLOCKS: the only place
+# the state layout is written down; REP, TAN and CTRL are read off it. It
+# holds only the layout, so every model and trial shares it.
+STATE_MANIFOLD = compound(
+    Euclidean(3),  # p
+    Euclidean(3),  # v
+    SO3(),  # R
+    Euclidean(3),  # b_a
+    Euclidean(3),  # b_w
+    Sphere2(),  # g, of norm GRAVITY
+    SO3(),  # R_ext
+    Euclidean(3),  # p_ext
+)
+REP = dict(zip(BLOCKS, STATE_MANIFOLD.rep_slices))
+TAN = dict(zip(BLOCKS, STATE_MANIFOLD.tan_slices))  # the gravity error is 2-dimensional
+CTRL = dict(zip(BLOCKS, STATE_MANIFOLD.ctrl_slices))  # rows of f, the oplus velocity
+TANGENT_DIM = STATE_MANIFOLD.dim
 
 
 def make_state(p, v, R, ba, bw, g, R_ext, p_ext) -> np.ndarray:
@@ -100,7 +97,7 @@ class ScanRows:
 
 def scan_residuals(rot, r_ext, p, p_ext, rows: ScanRows) -> np.ndarray:
     """Residual rows g_i (R (R_ext p_f + p_ext) + p - q) of a scan."""
-    w = (rows.p_f @ r_ext.T + p_ext) @ rot.T + p - rows.q
+    w = (rows.p_f.dot(r_ext.T) + p_ext).dot(rot.T) + p - rows.q
     return np.einsum("ij,ij->i", rows.g, w)
 
 
@@ -112,7 +109,7 @@ def lidar_inertial_model() -> SystemModel:
     variance s^2 is exactly s^2 per row: an edge's two rows g R R_ext share
     one point and are orthonormal.
     """
-    man = state_manifold()
+    man = STATE_MANIFOLD
     # the constant blocks of df_dx and df_dw, which each call copies
     dfx0 = np.zeros((man.control_dim, TANGENT_DIM))
     dfx0[CTRL["p"], TAN["v"]] = np.eye(3)
@@ -126,7 +123,7 @@ def lidar_inertial_model() -> SystemModel:
         rot = x[REP["R"]].reshape(3, 3)
         out = np.zeros(man.control_dim)
         out[CTRL["p"]] = x[REP["v"]]
-        out[CTRL["v"]] = rot @ (a_m - x[REP["ba"]] - w[0:3]) + x[REP["g"]]
+        out[CTRL["v"]] = rot.dot(a_m - x[REP["ba"]] - w[0:3]) + x[REP["g"]]
         out[CTRL["R"]] = w_m - x[REP["bw"]] - w[3:6]
         out[CTRL["ba"]] = w[6:9]
         out[CTRL["bw"]] = w[9:12]
@@ -137,10 +134,10 @@ def lidar_inertial_model() -> SystemModel:
         rot = x[REP["R"]].reshape(3, 3)
         g = x[REP["g"]]
         out = dfx0.copy()
-        out[CTRL["v"], TAN["R"]] = -rot @ skew(a_m - x[REP["ba"]])
+        out[CTRL["v"], TAN["R"]] = (-rot).dot(skew(a_m - x[REP["ba"]]))
         out[CTRL["v"], TAN["ba"]] = -rot
         # d(boxplus(g, dg))/d(dg) at 0
-        out[CTRL["v"], TAN["g"]] = -skew(g) @ sphere_basis(g)
+        out[CTRL["v"], TAN["g"]] = (-skew(g)).dot(sphere_basis(g))
         return out
 
     def df_dw(x, u):
@@ -157,11 +154,11 @@ def lidar_inertial_model() -> SystemModel:
     def dh_dx(x, rows):
         rot = x[REP["R"]].reshape(3, 3)
         r_ext = x[REP["R_ext"]].reshape(3, 3)
-        s = rows.p_f @ r_ext.T + x[REP["p_ext"]]  # feature points in the body frame
-        a = rows.g @ rot  # row blocks g R
+        s = rows.p_f.dot(r_ext.T) + x[REP["p_ext"]]  # feature points in the body frame
+        a = rows.g.dot(rot)  # row blocks g R
         m = len(rows.g)
         # rows -g R skew(s), then -g R R_ext skew(p_f), from one call
-        c = cross_rows(np.concatenate((s, rows.p_f)), np.concatenate((a, a @ r_ext)))
+        c = cross_rows(np.concatenate((s, rows.p_f)), np.concatenate((a, a.dot(r_ext))))
         out = np.zeros((m, TANGENT_DIM))
         out[:, TAN["p"]] = rows.g
         out[:, TAN["R"]] = c[:m]

@@ -114,14 +114,14 @@ class SO3(Manifold):
         return so3.so3_log(np.swapaxes(rx, -1, -2) @ ry)
 
     def _diff_u(self, x, u):
-        return (self.to_matrix(x) @ so3.so3_exp(u)).reshape(9), so3.mat_a(u).T
+        return self.to_matrix(x).dot(so3.so3_exp(u)).reshape(9), so3.mat_a(u).T
 
     def _diff_v(self, x, v):
         if not any(v.tolist()):  # every entry +-0: x Exp(0) = x
             return x.copy(), _EYE3, _EYE3
         # G_x = Exp(-v) = Exp(v)^T bit for bit: _rodrigues negates only its a terms
         e = so3.so3_exp(v)
-        return (self.to_matrix(x) @ e).reshape(9), e.T, so3.mat_a(v).T
+        return self.to_matrix(x).dot(e).reshape(9), e.T, so3.mat_a(v).T
 
     def __repr__(self):
         return "SO3()"
@@ -150,18 +150,18 @@ class Sphere2(Manifold):
 
     def _diff_u(self, x, u):
         b = sphere.sphere_basis(x)
-        w = b @ u
-        z = so3.so3_exp(w) @ x
-        return z, sphere.sphere_basis(z).T @ so3.mat_a(w) @ b
+        w = b.dot(u)
+        z = so3.so3_exp(w).dot(x)
+        return z, sphere.sphere_basis(z).T.dot(so3.mat_a(w)).dot(b)
 
     def _diff_v(self, x, v):
         if not any(v.tolist()):
             c = sphere.sphere_basis(x).T  # a read-only view, C-ordered as B(z)^T R is
-            return x.copy(), c @ c.T, c
+            return x.copy(), c.dot(c.T), c
         rv = so3.so3_exp(v)
-        z = rv @ x
-        c = sphere.sphere_basis(z).T @ rv
-        return z, c @ sphere.sphere_basis(x), c @ so3.mat_a(v).T
+        z = rv.dot(x)
+        c = sphere.sphere_basis(z).T.dot(rv)
+        return z, c.dot(sphere.sphere_basis(x)), c.dot(so3.mat_a(v).T)
 
     def __repr__(self):
         return "Sphere2()"

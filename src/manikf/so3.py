@@ -5,7 +5,11 @@ rotations 3x3 matrices; ``so3_log`` and ``check_rotation`` also take
 (..., 3, 3) stacks. All closed forms switch to Taylor series below
 ``SMALL_ANGLE``, as they divide by the angle. The per-step kernels run on
 Python floats (``tolist``, ``math``), which round as numpy's float64 scalars
-do at a fraction of their call cost.
+do at a fraction of their call cost, and build their small matrices from a
+flat list. Across the package a product of 1-D or 2-D operands is taken by
+``ndarray.dot``, which calls the same BLAS routine as ``@`` with less
+dispatch and gives the same bits; a product of (..., m, n) stacks keeps
+``@``, since ``dot`` pairs the axes of stacks differently.
 """
 from __future__ import annotations
 
@@ -24,26 +28,22 @@ _I3 = np.eye(3)
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix of a 3-vector: skew(v) @ w == cross(v, w)."""
     x, y, z = v.tolist()
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.array([0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(3, 3)
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a_i x b_i of two (m, 3) arrays; np.cross costs 2-3x more."""
     (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
 
 
 def _rodrigues(w: np.ndarray, a: float, b: float) -> np.ndarray:
     """I + a*skew(w) + b*skew(w)^2 without forming the skew matrices."""
     x, y, z = w.tolist()
     bxy, bxz, byz = b * x * y, b * x * z, b * y * z
-    return np.array(
-        [
-            [1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y],
-            [bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x],
-            [bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)],
-        ]
-    )
+    return np.array([1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y,
+                     bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x,
+                     bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)]).reshape(3, 3)
 
 
 def so3_exp(w: np.ndarray) -> np.ndarray:

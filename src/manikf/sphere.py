@@ -75,7 +75,7 @@ def _basis_stack(x: np.ndarray) -> np.ndarray:
 
 def sphere_boxplus(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Move x along tangent coordinates u (radians): Exp(B(x) u) x."""
-    return so3_exp(sphere_basis(x) @ u) @ x
+    return so3_exp(sphere_basis(x).dot(u)).dot(x)
 
 
 def sphere_boxminus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -97,11 +97,11 @@ def sphere_boxminus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def sphere_oplus(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate x by the rotation vector v: Exp(v) x."""
-    return so3_exp(v) @ x
+    return so3_exp(v).dot(x)
 
 
 def sphere_m(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """d(sphere_boxplus(x, u))/du, shape (3, 2)."""
     b = sphere_basis(x)
-    w = b @ u
-    return -so3_exp(w) @ skew(x) @ mat_a(w).T @ b
+    w = b.dot(u)
+    return (-so3_exp(w)).dot(skew(x)).dot(mat_a(w).T).dot(b)

@@ -53,9 +53,11 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             raise ContractViolationError(f"unknown scenario {self.scenario!r}")
         # NaN fails no sign or range check below, and inf overflows n_steps
-        for name in ("duration", "dt", "peak_rate", *SIGMAS, "init_sigma"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ContractViolationError(f"{name} must be finite")
+        names = ("duration", "dt", "peak_rate", *SIGMAS)
+        ok = np.isfinite([getattr(self, name) for name in names] + list(self.init_sigma))
+        if not ok.all():
+            names += ("init_sigma",) * len(self.init_sigma)
+            raise ContractViolationError(f"{names[np.argmin(ok)]} must be finite")
         if not (self.dt > 0.0 and self.duration >= self.dt):
             raise ContractViolationError("need dt > 0 and duration >= dt")
         for name in SIGMAS:
@@ -174,7 +176,7 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
     a_global = (v_d(t + dt) - v_d(t)) / dt  # desired v follows v_d exactly
     rots = [np.eye(3)]
     for w in dt * w_true:
-        rots.append(rots[-1] @ so3_exp(w))
+        rots.append(rots[-1].dot(so3_exp(w)))
     rots = np.array(rots)
 
     def walk(first, rates):  # first + dt rates[0] + dt rates[1] + ..., added in order

@@ -23,7 +23,7 @@ from manikf.baseline import (
 )
 from manikf.errors import ContractViolationError
 from manikf.filter import FilterState, predict
-from manikf.lidar_inertial import GRAVITY, state_manifold
+from manikf.lidar_inertial import GRAVITY, STATE_MANIFOLD
 from manikf.so3 import skew, so3_exp
 
 from helpers import (
@@ -173,7 +173,7 @@ def test_tangent_cov_is_the_boxminus_jacobian():
     # G P G^T against J P J^T, J the central differences of the tangent error
     # to_manifold(x + d) boxminus to_manifold(x); q and -q alike
     rng = np.random.default_rng(17)
-    man = state_manifold()
+    man = STATE_MANIFOLD
     for i in range(20):
         x = from_manifold(random_li_state(rng))
         if i % 2:

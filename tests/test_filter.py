@@ -18,9 +18,10 @@ from manikf.filter import (
     update,
 )
 from manikf.harness import run_trial
-from manikf.lidar_inertial import TAN, TANGENT_DIM, lidar_inertial_model, state_manifold
+from manikf.lidar_inertial import STATE_MANIFOLD, TAN, TANGENT_DIM, lidar_inertial_model
 from manikf.manifolds import SO3, Euclidean, compound
 from manikf.so3 import skew, so3_exp
+from manikf.sphere import sphere_basis
 from manikf.trajectory import ScenarioConfig
 
 from helpers import TextbookKF, assert_close, linear_model, random_li_state, random_scan
@@ -192,7 +193,7 @@ def _scan_updates(n_draws=20, rot_err=0.3, pos_err=0.1):
     under the scenario's default prior, from an estimate off the truth by
     rot_err rad in attitude and pos_err m in position (by default far outside
     the prior): (model, state, z, R, rows) per draw."""
-    model, man = lidar_inertial_model(), state_manifold()
+    model, man = lidar_inertial_model(), STATE_MANIFOLD
     sigma, p0 = 0.01, ScenarioConfig().init_cov()
     for seed in range(n_draws):
         rng = np.random.default_rng(seed)
@@ -436,7 +437,8 @@ def test_update_rejects_correlated_or_nonpositive_noise():
 
 @pytest.mark.parametrize("m", [1, 10, 23, 200])
 def test_single_linearization_matches_innovation_form(m):
-    """The square-root information gain equals the dense innovation form.
+    """The square-root information gain equals the dense innovation form,
+    at the manifold filter's 23 and the baseline's 26 tangent dimensions.
 
     Each form rounds with eps times its own condition number: cond(S) for
     S = H P H^T + R, and 1 + the largest prior/posterior variance ratio for
@@ -444,20 +446,61 @@ def test_single_linearization_matches_innovation_form(m):
     the filters' covariances, keep the two within ~3e-11 of each other, so
     1e-10 checks the algebra rather than rounding (with a unit-scale prior
     they differ by up to ~1e-8). Row variances span 1e-6 to 1.
+
+    P+ is exactly symmetric, with no 0.5 (P + P^T): numpy takes g.dot(g.T)
+    by syrk, which computes one triangle and mirrors it. A general product
+    need not be symmetric; OpenBLAS 0.3's gemm rounds the two triangles of
+    G G^T apart at n = 26, though not at 23.
     """
-    n = 23
     rng = np.random.default_rng(m)
-    for _ in range(10):
-        c = rng.standard_normal((m, n))
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        p = q @ np.diag(10.0 ** rng.uniform(-4.0, -2.0, n)) @ q.T
-        r = np.diag(10.0 ** rng.uniform(-6.0, 0.0, m))
-        x, z = rng.standard_normal(n), rng.standard_normal(m)
-        model = linear_model(np.zeros((n, n)), c)
-        out, _ = update(model, FilterState(x, p), z, r, config=UpdateConfig(max_iterations=0))
-        s = c @ p @ c.T + r
-        k = np.linalg.solve(s, c @ p).T
-        assert_close(out.x, x + k @ (z - c @ x), tol=1e-10, floor=0.0)
-        assert_close(out.P, (np.eye(n) - k @ c) @ p, tol=1e-10, floor=0.0)
-        assert np.array_equal(out.P, out.P.T)
-        np.linalg.cholesky(out.P)
+    for n in (23, 26):
+        for _ in range(10):
+            c = rng.standard_normal((m, n))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            p = q @ np.diag(10.0 ** rng.uniform(-4.0, -2.0, n)) @ q.T
+            r = np.diag(10.0 ** rng.uniform(-6.0, 0.0, m))
+            x, z = rng.standard_normal(n), rng.standard_normal(m)
+            model = linear_model(np.zeros((n, n)), c)
+            out, _ = update(model, FilterState(x, p), z, r, config=UpdateConfig(max_iterations=0))
+            s = c @ p @ c.T + r
+            k = np.linalg.solve(s, c @ p).T
+            assert_close(out.x, x + k @ (z - c @ x), tol=1e-10, floor=0.0)
+            assert_close(out.P, (np.eye(n) - k @ c) @ p, tol=1e-10, floor=0.0)
+            assert np.array_equal(out.P, out.P.T), n
+            np.linalg.cholesky(out.P)
+
+
+def test_dot_matches_matmul_bitwise_on_the_step_shapes():
+    """ndarray.dot, which the package calls for every product of 1-D or 2-D
+    operands, gives the bits of @ on the shapes and layouts a filter step
+    multiplies: 3x3 chart matrices and the F-ordered 3x2 sphere basis, the
+    23x23, 23x24 and 24x12 predict blocks (26 for the baseline), m x 23
+    measurement blocks with matrix and 1-D right operands, and the A^T A and
+    G G^T products numpy takes by syrk. A numpy or BLAS upgrade that breaks
+    this fails here, by name, before tools/record_digest.py moves."""
+    rng = np.random.default_rng(35)
+    shapes = [((3, 3), (3, 3)), ((3, 3), (3,)), ((3,), (3,)), ((3, 2), (2,)),
+              ((2, 3), (3, 3)), ((2, 3), (3, 2)), ((23, 24), (24, 23)), ((23, 24), (24, 12)),
+              ((23, 12), (12, 12)), ((23, 12), (12, 23))]
+    for n in (23, 26):
+        shapes += [((n, n), (n, n)), ((n, n), (n,)), ((n,), (n,))]
+        for m in (10, 13, 200):
+            shapes += [((m, n), (n, n)), ((m, n), (n,)), ((n, m), (m,)), ((m, 3), (3, 3))]
+    for shape_a, shape_b in shapes:
+        for _ in range(10):
+            a0, b0 = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+            for a in (np.ascontiguousarray(a0), np.asfortranarray(a0)):
+                for b in (np.ascontiguousarray(b0), np.asfortranarray(b0)):
+                    orders = (shape_a, shape_b, a.flags.c_contiguous, b.flags.c_contiguous)
+                    assert np.array_equal(a.dot(b), a @ b), orders
+    for n in (23, 26):
+        g = rng.standard_normal((n, n))
+        assert np.array_equal(g.dot(g.T), g @ g.T), n
+        for m in (10, 13, 200):
+            a = rng.standard_normal((m, n))
+            assert np.array_equal(a.T.dot(a), a.T @ a), (m, n)
+    for _ in range(50):
+        b, rot = sphere_basis(rng.standard_normal(3)), so3_exp(rng.standard_normal(3))
+        c, u = sphere_basis(rot[0]).T, rng.standard_normal(2)  # a C-ordered view of one
+        for x, y in ((b, u), (c, rot), (c, rot.T), (c.dot(rot), b), (c, c.T), (rot, b)):
+            assert np.array_equal(x.dot(y), x @ y), (x.shape, y.shape)

@@ -16,7 +16,7 @@ from manikf.harness import (
     write_summary_json,
     write_trial_csv,
 )
-from manikf.lidar_inertial import REP, TAN, TANGENT_DIM
+from manikf.lidar_inertial import REP, STATE_MANIFOLD, TAN, TANGENT_DIM
 from manikf.trajectory import ScenarioConfig
 
 from helpers import assert_close
@@ -138,7 +138,7 @@ def test_record_matches_the_per_step_reference(monkeypatch, filt, fail_at):
         "ikfom": (lambda x: x, lambda x, p: p),
         "quat": (harness.qb.to_manifold, harness.qb.tangent_cov),
     }[filt]
-    man = harness.state_manifold()
+    man = STATE_MANIFOLD
     est, errors, sigma3, nees = [], [], [], []
     for truth, (x, p) in zip(rec.truth, steps):
         xm, pt = to_manifold(x), tangent_cov(x, p)

@@ -8,13 +8,13 @@ from manikf.filter import FilterState, UpdateConfig, predict, update
 from manikf.lidar_inertial import (
     NOISE_DIM,
     REP,
+    STATE_MANIFOLD,
     TAN,
     TANGENT_DIM,
     PlaneFeature,
     ScanRows,
     lidar_inertial_model,
     scan_residuals,
-    state_manifold,
 )
 from manikf.so3 import so3_exp
 from manikf.sphere import sphere_basis
@@ -32,7 +32,7 @@ from manifold_samples import with_norm
 
 
 def test_manifold_dimensions():
-    man = state_manifold()
+    man = STATE_MANIFOLD
     assert man.dim == TANGENT_DIM == 23
     assert man.rep_dim == 36
     assert NOISE_DIM == 12
@@ -329,7 +329,7 @@ def test_filter_is_equivariant_under_a_world_rotation():
     # and df_dx share passes the FD Jacobian tests but not this one, and the
     # S^2 basis switch (on the largest component of g) must not leak in.
     qmat = so3_exp(np.array([1.4, 0.2, -0.3]))
-    model, man = lidar_inertial_model(), state_manifold()
+    model, man = lidar_inertial_model(), STATE_MANIFOLD
     config = UpdateConfig(max_iterations=2)
     for name in SCENARIOS:
         cfg = ScenarioConfig(scenario=name, duration=2.0)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from manikf.errors import DimensionError
-from manikf.lidar_inertial import GRAVITY, state_manifold
+from manikf.lidar_inertial import GRAVITY, STATE_MANIFOLD
 from manikf.manifolds import Compound, Euclidean, Manifold, SO3, Sphere2, compound
 from manikf.so3 import so3_exp
 from manikf.sphere import sphere_boxplus, sphere_oplus
@@ -150,7 +150,7 @@ def test_fused_diffs_check_the_point_shape():
     # wrong-shaped point as boxplus and oplus do
     rng = np.random.default_rng(14)
     for man, radius in make_manifolds() + [(compound(Euclidean(2), SO3(), Sphere2()), 9.81),
-                                           (state_manifold(), GRAVITY)]:
+                                           (STATE_MANIFOLD, GRAVITY)]:
         x = random_point(man, rng, radius=radius)
         u, v = np.zeros(man.dim), np.zeros(man.control_dim)
         for bad in (x[:-1], np.append(x, 0.0), x.reshape(1, -1)):
@@ -222,7 +222,7 @@ def test_compound_matches_its_parts_bitwise():
         (compound(Euclidean(2), Euclidean(3)), 1.0),
         (compound(SO3(), Sphere2(), SO3()), 1.0),
         (compound(Sphere2()), 3.0),
-        (state_manifold(), GRAVITY),
+        (STATE_MANIFOLD, GRAVITY),
     ):
         for norm in (0.0, 5e-5, 2e-4, 2.5):
             for _ in range(10):
@@ -242,7 +242,7 @@ def test_compound_matches_its_parts_bitwise():
 
 def test_boxminus_on_stacks_matches_per_point_calls():
     rng = np.random.default_rng(15)
-    for man in (state_manifold(), compound(Euclidean(2), SO3(), Sphere2(), SO3())):
+    for man in (STATE_MANIFOLD, compound(Euclidean(2), SO3(), Sphere2(), SO3())):
         x = random_point(man, rng, radius=GRAVITY)
         ys = np.array([random_point(man, rng, near=x) for _ in range(12)])
         xs = np.array([random_point(man, rng, near=y) for y in ys])

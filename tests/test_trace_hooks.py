@@ -102,7 +102,7 @@ def test_traced_chart_jacobians_count_sphere_basis():
     li = prog.lidar_inertial
     z3, eye = np.zeros(3), np.eye(3)
     x = li.make_state(z3, z3, eye, z3, z3, [0.0, 0.0, -li.GRAVITY], eye, z3)
-    man = li.state_manifold()
+    man = li.STATE_MANIFOLD
     tracer = tracing.Tracer()
     with tracer.installed(prog):
         man.diff_u(x, np.full(man.dim, 0.01))

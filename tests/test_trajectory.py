@@ -10,9 +10,9 @@ from manikf.lidar_inertial import (
     GRAVITY,
     NOISE_DIM,
     REP,
+    STATE_MANIFOLD,
     lidar_inertial_model,
     make_state,
-    state_manifold,
 )
 from manikf.so3 import so3_exp
 from manikf.trajectory import (
@@ -101,7 +101,7 @@ def test_seed_and_trial_streams_are_independent():
     one, zero = ScenarioConfig(seed=1, duration=0.1), ScenarioConfig(seed=0, duration=0.1)
     traj = generate_trajectory(one, trial=0)
     assert not np.array_equal(traj.imu, generate_trajectory(zero, trial=1).imu)
-    man, truth0 = state_manifold(), traj.truth[0]
+    man, truth0 = STATE_MANIFOLD, traj.truth[0]
     x_one, _ = _init_state(man, truth0, one, 0)
     x_zero, _ = _init_state(man, truth0, zero, 1)
     assert not np.array_equal(x_one, x_zero)
@@ -113,7 +113,7 @@ def test_zero_noise_truth_matches_model_recursion(scenario):
     # process recursion must reproduce the stored truth
     cfg = _quiet(ScenarioConfig(scenario=scenario, duration=1.0, dt=0.01))
     traj = generate_trajectory(cfg)
-    man = state_manifold()
+    man = STATE_MANIFOLD
     model = lidar_inertial_model()
     # the filter's v + dt (R (R^T (a - g)) + g) rounds differently from the
     # generator's v + dt a, except at rest, where every term is exact

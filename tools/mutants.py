@@ -6,12 +6,13 @@ Each mutant is one edit (file, old text, new text) that puts a fault into
 the code: a Jacobian block scaled by 1.001 or a term dropped, a chart
 kernel's switch point or zero-velocity branch wrong, the basis cache keyed
 on too few bytes, a step of the filter or of the trial record left out or
-taken against the wrong row. Each row also names the test expected to kill
-it. ``src/``, ``tests/``, ``perfbench/`` (whose tracer the tests load) and
-``pyproject.toml`` are copied into a temporary directory once; for each
-mutant the edit is made there and the named test runs alone on the copy,
-with one BLAS thread. The mutant is killed when that test fails; its line
-gives the test's message, so a wall-clock budget that failed instead shows.
+taken against the wrong row, the posterior's product taken without syrk.
+Each row also names the test expected to kill it. ``src/``, ``tests/``,
+``perfbench/`` (whose tracer the tests load) and ``pyproject.toml`` are
+copied into a temporary directory once; for each mutant the edit is made
+there and the named test runs alone on the copy, with one BLAS thread. The
+mutant is killed when that test fails; its line gives the test's message,
+so a wall-clock budget that failed instead shows.
 If the named test passes, the Tier-1 tests not marked slow run with ``-x``,
 and a failure counts once it recurs when its test runs alone: a test that
 passes alone failed by chance (a wall-clock budget on a busy machine), and
@@ -55,7 +56,7 @@ MUTANTS = (
     ("li dh_dx R_ext x1.001", LI,
      'out[:, TAN["R_ext"]] = c[m:]', 'out[:, TAN["R_ext"]] = 1.001 * c[m:]', SWEEP),
     ("baseline _omega row 0 x1.001", QB,
-     "[[0.0, -x, -y, -z],", "[[0.0, -1.001 * x, -1.001 * y, -1.001 * z],", SWEEP),
+     "np.array([0.0, -x, -y, -z,", "np.array([0.0, -1.001 * x, -1.001 * y, -1.001 * z,", SWEEP),
     ("baseline _drot_dq [0,0,0] x1.001", QB,
      "np.array([w, x, -y, -z, -z,", "np.array([1.001 * w, x, -y, -z, -z,", SWEEP),
     ("baseline q constraint row x1.001", QB,
@@ -74,7 +75,7 @@ MUTANTS = (
     ("SO3 zero-velocity G_v x1.001", MAN,
      "return x.copy(), _EYE3, _EYE3", "return x.copy(), _EYE3, 1.001 * _EYE3", DIFFS_FD),
     ("S2 zero-velocity G_x x1.001", MAN,
-     "return x.copy(), c @ c.T, c", "return x.copy(), 1.001 * (c @ c.T), c", DIFFS_FD),
+     "return x.copy(), c.dot(c.T), c", "return x.copy(), 1.001 * c.dot(c.T), c", DIFFS_FD),
     ("basis cache keyed on x[:2]", SPHERE,
      "key = x.tobytes()", "key = x[:2].tobytes()",
      "tests/test_sphere.py::test_basis_cache_returns_each_point_its_own_read_only_basis"),
@@ -99,9 +100,14 @@ MUTANTS = (
     ("stop rule 1/2 -> 5", FILTER,
      "< (0.5 * CONVERGENCE_TOL) ** 2", "< (5.0 * CONVERGENCE_TOL) ** 2", FIXED_POINT),
     ("posterior without J'", FILTER,
-     "g = jmat @ scipy.linalg.blas.dtrsm(", "g = scipy.linalg.blas.dtrsm(", FIXED_POINT),
+     "g = jmat.dot(scipy.linalg.blas.dtrsm(", "g = np.asarray(scipy.linalg.blas.dtrsm(",
+     FIXED_POINT),
+    # (a general product rounds the triangles of G G^T apart at n = 26)
+    ("posterior product without syrk", FILTER,
+     "FilterState(x_next, g.dot(g.T))", "FilterState(x_next, g.dot(g.T.copy()))",
+     "tests/test_filter.py::test_single_linearization_matches_innovation_form"),
     ("predict without fw Q fw^T", FILTER,
-     "p = fx @ state.P @ fx.T + fw @ Q @ fw.T", "p = fx @ state.P @ fx.T",
+     "p = fx.dot(state.P).dot(fx.T) + fw.dot(Q).dot(fw.T)", "p = fx.dot(state.P).dot(fx.T)",
      "tests/test_acceptance.py::test_linear_problem_reduces_to_textbook_kf"),
     # the trial record
     ("NEES factor lower triangle", HARNESS,
