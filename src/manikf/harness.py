@@ -42,12 +42,12 @@ class TrialRecord:
     failure: str = ""
 
 
-def _init_state(man, truth0: np.ndarray, cfg: ScenarioConfig, trial: int):
+def _init_state(truth0: np.ndarray, cfg: ScenarioConfig, trial: int):
     """Truth perturbed by a draw from the initial covariance."""
     rng = np.random.default_rng([int(cfg.seed), trial, 1])
     p0 = cfg.init_cov()
     e = rng.standard_normal(TANGENT_DIM) * np.sqrt(np.diag(p0))
-    return man.boxplus(truth0, e), p0
+    return STATE_MANIFOLD.boxplus(truth0, e), p0
 
 
 def _nees(err: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -86,7 +86,7 @@ def run_trial(
     if traj is None:
         traj = generate_trajectory(cfg, trial)
     man = STATE_MANIFOLD
-    x0, p0 = _init_state(man, traj.truth[0], cfg, trial)
+    x0, p0 = _init_state(traj.truth[0], cfg, trial)
     if cfg.filter == "quat":
         augmented = cfg.baseline_mode == "augmented"
         model = qb.baseline_model(augmented=augmented)
@@ -198,12 +198,9 @@ def trial_csv_rows(record: TrialRecord) -> List[str]:
             for c in range(sl.stop - sl.start):
                 i = sl.start + c
                 rows.append(
-                    "%d,%.*g,%s,%d,%.*g,%.*g,%.*g,%.*g"
-                    % (
-                        k, 17, t, name, c,
-                        17, truth_t[k, i], 17, est_t[k, i],
-                        17, record.errors[k, i], 17, record.sigma3[k, i],
-                    )
+                    "%d,%.17g,%s,%d,%.17g,%.17g,%.17g,%.17g"
+                    % (k, t, name, c, truth_t[k, i], est_t[k, i],
+                       record.errors[k, i], record.sigma3[k, i])
                 )
     return rows
 

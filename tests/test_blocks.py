@@ -69,26 +69,3 @@ def test_bearing_rate_tangent_for_pure_translation():
         u = (np.zeros(3), rng.standard_normal(3))
         f = blk.f(state, u, np.zeros(0))
         assert abs(f[:3] @ x) < 1e-12
-
-
-def test_landmark_reconstruction_is_constant():
-    # exact camera motion: the reconstructed global landmark R (x d(rho)) + p
-    # must stay put as the bearing/depth state evolves
-    blk = block_bearing_landmark()
-    rng = np.random.default_rng(16)
-    dt = 1e-3
-    for _ in range(5):
-        r_cam = so3_exp(rng.standard_normal(3))
-        p_cam = rng.standard_normal(3)
-        x = with_norm(rng, 3)
-        rho = rng.uniform(1.0, 4.0)
-        state = np.concatenate([x, [rho]])
-        target = r_cam @ (state[:3] * rho) + p_cam
-        omega = np.array([0.4, -0.2, 0.3])
-        v = np.array([0.5, 0.1, -0.4])
-        for _ in range(100):
-            state = _step(blk, state, (omega, v), dt)
-            r_cam = r_cam @ so3_exp(dt * omega)
-            p_cam = p_cam + dt * (r_cam @ v)
-        rebuilt = r_cam @ (state[:3] * state[3]) + p_cam
-        assert np.linalg.norm(rebuilt - target) / np.linalg.norm(target) < 1e-3

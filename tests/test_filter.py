@@ -1,5 +1,5 @@
-"""Filter-level tests: textbook Kalman equivalence, prediction charts,
-iterated-update behaviour, and failure modes."""
+"""Filter-level tests: iterated-update behaviour, the square-root gain
+against the innovation form, and failure modes."""
 import dataclasses
 from unittest import mock
 
@@ -24,41 +24,8 @@ from manikf.so3 import skew, so3_exp
 from manikf.sphere import sphere_basis
 from manikf.trajectory import ScenarioConfig
 
-from helpers import TextbookKF, assert_close, linear_model, random_li_state, random_scan
+from helpers import assert_close, linear_model, random_li_state, random_scan
 from manifold_samples import with_norm
-
-
-@pytest.mark.parametrize("nmax", [0, 1, 4])
-def test_linear_gaussian_matches_textbook(nmax):
-    rng = np.random.default_rng(7)
-    n, m, dt = 4, 2, 0.1
-    a = 0.3 * rng.standard_normal((n, n))
-    c = rng.standard_normal((m, n))
-    q = np.diag(rng.uniform(0.01, 0.1, n))
-    r = np.diag(rng.uniform(0.05, 0.2, m))
-    model = linear_model(a, c)
-    cfg = UpdateConfig(max_iterations=nmax)
-
-    p0 = np.diag(rng.uniform(0.5, 2.0, n))
-    x0 = rng.standard_normal(n)
-    state = FilterState(x0.copy(), p0.copy())
-    oracle = TextbookKF(x0, p0)
-    f_mat = np.eye(n) + dt * a
-    q_eff = dt * dt * q
-
-    for _ in range(100):
-        u = rng.standard_normal(n)
-        state = predict(model, state, u, dt, q)
-        oracle.predict(f_mat, q_eff)
-        oracle.x = oracle.x + dt * u
-        z = rng.standard_normal(m)
-        state, diag = update(model, state, z, r, config=cfg)
-        oracle.update(z, c, r)
-        assert_close(state.x, oracle.x, tol=1e-9, floor=1e-9)
-        assert_close(state.P, oracle.p, tol=1e-9, floor=1e-9)
-        # a linear h has no linearization error: the first gain is the last
-        assert diag.iterations == 0
-        assert diag.converged == (nmax > 0)
 
 
 def test_predict_zero_velocity_is_identity():
@@ -117,19 +84,6 @@ def test_h_is_checked_at_every_iterate():
             update(model, state, np.ones(2), np.eye(2))
         out, _ = update(model, state, np.ones(2), np.eye(2), config=UpdateConfig(max_iterations=0))
         assert np.isfinite(out.x).all()
-
-
-def test_diff_v_rotation_transport():
-    # moving the estimate by dx transports the error chart by Exp(-dx), which
-    # diff_v takes as Exp(dx)^T: the same bits, as Rodrigues' a terms flip sign
-    man = SO3()
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        x = man.boxplus(np.eye(3).reshape(9), rng.standard_normal(3))
-        dx = 0.5 * rng.standard_normal(3)
-        _, gx, _ = man.diff_v(x, dx)
-        assert_close(gx, so3_exp(-dx), tol=1e-12)
-        assert np.array_equal(gx, so3_exp(-dx))
 
 
 def _so3_vector_model(refs):
@@ -338,16 +292,6 @@ def test_update_respects_iteration_cap():
             UpdateConfig(max_iterations=bad)
     with pytest.raises(ValueError):
         run_trial(ScenarioConfig(scenario="circle", duration=0.05, dt=0.01, nmax=2.5))
-
-
-def test_covariance_reset_jacobian_near_identity():
-    man = SO3()
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        x = so3_exp(rng.standard_normal(3)).reshape(9)
-        dxo = 10.0 ** rng.uniform(-6, -2) * with_norm(rng, 3)
-        _, lmat = man.diff_u(x, dxo)
-        assert np.linalg.norm(lmat - np.eye(3)) <= 10.0 * np.linalg.norm(dxo)
 
 
 def test_compound_update_decouples_independent_blocks():

@@ -289,6 +289,8 @@ def test_summarize_keys_and_failure_handling(tmp_path):
 
 
 def test_csv_schema(tmp_path):
+    # one row per step and tangent component, whose t, error and sigma3 read
+    # back as the record's values bit for bit
     cfg = _short_cfg(duration=0.2)
     rec = run_trial(cfg)
     rows = trial_csv_rows(rec)
@@ -296,10 +298,13 @@ def test_csv_schema(tmp_path):
     assert len(rows) == 1 + (cfg.n_steps + 1) * 23
     fields = rows[1].split(",")
     assert fields[0] == "0" and fields[2] == "p" and fields[3] == "0"
-    for row in rows[1:]:
-        f = row.split(",")
-        assert len(f) == 8
-        float(f[1]); float(f[4]); float(f[5]); float(f[6]); float(f[7])
+    cells = [row.split(",") for row in rows[1:]]
+    assert {len(f) for f in cells} == {8}
+    table = np.array([[float(f[i]) for i in (1, 4, 5, 6, 7)] for f in cells])
+    t, _, _, err, sig = table.reshape(cfg.n_steps + 1, 23, 5).transpose(2, 0, 1)
+    assert t.tobytes() == np.repeat(rec.times[:, None], 23, axis=1).tobytes(), "t"
+    assert err.tobytes() == rec.errors.tobytes(), "error"
+    assert sig.tobytes() == rec.sigma3.tobytes(), "sigma3"
     path = tmp_path / "trial.csv"
     write_trial_csv(rec, path)
     assert path.read_text().splitlines() == rows

@@ -184,38 +184,26 @@ def test_point_on_plane_gives_zero_residual():
     assert np.max(np.abs(bres)) < 1e-10
 
 
-def test_update_with_edges_succeeds():
-    # every edge row must carry information: a rank-deficient edge projector
-    # makes the innovation matrix singular and the update fail
-    rng = np.random.default_rng(17)
-    model = lidar_inertial_model()
-    sigma = 0.02
-    for _ in range(5):
-        x = random_li_state(rng)
-        planes, edges = _features_on_map(rng, x, 10, 3)
-        rows = scan_of(planes + sum(edges, []))
-        r = sigma**2 * np.eye(len(rows.g))
-        state = FilterState(x, 0.01 * np.eye(TANGENT_DIM))
-        out, _ = update(model, state, np.zeros(len(rows.g)), r, ctx=rows)
-        np.linalg.cholesky(out.P)
-
-
 @pytest.mark.parametrize("quat", [False, True], ids=["ikfom", "quat"])
 def test_plane_and_edge_paths_agree(quat):
-    # appending an edge must leave every other row of h and dh_dx unchanged:
-    # the plane rows, and the augmented baseline's constraint rows
+    # planes, edge, plane, edge: each row of h and dh_dx of the stacked scan
+    # is that of its own plane or edge alone, and the augmented baseline's
+    # constraint rows come last
     rng = np.random.default_rng(7)
     model, extra, x = lidar_inertial_model(), 0, random_li_state(rng)
     if quat:
         model, extra, x = baseline_model(augmented=True), N_CONSTRAINTS, from_manifold(x)
-    rows_p = random_scan(rng, 6)
-    rows_m = stack_scans(rows_p, random_scan(rng, 0, 1))
-    n, n_m = len(rows_p.g), len(rows_m.g)
-    v = 0.01 * rng.standard_normal(n_m + extra)
-    keep = np.r_[0:n, n_m:n_m + extra]
-    assert_close(model.h(x, v, rows_m)[keep], model.h(x, v[keep], rows_p), tol=1e-12)
-    assert_close(model.dh_dx(x, rows_m)[keep], model.dh_dx(x, rows_p),
-                 tol=1e-12, floor=1e-14)
+    parts = [random_scan(rng, *shape) for shape in ((6, 0), (0, 1), (1, 0), (0, 1))]
+    rows = stack_scans(*parts)
+    n = len(rows)
+    v = 0.01 * rng.standard_normal(n + extra)
+    h, jac = model.h(x, v, rows), model.dh_dx(x, rows)
+    assert h.shape == (n + extra,)
+    starts = np.cumsum([0] + [len(sc) for sc in parts])
+    for sc, a, b in zip(parts, starts, starts[1:]):
+        keep = np.r_[a:b, n:n + extra]
+        assert_close(h[keep], model.h(x, v[keep], sc), tol=1e-12)
+        assert_close(jac[keep], model.dh_dx(x, sc), tol=1e-12, floor=1e-14)
 
 
 def test_process_jacobian_sparsity():
@@ -272,24 +260,6 @@ def test_edge_rows_measure_the_distance_to_the_line():
         w = rot @ (r_ext @ p_f + x[REP["p_ext"]]) + x[REP["p"]] - q
         assert res.shape == (2,)
         assert_close(res @ res, np.sum((w - (u @ w) * u) ** 2), tol=1e-12)
-
-
-def test_scan_rows_carry_their_features_geometry():
-    # plane, edge, plane, edge: each row of h and dh_dx is that of its own
-    # plane or edge alone, and an edge's two rows share its point and anchor
-    rng = np.random.default_rng(23)
-    model, x = lidar_inertial_model(), random_li_state(rng)
-    parts = [random_scan(rng, *shape) for shape in ((1, 0), (0, 1), (1, 0), (0, 1))]
-    rows = stack_scans(*parts)
-    assert rows.p_f.shape == rows.q.shape == rows.g.shape == (6, 3)
-    for i in (1, 4):
-        assert np.array_equal(rows.p_f[i], rows.p_f[i + 1])
-        assert np.array_equal(rows.q[i], rows.q[i + 1])
-    assert_close(model.h(x, np.zeros(6), rows),
-                 np.concatenate([model.h(x, np.zeros(len(sc)), sc) for sc in parts]),
-                 tol=1e-12)
-    assert_close(model.dh_dx(x, rows), np.vstack([model.dh_dx(x, sc) for sc in parts]),
-                 tol=1e-12, floor=1e-14)
 
 
 def test_measurement_jacobian_sparsity():

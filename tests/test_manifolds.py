@@ -31,35 +31,10 @@ def test_invalid_construction():
         Compound([])
 
 
-def test_euclidean_boxplus_example():
-    man = Euclidean(2)
-    assert np.allclose(man.boxplus(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [4, 6])
-
-
 def test_so3_boxplus_quarter_turn():
     man = SO3()
     out = man.boxplus(np.eye(3).reshape(9), np.array([np.pi / 2, 0, 0]))
     assert np.allclose(out.reshape(3, 3), [[1, 0, 0], [0, 0, -1], [0, 1, 0]], atol=1e-12)
-
-
-def test_so3_boxminus_inverts():
-    man = SO3()
-    rng = np.random.default_rng(0)
-    x = random_point(man, rng)
-    u = np.array([0.1, -0.2, 0.3])
-    assert np.allclose(man.boxminus(man.boxplus(x, u), x), u, atol=1e-12)
-
-
-def test_so3_oplus_equals_boxplus():
-    # both are x Exp(v), bit for bit
-    man = SO3()
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        x = random_point(man, rng)
-        v = rng.standard_normal(3)
-        want = (x.reshape(3, 3) @ so3_exp(v)).reshape(9)
-        assert man.oplus(x, v).tobytes() == want.tobytes()
-        assert man.boxplus(x, v).tobytes() == want.tobytes()
 
 
 def test_boxplus_and_oplus_are_defined_once():
@@ -79,28 +54,33 @@ def test_boxplus_and_oplus_are_defined_once():
 def test_operator_roundtrips_all_manifolds():
     rng = np.random.default_rng(2)
     for man, radius in make_manifolds():
-        for _ in range(300):
+        for _ in range(500):
             x = random_point(man, rng, radius=radius)
-            u = ball(rng, man.dim, np.pi - 1e-2)
+            assert np.array_equal(man.boxplus(x, np.zeros(man.dim)), x)
+            u = ball(rng, man.dim, np.pi - 1e-3)
             y = man.boxplus(x, u)
             assert np.allclose(man.boxminus(y, x), u, atol=1e-9)
             z = random_point(man, rng, radius=radius)
             try:
-                assert np.allclose(man.boxplus(x, man.boxminus(z, x)), z, atol=1e-8)
+                assert np.allclose(man.boxplus(x, man.boxminus(z, x)), z, atol=1e-9 * radius)
             except ArithmeticError:
                 pass  # cut-locus pair; covered by the explicit antipodal tests
 
 
 def test_closure_invariants():
+    # boxplus and oplus stay on the manifold: R^T R = I with det 1, and a
+    # sphere point keeps its norm
     rng = np.random.default_rng(3)
-    so3 = SO3()
-    sph = Sphere2()
-    for _ in range(200):
-        r = so3.boxplus(random_point(so3, rng), rng.standard_normal(3)).reshape(3, 3)
-        assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-9
-        assert abs(np.linalg.det(r) - 1.0) < 1e-9
-        x = sph.oplus(random_point(sph, rng, radius=9.81), rng.standard_normal(3))
-        assert abs(np.linalg.norm(x) - 9.81) < 1e-9 * 9.81
+    so3, sph = SO3(), Sphere2()
+    for r in (1.0, 9.81):
+        for _ in range(200):
+            rot = so3.boxplus(random_point(so3, rng), rng.standard_normal(3)).reshape(3, 3)
+            assert np.max(np.abs(rot.T @ rot - np.eye(3))) < 1e-9
+            assert abs(np.linalg.det(rot) - 1.0) < 1e-9
+            x = random_point(sph, rng, radius=r)
+            for y in (sph.boxplus(x, rng.uniform(-3.0, 3.0, 2)),
+                      sph.oplus(x, rng.standard_normal(3))):
+                assert abs(np.linalg.norm(y) - r) < 1e-9 * r
 
 
 def test_diff_u_identity_cases():
@@ -133,6 +113,19 @@ def test_diffs_match_fd():
                              msg=f"diff_u {msg}")
                 for got, want, what in zip(man.diff_v(x, v)[1:], fd_step_pair(man, x, v), "xv"):
                     assert_close(got, want, tol=1e-5, msg=f"diff_v G_{what} {msg}")
+
+
+def test_diff_v_rotation_transport():
+    # moving the estimate by dx transports the error chart by Exp(-dx), which
+    # diff_v takes as Exp(dx)^T: the same bits, as Rodrigues' a terms flip sign
+    man = SO3()
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x = man.boxplus(np.eye(3).reshape(9), rng.standard_normal(3))
+        dx = 0.5 * rng.standard_normal(3)
+        _, gx, _ = man.diff_v(x, dx)
+        assert_close(gx, so3_exp(-dx), tol=1e-12)
+        assert np.array_equal(gx, so3_exp(-dx))
 
 
 def test_dimension_errors():

@@ -79,31 +79,15 @@ def test_config_derived_quantities():
     assert np.all(np.diag(p0) > 0.0)
 
 
-def test_generation_is_deterministic():
-    cfg = ScenarioConfig(scenario="circle", seed=42, duration=1.0)
-    a = generate_trajectory(cfg, trial=3)
-    b = generate_trajectory(cfg, trial=3)
-    assert np.array_equal(a.truth, b.truth)
-    assert np.array_equal(a.imu, b.imu)
-    assert [len(fa) for fa in a.features] == [len(fb) for fb in b.features]
-    for fa, fb in zip(a.features, b.features):
-        for xa, xb in zip(fa, fb):
-            assert np.array_equal(xa.p_f, xb.p_f)
-            assert np.array_equal(xa.u_dir, xb.u_dir)
-            assert np.array_equal(xa.q, xb.q)
-    c = generate_trajectory(cfg, trial=4)
-    assert not np.array_equal(a.imu, c.imu)
-
-
 def test_seed_and_trial_streams_are_independent():
     # seed 1 trial 0 must not replay seed 0 trial 1, in the trajectory or in
-    # the initial-state draw
+    # the initial-state draw, nor seed 1 trial 1
     one, zero = ScenarioConfig(seed=1, duration=0.1), ScenarioConfig(seed=0, duration=0.1)
     traj = generate_trajectory(one, trial=0)
     assert not np.array_equal(traj.imu, generate_trajectory(zero, trial=1).imu)
-    man, truth0 = STATE_MANIFOLD, traj.truth[0]
-    x_one, _ = _init_state(man, truth0, one, 0)
-    x_zero, _ = _init_state(man, truth0, zero, 1)
+    assert not np.array_equal(traj.imu, generate_trajectory(one, trial=1).imu)
+    x_one, _ = _init_state(traj.truth[0], one, 0)
+    x_zero, _ = _init_state(traj.truth[0], zero, 1)
     assert not np.array_equal(x_one, x_zero)
 
 

@@ -6,7 +6,8 @@ Each mutant is one edit (file, old text, new text) that puts a fault into
 the code: a Jacobian block scaled by 1.001 or a term dropped, a chart
 kernel's switch point or zero-velocity branch wrong, the basis cache keyed
 on too few bytes, a step of the filter or of the trial record left out or
-taken against the wrong row, the posterior's product taken without syrk.
+taken against the wrong row, the posterior's product taken without syrk,
+the trial CSV's numbers written short of a round trip.
 Each row also names the test expected to kill it. ``src/``, ``tests/``,
 ``perfbench/`` (whose tracer the tests load) and ``pyproject.toml`` are
 copied into a temporary directory once; for each mutant the edit is made
@@ -117,6 +118,9 @@ MUTANTS = (
      "errors = man.boxminus(traj.truth[: k_done + 1], xs)",
      "errors = man.boxminus(np.roll(traj.truth[: k_done + 1], -1, axis=0), xs)",
      "tests/test_harness.py::test_zero_noise_exact_init_has_negligible_drift"),
+    ("CSV error and sigma3 at 15 digits", HARNESS,
+     '"%d,%.17g,%s,%d,%.17g,%.17g,%.17g,%.17g"', '"%d,%.17g,%s,%d,%.17g,%.17g,%.15g,%.15g"',
+     "tests/test_harness.py::test_csv_schema"),
 )
 
 
