@@ -23,7 +23,7 @@ import numpy as np
 from .filter import SystemModel
 from .lidar_inertial import GRAVITY, NOISE_DIM, REP, TAN, TANGENT_DIM, scan_residuals
 from .manifolds import Euclidean, compound
-from .so3 import dot_rows, so3_log
+from .so3 import so3_log
 from .sphere import _basis_stack
 
 # the R^26 layout is read off a compound, as REP is; the model runs on one
@@ -55,9 +55,9 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
 
 def _quat_to_rot_stack(q: np.ndarray) -> np.ndarray:
     """quat_to_rot of each row of a (..., 4) stack, bit for bit (BENCH_32.json)."""
-    v = q[..., 1:]
-    rows = np.array(_rot_rows(*np.moveaxis(q, -1, 0), q[..., 0] * q[..., 0] - dot_rows(v, v)))
-    return np.moveaxis(rows.reshape((3, 3) + rows.shape[1:]), (0, 1), (-2, -1))
+    v = q[..., 1:]  # q.T reverses the stack's axes, and rows.T restores them
+    rows = np.array(_rot_rows(*q.T, (q[..., 0] * q[..., 0] - np.vecdot(v, v)).T))
+    return rows.T.reshape(q.shape[:-1] + (3, 3))
 
 
 def rot_to_quat(r: np.ndarray) -> np.ndarray:
@@ -83,8 +83,8 @@ def _xi(q: np.ndarray) -> np.ndarray:
 
 def _xi_stack(q: np.ndarray) -> np.ndarray:
     """_xi of each row of a (..., 4) stack, bit for bit (BENCH_32.json)."""
-    rows = np.array(_xi_rows(*np.moveaxis(q, -1, 0)))
-    return np.moveaxis(rows.reshape((4, 3) + rows.shape[1:]), (0, 1), (-2, -1))
+    rows = np.array(_xi_rows(*q.T))
+    return rows.T.reshape(q.shape[:-1] + (4, 3))
 
 
 def _omega(w: np.ndarray) -> np.ndarray:
@@ -115,7 +115,7 @@ def from_manifold(x36: np.ndarray) -> np.ndarray:
 def to_manifold(x26: np.ndarray) -> np.ndarray:
     """The lidar-inertial manifold representation of a (..., 26) stack, q normalized."""
     def rot(q):  # R of the normalized quaternion, as (..., 9)
-        return _quat_to_rot_stack(q / np.sqrt(dot_rows(q, q))[..., None]).reshape(*q.shape[:-1], 9)
+        return _quat_to_rot_stack(q / np.sqrt(np.vecdot(q, q))[..., None]).reshape(*q.shape[:-1], 9)
     return np.concatenate([rot(x26[..., sl]) if key in ("q", "q_ext") else x26[..., sl]
                            for key, sl in BREP.items()], axis=-1)
 
@@ -150,7 +150,7 @@ def tangent_cov(x: np.ndarray, P: np.ndarray) -> np.ndarray:
     skew_g[..., [2, 0, 1], [1, 2, 0]], skew_g[..., [1, 2, 0], [2, 0, 1]] = g, -g
     # B^T C-ordered, as sphere_basis(g).T is: the product rounds by its layout
     bt = np.ascontiguousarray(np.swapaxes(_basis_stack(g), -1, -2))
-    G[..., TAN["g"], BREP["g"]] = bt @ skew_g / dot_rows(g, g)[..., None, None]
+    G[..., TAN["g"], BREP["g"]] = bt @ skew_g / np.vecdot(g, g)[..., None, None]
     return G @ P @ np.swapaxes(G, -1, -2)
 
 

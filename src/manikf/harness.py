@@ -18,7 +18,7 @@ from .lidar_inertial import (
     lidar_inertial_model,
     make_state,
 )
-from .so3 import dot_rows, so3_log  # noqa: F401  perfbench's tracer wraps so3_log here
+from .so3 import so3_log  # noqa: F401  perfbench's tracer wraps so3_log here
 from .trajectory import ScenarioConfig, Trajectory, generate_trajectory
 
 
@@ -61,7 +61,7 @@ def _nees(err: np.ndarray, p: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:  # some p has no factor: inf in its row alone
         return np.array([_nees(e, q) for e, q in zip(err, p)]) if p.ndim > 2 else np.inf
     y = np.linalg.solve(np.swapaxes(fac, -1, -2), err[..., None])[..., 0]
-    return dot_rows(y, y)
+    return np.vecdot(y, y)
 
 
 def run_trial(

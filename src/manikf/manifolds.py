@@ -110,8 +110,8 @@ class SO3(Manifold):
         return x.reshape(3, 3)
 
     def _boxminus(self, y, x):
-        rx, ry = (a.reshape(a.shape[:-1] + (3, 3)) for a in (x, y))
-        return so3.so3_log(np.swapaxes(rx, -1, -2) @ ry)
+        rx = x.reshape(x.shape[:-1] + (3, 3))
+        return so3.so3_log(rx.swapaxes(-1, -2) @ y.reshape(y.shape[:-1] + (3, 3)))
 
     def _diff_u(self, x, u):
         return self.to_matrix(x).dot(so3.so3_exp(u)).reshape(9), so3.mat_a(u).T
@@ -205,8 +205,12 @@ class Compound(Manifold):
         Manifold.boxplus, Manifold.boxminus, Manifold.oplus, Manifold.diff_u, Manifold.diff_v)
 
     def _boxminus(self, y, x):
-        return np.concatenate([p._boxminus(y[..., rs], x[..., rs])
-                               for p, rs in zip(self.parts, self.rep_slices)], axis=-1)
+        d = y - x  # read on the Euclidean indices only
+        out = np.empty(d.shape[:-1] + (self.dim,))
+        out[..., self._et] = d[..., self._er]
+        for p, rs, ts, _ in self._table:
+            out[..., ts] = p._boxminus(y[..., rs], x[..., rs])
+        return out
 
     def _diff_u(self, x, u):
         y, out = x.copy(), self._eye_u.copy()

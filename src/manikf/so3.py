@@ -9,7 +9,9 @@ do at a fraction of their call cost, and build their small matrices from a
 flat list. Across the package a product of 1-D or 2-D operands is taken by
 ``ndarray.dot``, which calls the same BLAS routine as ``@`` with less
 dispatch and gives the same bits; a product of (..., m, n) stacks keeps
-``@``, since ``dot`` pairs the axes of stacks differently.
+``@``, since ``dot`` pairs the axes of stacks differently, and the row-wise
+dot products of (..., n) stacks are ``np.vecdot``, which sums each row with
+the same BLAS ddot as ``ndarray.dot``.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ SMALL_ANGLE = 1e-4
 ROTATION_TOL = 1e-6  # orthonormality and determinant error check_rotation accepts
 
 _I3 = np.eye(3)
+_SKEW = np.array([7, 2, 3])  # entries 21, 02, 10 of a flat 3x3: r - r^T holds 2 sin(theta) axis there
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -63,21 +66,23 @@ def check_rotation(r: np.ndarray) -> None:
     """Raise unless every matrix of the (..., 3, 3) stack r is orthonormal
     with determinant +1; one matrix is a stack of one.
 
-    The orthonormality error is the Frobenius norm of r^T r - I. A NaN entry
-    makes both errors NaN, which fails neither comparison and passes.
+    The orthonormality error is the Frobenius norm of r r^T - I (that of
+    r^T r - I), and the determinant the triple product r_0 . (r_1 x r_2) of
+    the rows. Where the first is within ROTATION_TOL, |det| is within
+    sqrt(3)/2 ROTATION_TOL of 1, so |det - 1| > ROTATION_TOL exactly where
+    det < 0. A NaN entry makes both NaN, which fails neither comparison and
+    passes; an infinite entry raises.
     """
     if r.shape[-2:] != (3, 3):
         raise ContractViolationError(f"rotations must be (..., 3, 3), got {r.shape}")
-    err = np.linalg.norm(np.swapaxes(r, -1, -2) @ r - _I3, axis=(-2, -1))
-    if np.any(err > ROTATION_TOL) or np.any(np.abs(np.linalg.det(r) - 1.0) > ROTATION_TOL):
+    e = (r @ r.swapaxes(-1, -2) - _I3).reshape(r.shape[:-2] + (9,))
+    err2 = np.vecdot(e, e)
+    r6 = np.concatenate((r, r), axis=-1)  # r6[..., k:k + 3] is each row rotated left by k
+    det = np.vecdot(r[..., 0, :], r6[..., 1, 1:4] * r6[..., 2, 2:5] - r6[..., 1, 2:5] * r6[..., 2, 1:4])
+    if ((err2 > ROTATION_TOL**2) | (det < 0.0)).any() or np.isinf(r).any():
         raise ContractViolationError(
-            f"matrix is not a rotation (orthonormality error {np.max(err):.2e})"
+            f"matrix is not a rotation (orthonormality error {np.sqrt(np.max(err2)):.2e})"
         )
-
-
-def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i . b_i over the last axis, each summed as ndarray.dot sums (BLAS ddot)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def so3_log(r: np.ndarray) -> np.ndarray:
@@ -90,19 +95,22 @@ def so3_log(r: np.ndarray) -> np.ndarray:
     """
     check_rotation(r)
     m = r.reshape(r.shape[:-2] + (9,))  # row-major: r_ij is m[3 i + j]
-    s_vec = (m[..., [7, 2, 3]] - m[..., [5, 6, 1]]) / 2.0  # sin(theta) * axis
-    s = np.sqrt(dot_rows(s_vec, s_vec))[..., None]
-    c = ((m[..., 0] + m[..., 4] + m[..., 8] - 1.0) / 2.0)[..., None]  # np.trace's order
+    s_vec = (r - np.swapaxes(r, -1, -2)).reshape(m.shape)[..., _SKEW] / 2.0  # sin(theta) * axis
+    s = np.sqrt(np.vecdot(s_vec, s_vec))[..., None]
+    c = (m[..., 0:1] + m[..., 4:5] + m[..., 8:9] - 1.0) / 2.0  # np.trace's order
     theta = np.arctan2(s, c)
-    out = np.where(theta < SMALL_ANGLE, s_vec * (1.0 + theta * theta / 6.0),
-                   s_vec * np.divide(theta, s, out=np.zeros_like(s), where=s > 0.0))
-    near_pi = (c <= -1.0 + 1e-6) & (s <= 1e-6)  # where s no longer carries the axis
+    k = np.divide(theta, s, out=np.zeros(s.shape), where=s > 0.0)
+    if (small := theta < SMALL_ANGLE).any():
+        k = np.where(small, 1.0 + theta * theta / 6.0, k)
+    out = s_vec * k
+    near_pi = c <= -1.0 + 1e-6
     if near_pi.any():
+        near_pi &= s <= 1e-6  # where s no longer carries the axis
         q = ((r + np.swapaxes(r, -1, -2)) / 2.0 + _I3) / 2.0
         i = np.argmax(np.diagonal(q, axis1=-2, axis2=-1), axis=-1)[..., None, None]
         axis = np.take_along_axis(q, i, axis=-1)[..., 0]  # the column q[:, i]
-        axis = axis / np.sqrt(dot_rows(axis, axis))[..., None]
-        axis = np.where((s > 1e-12) & (dot_rows(axis, s_vec)[..., None] < 0.0), -axis, axis)
+        axis = axis / np.sqrt(np.vecdot(axis, axis))[..., None]
+        axis = np.where((s > 1e-12) & (np.vecdot(axis, s_vec)[..., None] < 0.0), -axis, axis)
         out = np.where(near_pi, theta * axis, out)
     return out
 

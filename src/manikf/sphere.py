@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import CutLocusError
-from .so3 import dot_rows, mat_a, skew, so3_exp
+from .so3 import mat_a, skew, so3_exp
 
 _IJK = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])  # (i, j, k) = (i, i + 1, i + 2) mod 3
 # (bytes of x, basis) of the last basis sphere_basis built; one tuple, read and
@@ -67,8 +67,8 @@ def _basis_stack(x: np.ndarray) -> np.ndarray:
     """sphere_basis of each row of a (..., 3) stack, bit for bit but C-ordered
     (BENCH_32.json); row p of a basis is row p - i of its (i, j, k) frame."""
     flat = x.reshape(-1, 3)
-    n = flat / np.sqrt(dot_rows(flat, flat))[:, None]
-    i, rows = np.argmax(n, axis=1), np.arange(len(n))[:, None]
+    n = flat / np.sqrt(np.vecdot(flat, flat))[:, None]
+    i, rows = n.argmax(1), np.arange(len(n))[:, None]
     c, nj, nk = n[rows, _IJK[i]].T
     return np.array(_basis_columns(c, -nk, nj)).T[rows, _IJK[-i]].reshape(x.shape + (2,))
 
@@ -85,13 +85,14 @@ def sphere_boxminus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     Undefined at the antipode of x, where every direction is a shortest
     path; that case, in any row, raises CutLocusError.
     """
-    cx = x[..., [1, 2, 0]] * y[..., [2, 0, 1]] - x[..., [2, 0, 1]] * y[..., [1, 2, 0]]
-    s = np.sqrt(dot_rows(cx, cx))
-    c = dot_rows(x, y)
-    same = s < 1e-9 * dot_rows(x, x)
-    if np.any(same & (c < 0.0)):
+    x6, y6 = np.concatenate((x, x), axis=-1), np.concatenate((y, y), axis=-1)
+    cx = x6[..., 1:4] * y6[..., 2:5] - x6[..., 2:5] * y6[..., 1:4]  # x6[..., k:k + 3]: x rotated by k
+    s = np.sqrt(np.vecdot(cx, cx))
+    c = np.vecdot(x, y)
+    same = s < 1e-9 * np.vecdot(x, x)
+    if (same & (c < 0.0)).any():
         raise CutLocusError("points are antipodal; boxminus is undefined")
-    w = np.divide(np.arctan2(s, c), s, out=np.zeros_like(s), where=~same)[..., None] * cx
+    w = np.divide(np.arctan2(s, c), s, out=np.zeros(s.shape), where=~same)[..., None] * cx
     return (w[..., None, :] @ _basis_stack(x))[..., 0, :]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .lidar_inertial import BLOCKS, GRAVITY, REP, TAN, ScanRows
-from .so3 import cross_rows, dot_rows, so3_exp
+from .so3 import cross_rows, so3_exp
 
 SCENARIOS = ("static", "circle", "fast-rotation")
 
@@ -214,10 +214,10 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
 
 def _plane_bases(normals: np.ndarray) -> np.ndarray:
     """In-plane bases B (n, 3, 2) of unit normals n (n, 3): orthonormal, B^T n = 0,
-    det[n, b1, b2] = +1. Each row's norm is its own dot_rows, summed as
+    det[n, b1, b2] = +1. Each row's norm is its own np.vecdot, summed as
     np.linalg.norm sums one vector, so no row's bits depend on the others."""
     a = np.zeros_like(normals)
     a[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
     b1 = cross_rows(normals, a)
-    b1 /= np.sqrt(dot_rows(b1, b1))[:, None]
+    b1 /= np.sqrt(np.vecdot(b1, b1))[:, None]
     return np.stack([b1, cross_rows(normals, b1)], axis=2)

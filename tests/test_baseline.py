@@ -90,6 +90,9 @@ def test_stacked_quaternion_kernels_match_the_per_point_ones_bitwise():
             assert stacked(qs[k:k + 1])[0].tobytes() == got[k].tobytes()
             assert stacked(qs[k]).tobytes() == got[k].tobytes()
         assert stacked(qs[:20].reshape(4, 5, 4)).tobytes() == got[:20].tobytes()
+        for size in (11, 101):
+            for k in range(0, len(qs) - size, 997):
+                assert stacked(qs[k:k + size]).tobytes() == got[k:k + size].tobytes()
 
 
 def test_drot_dq_is_the_derivative_of_quat_to_rot():

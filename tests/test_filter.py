@@ -371,12 +371,23 @@ def test_overflowing_gain_matrix_raises(scale):
 
 
 def test_update_rejects_correlated_or_nonpositive_noise():
-    # the gain weighs each row by 1/sigma, so R must be a positive diagonal
-    model = linear_model(np.zeros((2, 2)), np.eye(2))
+    # the gain weighs each row by 1/sigma, so R must be a positive diagonal:
+    # any off-diagonal entry that is not +-0, whatever its sign or size,
+    # NaN and inf included, makes it correlated
     state = FilterState(np.zeros(2), np.eye(2))
-    for r in (np.array([[1.0, 0.1], [0.1, 1.0]]), np.diag([1.0, 0.0]), np.diag([1.0, -1.0])):
-        with pytest.raises(DimensionError):
-            update(model, state, np.ones(2), r)
+    for m in (2, 200):
+        model = linear_model(np.zeros((2, 2)), np.ones((m, 2)))
+        for bad in (0.1, -0.1, np.nan, np.inf, -np.inf, 5e-324):
+            r = np.eye(m)
+            r[m - 1, 0] = bad
+            with pytest.raises(DimensionError):
+                update(model, state, np.ones(m), r)
+        for var in (0.0, -1.0, np.nan):
+            with pytest.raises(DimensionError):
+                update(model, state, np.ones(m), np.diag(np.r_[np.ones(m - 1), var]))
+        r = np.eye(m)
+        r[m - 1, 0] = r[0, m - 1] = -0.0
+        update(model, state, np.ones(m), r)  # a signed zero is still diagonal
 
 
 @pytest.mark.parametrize("m", [1, 10, 23, 200])

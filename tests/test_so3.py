@@ -253,6 +253,46 @@ def test_log_of_a_stack_matches_numpy_scalar_formula():
     assert np.any(np.pi - theta < 1e-12)
 
 
+def _rowdot(a, b):
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _log_reference(r):
+    """so3_log's stack form before its fixed cost per call was cut (fancy-index
+    gathers, a matmul per row dot, the series and the quotient each under
+    np.where): the bits to keep."""
+    m = r.reshape(r.shape[:-2] + (9,))
+    s_vec = (m[..., [7, 2, 3]] - m[..., [5, 6, 1]]) / 2.0
+    s = np.sqrt(_rowdot(s_vec, s_vec))[..., None]
+    c = ((m[..., 0] + m[..., 4] + m[..., 8] - 1.0) / 2.0)[..., None]
+    theta = np.arctan2(s, c)
+    out = np.where(theta < SMALL_ANGLE, s_vec * (1.0 + theta * theta / 6.0),
+                   s_vec * np.divide(theta, s, out=np.zeros_like(s), where=s > 0.0))
+    near_pi = (c <= -1.0 + 1e-6) & (s <= 1e-6)
+    if near_pi.any():
+        q = ((r + np.swapaxes(r, -1, -2)) / 2.0 + np.eye(3)) / 2.0
+        i = np.argmax(np.diagonal(q, axis1=-2, axis2=-1), axis=-1)[..., None, None]
+        axis = np.take_along_axis(q, i, axis=-1)[..., 0]
+        axis = axis / np.sqrt(_rowdot(axis, axis))[..., None]
+        axis = np.where((s > 1e-12) & (_rowdot(axis, s_vec)[..., None] < 0.0), -axis, axis)
+        out = np.where(near_pi, theta * axis, out)
+    return out
+
+
+def test_log_matches_its_array_reference_bitwise():
+    # every switch point (SMALL_ANGLE, within 1e-6 of pi, pi), and products
+    # of rotations as boxminus forms them, in stacks of 1, 11 and 101 rows
+    rng = np.random.default_rng(44)
+    rs = np.array([so3_exp(w) for w in _kernel_inputs()])
+    a = np.array([so3_exp(w) for w in rng.uniform(-4.0, 4.0, (len(rs), 3))])
+    rs = np.concatenate([rs, np.swapaxes(a, -1, -2) @ (a @ rs)])
+    for stack in (rs, rs[::-1], rs.reshape(-1, 2, 3, 3)):
+        assert so3_log(stack).tobytes() == _log_reference(stack).tobytes()
+    for size in (1, 11, 101):
+        for k in range(0, len(rs) - size, 7):
+            assert so3_log(rs[k:k + size]).tobytes() == _log_reference(rs[k:k + size]).tobytes(), k
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     w=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),

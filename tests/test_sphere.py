@@ -99,6 +99,9 @@ def test_stacked_basis_matches_sphere_basis_bitwise():
         assert _basis_stack(points[k:k + 1])[0].tobytes() == got[k].tobytes()
         assert _basis_stack(points[k]).tobytes() == got[k].tobytes()
     assert _basis_stack(points[:20].reshape(4, 5, 3)).tobytes() == got[:20].tobytes()
+    for size in (11, 101):
+        for k in range(0, len(points) - size, 997):
+            assert _basis_stack(points[k:k + size]).tobytes() == got[k:k + size].tobytes()
 
 
 def test_basis_cache_returns_each_point_its_own_read_only_basis():
@@ -166,6 +169,45 @@ def test_boxminus_on_a_stack():
         ys[7] = -xs[7]
         with pytest.raises(CutLocusError):  # one antipodal row
             sphere_boxminus(ys, xs)
+
+
+def _boxminus_reference(y, x):
+    """sphere_boxminus's stack form before its fixed cost per call was cut
+    (fancy-index gathers for the cross product, a matmul per row dot), with
+    the bases of sphere_basis, C-ordered as _basis_stack's: the bits to keep."""
+    def rowdot(a, b):
+        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    cx = x[..., [1, 2, 0]] * y[..., [2, 0, 1]] - x[..., [2, 0, 1]] * y[..., [1, 2, 0]]
+    s, c = np.sqrt(rowdot(cx, cx)), rowdot(x, y)
+    same = s < 1e-9 * rowdot(x, x)
+    if np.any(same & (c < 0.0)):
+        raise CutLocusError("antipodal")
+    w = np.divide(np.arctan2(s, c), s, out=np.zeros_like(s), where=~same)[..., None] * cx
+    b = np.array([sphere_basis(p) for p in x.reshape(-1, 3)]).reshape(x.shape + (2,))
+    return (w[..., None, :] @ b)[..., 0, :]
+
+
+def test_boxminus_matches_its_array_reference_bitwise():
+    # x at every basis switch point, y random, near, equal and near-antipodal
+    # (but not cut), in stacks of 1, 11 and 101 rows, and a stack of y against
+    # one x and one y against a stack of x
+    def outcome(f, y, x):  # the bytes, or that the pair was cut
+        try:
+            return f(y, x).tobytes()
+        except CutLocusError:
+            return "cut"
+
+    rng = np.random.default_rng(14)
+    xs = np.array(_switch_points())
+    r = np.linalg.norm(xs, axis=1, keepdims=True)
+    for ys in (xs[rng.permutation(len(xs))], xs + 1e-3 * r * rng.standard_normal(xs.shape), xs,
+               -xs + 1e-7 * r * rng.standard_normal(xs.shape)):
+        assert outcome(sphere_boxminus, ys, xs) == outcome(_boxminus_reference, ys, xs)
+        for size in (1, 11, 101):
+            for k in range(0, len(xs) - size, 1009):
+                y, x = ys[k:k + size], xs[k:k + size]
+                for pair in ((y, x), (y, x[0]), (y[0], x)):
+                    assert outcome(sphere_boxminus, *pair) == outcome(_boxminus_reference, *pair), k
 
 
 def test_oplus_rotation_cases():

@@ -4,10 +4,12 @@
 
 Each mutant is one edit (file, old text, new text) that puts a fault into
 the code: a Jacobian block scaled by 1.001 or a term dropped, a chart
-kernel's switch point or zero-velocity branch wrong, the basis cache keyed
-on too few bytes, a step of the filter or of the trial record left out or
-taken against the wrong row, the posterior's product taken without syrk,
-the trial CSV's numbers written short of a round trip.
+kernel's switch point or zero-velocity branch wrong, the rotation check's
+determinant or orthonormality bound wrong, the basis cache keyed on too few
+bytes, the noise check blind to negative off-diagonal entries, a step of the
+filter or of the trial record left out or taken against the wrong row, the
+posterior's product taken without syrk, the trial CSV's numbers written
+short of a round trip.
 Each row also names the test expected to kill it. ``src/``, ``tests/``,
 ``perfbench/`` (whose tracer the tests load) and ``pyproject.toml`` are
 copied into a temporary directory once; for each mutant the edit is made
@@ -48,6 +50,7 @@ SWEEP = "tests/test_acceptance.py::test_all_jacobians_match_finite_differences"
 SO3_SCALAR = "tests/test_so3.py::test_kernels_match_numpy_scalar_formulas"
 DIFFS_FD = "tests/test_manifolds.py::test_diffs_match_fd"
 FIXED_POINT = "tests/test_filter.py::test_update_reaches_the_fixed_point_from_a_large_error"
+ROT_STACKS = "tests/test_so3.py::test_check_rotation_takes_stacks"
 
 # (name, file, old text, new text, the test expected to kill it)
 MUTANTS = (
@@ -90,14 +93,22 @@ MUTANTS = (
      "    if theta < SMALL_ANGLE:\n        b = 0.5",
      "    if theta < 0.1:\n        b = 0.5", SO3_SCALAR),
     ("so3_log near-pi branch at s<=1e-12", SO3,
-     "near_pi = (c <= -1.0 + 1e-6) & (s <= 1e-6)",
-     "near_pi = (c <= -1.0 + 1e-6) & (s <= 1e-12)",
+     "near_pi &= s <= 1e-6", "near_pi &= s <= 1e-12",
      "tests/test_baseline.py::test_rot_to_quat_roundtrip"),
+    # the rotation check: a triple product of the wrong rows is 0 on a
+    # reflection, and an unsquared bound on err2 takes errors up to 1e-3
+    ("check_rotation det on row 1 twice", SO3,
+     "det = np.vecdot(r[..., 0, :],", "det = np.vecdot(r[..., 1, :],", ROT_STACKS),
+    ("check_rotation err2 bound unsquared", SO3,
+     "(err2 > ROTATION_TOL**2)", "(err2 > ROTATION_TOL)", ROT_STACKS),
     # (at |x| = 1e-3, any two points under 1e-3 rad apart would come out 0 apart)
     ("sphere antipode threshold unscaled", SPHERE,
-     "same = s < 1e-9 * dot_rows(x, x)", "same = s < 1e-9",
+     "same = s < 1e-9 * np.vecdot(x, x)", "same = s < 1e-9",
      "tests/test_sphere.py::test_boxminus_recovers_small_steps_at_every_radius"),
     # the filter
+    ("diagonal check counts R > 0", FILTER,
+     "np.count_nonzero(R != 0.0)", "np.count_nonzero(R > 0.0)",
+     "tests/test_filter.py::test_update_rejects_correlated_or_nonpositive_noise"),
     ("stop rule 1/2 -> 5", FILTER,
      "< (0.5 * CONVERGENCE_TOL) ** 2", "< (5.0 * CONVERGENCE_TOL) ** 2", FIXED_POINT),
     ("posterior without J'", FILTER,
