@@ -14,7 +14,7 @@ information enters through h and its Jacobians.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterator, List
 
 import numpy as np
 
@@ -73,8 +73,9 @@ class ScanRows:
     """One update's residual rows as arrays: row i is the point ``p_f[i]``
     against the plane through ``q[i]`` with unit normal ``g[i]``. It is the
     only measurement input, checked once here: the three arrays are (n, 3)
-    and every normal is within 1e-9 of unit length. Iterating yields the rows
-    as PlaneFeatures, views of these arrays."""
+    and every normal is within 1e-9 of unit length. ``steps`` checks a whole
+    trajectory's scans at once. Iterating yields the rows as PlaneFeatures,
+    views of these arrays."""
 
     p_f: np.ndarray  # (n, 3), n residual rows
     q: np.ndarray  # (n, 3)
@@ -84,9 +85,37 @@ class ScanRows:
         if not self.p_f.shape == self.q.shape == self.g.shape == self.g.shape[:1] + (3,):
             shapes = (self.p_f.shape, self.q.shape, self.g.shape)
             raise DimensionError(f"p_f, q and g must be (n, 3) with one n, got {shapes}")
+        # | |g_i| - 1 | in one array, so a whole trajectory's rows need one temporary;
         # a NaN or infinite length fails the <=
-        if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", self.g, self.g)) - 1.0) <= 1e-9):
+        err = np.einsum("ij,ij->i", self.g, self.g)
+        np.sqrt(err, out=err)
+        err -= 1.0
+        if not np.all(np.abs(err, out=err) <= 1e-9):
             raise ContractViolationError("feature direction must be a unit vector")
+
+    @classmethod
+    def steps(cls, p_f: np.ndarray, q: np.ndarray, g: np.ndarray) -> List[ScanRows]:
+        """The K per-step ScanRows of (K, m, 3) stacks, step k's rows being
+        views of the stacks' slices [k]. The rows are checked once, all K m
+        of them in one ScanRows: the unit check takes each row alone, so every
+        row gets the verdict its own step's ScanRows would give it. Then the
+        stacks become read-only, so no row changes after its check."""
+        if not p_f.shape == q.shape == g.shape == g.shape[:2] + (3,):
+            shapes = (p_f.shape, q.shape, g.shape)
+            raise DimensionError(f"p_f, q and g must be (K, m, 3) with one K and m, got {shapes}")
+        cls(p_f.reshape(-1, 3), q.reshape(-1, 3), g.reshape(-1, 3))
+        for a in (p_f, q, g):
+            a.flags.writeable = False
+        # the slots' own setters: the frozen __init__ would check each step again
+        new, set_p_f, set_q, set_g = object.__new__, cls.p_f.__set__, cls.q.__set__, cls.g.__set__
+        out = []
+        for p_f_k, q_k, g_k in zip(p_f, q, g):
+            step = new(cls)
+            set_p_f(step, p_f_k)
+            set_q(step, q_k)
+            set_g(step, g_k)
+            out.append(step)
+        return out
 
     def __len__(self) -> int:
         return len(self.g)

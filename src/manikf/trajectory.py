@@ -146,10 +146,13 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
     """Simulate one run; deterministic in (cfg, trial). The arrays are read-only.
 
     Draw order: the planes, the four (K, 3) IMU noise blocks, then per step
-    the scan's plane indices, in-plane coefficients and point noise. The IMU
-    stream holds the true biases and white noise. With zero noise, the
-    filter's recursion re-integrates it to the truth only to rounding: its
+    the scan's plane indices, in-plane coefficients and point noise, drawn
+    into that step's rows of the preallocated arrays. The IMU stream holds
+    the true biases and white noise. With zero noise, the filter's recursion
+    re-integrates it to the truth only to rounding: its
     v + dt (R (R^T (a - g)) + g) is not bitwise the generator's v + dt a.
+    Only the draws and the attitude recursion run per step; the K scans come
+    from one ScanRows.steps, which checks every scan row once.
     """
     cfg.validate()
     rng = np.random.default_rng([int(cfg.seed), trial])
@@ -165,10 +168,13 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
         cfg.sigma_a, cfg.sigma_w, cfg.sigma_ba, cfg.sigma_bw)]
     idx, coeff = np.empty((k_steps, m), dtype=np.int64), np.empty((k_steps, m, 2))
     p_f = np.empty((k_steps, m, 3))  # the point noise, then the noisy points
-    for k in range(k_steps):
-        idx[k] = rng.integers(0, cfg.n_planes, size=m)
-        coeff[k] = rng.uniform(-5.0, 5.0, size=(m, 2))
-        rng.standard_normal(out=p_f[k])
+    n_planes, integers, random, normal = cfg.n_planes, rng.integers, rng.random, rng.standard_normal
+    for k in range(k_steps):  # each step's rows, in draw order
+        idx[k] = integers(0, n_planes, m)
+        random(out=coeff[k])
+        normal(out=p_f[k])
+    coeff *= 10.0  # uniform(-5, 5) of the same draws: 10 u - 5 rounds as its -5 + 10 u
+    coeff -= 5.0
 
     times = dt * np.arange(k_steps + 1)
     t = times[:-1]  # each step ends at t + dt, which times[1:] can round differently
@@ -206,9 +212,10 @@ def generate_trajectory(cfg: ScenarioConfig, trial: int = 0) -> Trajectory:
     p_f += pts
     q = np.take(anchors, idx, axis=0, out=work, mode="clip")
     g = np.take(normals, idx, axis=0, out=pts, mode="clip")
-    for a in (times, truth, imu, p_f, q, g):
+    for a in (times, truth, imu):
         a.flags.writeable = False
-    features = [ScanRows(p_f=p_f[k], q=q[k], g=g[k]) for k in range(k_steps)]
+    del idx, coeff  # 24 K m bytes, freed before the scan check's 8 K m temporary
+    features = ScanRows.steps(p_f, q, g)  # read-only too
     return Trajectory(times=times, truth=truth, imu=imu, features=features)
 
 

@@ -88,6 +88,59 @@ def test_unit_check_boundary_is_that_of_the_norm():
         ScanRows(np.zeros((2, 3)), np.zeros((2, 3)), g * [[1.0], [1.0 + 3e-9]])
 
 
+def _stacks(rng, k_steps=3, m=4):
+    """(K, m, 3) stacks of points, anchors and unit normals, as a trajectory's."""
+    g = rng.standard_normal((k_steps, m, 3))
+    g /= np.linalg.norm(g, axis=2, keepdims=True)
+    return rng.standard_normal((k_steps, m, 3)), rng.standard_normal((k_steps, m, 3)), g
+
+
+def test_scan_steps_check_every_step_once():
+    # the one check of the stacked rows must reach the last step's last row
+    rng = np.random.default_rng(43)
+    nan, inf = float("nan"), float("inf")
+    for u in ((1.0 + 3e-9) * with_norm(rng, 3), [nan, 0.0, 0.0], [0.0, inf, 0.0]):
+        p_f, q, g = _stacks(rng)
+        g[-1, -1] = u
+        with pytest.raises(ContractViolationError):
+            ScanRows.steps(p_f, q, g)
+    # each row gets the verdict its own step's ScanRows gives it
+    for _ in range(300):
+        p_f, q, g = _stacks(rng)
+        g[-1, -1] = (1.0 + rng.uniform(-2e-9, 2e-9)) * with_norm(rng, 3)
+        try:
+            ScanRows.steps(p_f, q, g)
+        except ContractViolationError:
+            assert not _accepts(g[-1, -1])
+        else:
+            assert _accepts(g[-1, -1])
+    # stacks of one (K, m, 3) shape, or no step's rows would line up
+    p_f, q, g = _stacks(rng)
+    for bad in (
+        (p_f, q[:, :-1], g),  # one row fewer in every step
+        (p_f, q, g[:-1]),  # one step fewer
+        (p_f.reshape(4, 3, 3), q, g),  # the same rows in other steps
+        (p_f[..., :2], q[..., :2], g[..., :2]),  # (K, m, 2)
+        (np.tile([1.0, 0.0, 0.0], 16).reshape(3, 4, 4),) * 3,  # (K, m, 4): unit rows if flat
+        tuple(a.reshape(-1, 3) for a in (p_f, q, g)),  # one scan's (n, 3) rows
+    ):
+        with pytest.raises(DimensionError):
+            ScanRows.steps(*bad)
+
+
+def test_scan_steps_are_read_only_views_of_the_stacks():
+    p_f, q, g = _stacks(np.random.default_rng(47), 5, 2)
+    steps = ScanRows.steps(p_f, q, g)
+    assert len(steps) == 5 and all(type(rows) is ScanRows for rows in steps)
+    for k, rows in enumerate(steps):
+        for name, stack in (("p_f", p_f), ("q", q), ("g", g)):
+            view = getattr(rows, name)
+            assert view.tobytes() == stack[k].tobytes() and np.shares_memory(view, stack)
+            with pytest.raises(ValueError):
+                view[0] += 1.0
+    assert ScanRows.steps(*(np.zeros((0, 4, 3)),) * 3) == []
+
+
 def test_scan_rows_iterate_as_their_plane_features():
     rows = random_scan(np.random.default_rng(37), 3, 2)
     assert len(rows) == len(rows.g) == 7

@@ -6,10 +6,11 @@ Each mutant is one edit (file, old text, new text) that puts a fault into
 the code: a Jacobian block scaled by 1.001 or a term dropped, a chart
 kernel's switch point or zero-velocity branch wrong, the rotation check's
 determinant or orthonormality bound wrong, the basis cache keyed on too few
-bytes, the noise check blind to negative off-diagonal entries, a step of the
-filter or of the trial record left out or taken against the wrong row, the
-posterior's product taken without syrk, the trial CSV's numbers written
-short of a round trip.
+bytes, the scan check of a trajectory blind to all but its first step or
+its step views taken from the wrong step, the noise check blind to negative
+off-diagonal entries, a step of the filter or of the trial record left out
+or taken against the wrong row, the posterior's product taken without syrk,
+the trial CSV's numbers written short of a round trip.
 Each row also names the test expected to kill it. ``src/``, ``tests/``,
 ``perfbench/`` (whose tracer the tests load) and ``pyproject.toml`` are
 copied into a temporary directory once; for each mutant the edit is made
@@ -105,6 +106,13 @@ MUTANTS = (
     ("sphere antipode threshold unscaled", SPHERE,
      "same = s < 1e-9 * np.vecdot(x, x)", "same = s < 1e-9",
      "tests/test_sphere.py::test_boxminus_recovers_small_steps_at_every_radius"),
+    # the scan rows' one check per trajectory, and its per-step views
+    ("stack check sees only the first step", LI,
+     "cls(p_f.reshape(-1, 3), q.reshape(-1, 3), g.reshape(-1, 3))", "cls(p_f[0], q[0], g[0])",
+     "tests/test_lidar_inertial.py::test_scan_steps_check_every_step_once"),
+    ("step views taken from the wrong step", LI,
+     "for p_f_k, q_k, g_k in zip(p_f, q, g):", "for p_f_k, q_k, g_k in zip(p_f, q, g[::-1]):",
+     "tests/test_lidar_inertial.py::test_scan_steps_are_read_only_views_of_the_stacks"),
     # the filter
     ("diagonal check counts R > 0", FILTER,
      "np.count_nonzero(R != 0.0)", "np.count_nonzero(R > 0.0)",

@@ -26,8 +26,12 @@ then a ``trajectories`` line: the digest of the generated inputs of the same
 three scenarios and trials (truth, IMU readings, and each scan row's point,
 normal and anchor), which moves only when scan or trajectory generation does.
 
-The package is imported from the ``src/`` directory next to this script,
-with one BLAS thread, so that the digest does not depend on the thread count.
+The package is imported from the ``src/`` directory next to this script.
+numpy's BLAS runs one thread unless ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is already set, so the digests
+can be compared across thread counts, as in
+
+    OPENBLAS_NUM_THREADS=2 OMP_NUM_THREADS=2 MKL_NUM_THREADS=2 python3 tools/record_digest.py
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ import sys
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ.setdefault(_var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
