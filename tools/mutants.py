@@ -12,9 +12,10 @@ off-diagonal entries, a step of the filter or of the trial record left out
 or taken against the wrong row, the posterior's product taken without syrk,
 the trial CSV's numbers written short of a round trip.
 Each row also names the test expected to kill it. ``src/``, ``tests/``,
-``perfbench/`` (whose tracer the tests load) and ``pyproject.toml`` are
-copied into a temporary directory once; for each mutant the edit is made
-there and the named test runs alone on the copy, with one BLAS thread. The
+``perfbench/`` (whose tracer the tests load), ``tools/`` (whose record diff
+they load) and ``pyproject.toml`` are copied into a temporary directory
+once; for each mutant the edit is made there and the named test runs alone
+on the copy, with one BLAS thread. The
 mutant is killed when that test fails; its line gives the test's message,
 so a wall-clock budget that failed instead shows.
 If the named test passes, the Tier-1 tests not marked slow run with ``-x``,
@@ -188,7 +189,7 @@ def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
-        for sub in ("src", "tests", "perfbench"):
+        for sub in ("src", "tests", "perfbench", "tools"):
             shutil.copytree(ROOT / sub, tree / sub,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tree)

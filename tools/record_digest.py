@@ -26,6 +26,11 @@ then a ``trajectories`` line: the digest of the generated inputs of the same
 three scenarios and trials (truth, IMU readings, and each scan row's point,
 normal and anchor), which moves only when scan or trajectory generation does.
 
+The digests say only "same" or "different". For a change that moves bits on
+purpose, ``tools/record_diff.py PARENT_REV`` runs the same cases (it imports
+``SEED``, ``TRIALS``, ``SCENARIOS``, ``VARIANTS`` and ``FILTERS`` from here)
+and prints by how much each record field moved.
+
 The package is imported from the ``src/`` directory next to this script.
 numpy's BLAS runs one thread unless ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is already set, so the digests
