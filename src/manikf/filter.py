@@ -163,13 +163,12 @@ def update(
         raise DimensionError("R must be diagonal with positive variances")
     man = model.manifold
     n = man.dim
-    try:
-        l_prior = np.linalg.cholesky(state.P)
-        if not np.isfinite(l_prior).all():  # numpy factors a NaN P without raising
-            raise np.linalg.LinAlgError("non-finite factor")
-    except np.linalg.LinAlgError as exc:
+    # Every factorization and triangular solve on the step is scipy's LAPACK: in the trial
+    # loop np.linalg.cholesky(P) took 11-15 us, dpotrf 4-5 us. clean=1 zeroes L_P's upper half
+    l_prior, info = scipy.linalg.lapack.dpotrf(state.P, lower=1, clean=1)
+    if info != 0 or not np.isfinite(l_prior).all():  # a NaN P factors without an error
         cond = float(np.linalg.cond(state.P)) if np.isfinite(state.P).all() else np.inf
-        raise UpdateSolverError("prior covariance could not be factorized", cond) from exc
+        raise UpdateSolverError("prior covariance could not be factorized", cond)
     w = 1.0 / np.sqrt(var)
     vzero = np.zeros(var.size)
 

@@ -360,6 +360,29 @@ def test_non_finite_prior_raises(bad):
     assert np.isinf(exc.value.condition)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("at", [(1, 0), (2, 0), (2, 1)])
+def test_non_finite_prior_below_the_diagonal_raises(bad, at):
+    # the factorization reads only P's lower triangle, where this entry is
+    model = linear_model(np.zeros((3, 3)), np.eye(3))
+    p = np.eye(3)
+    p[at] = bad
+    with pytest.raises(UpdateSolverError, match="prior covariance") as exc:
+        update(model, FilterState(np.zeros(3), p), np.ones(3), np.eye(3))
+    assert np.isinf(exc.value.condition)
+
+
+@pytest.mark.parametrize("zero", [slice(0, 2), slice(2, 4)])
+def test_semidefinite_prior_raises(zero):
+    # a block of zero variance, as a state part the prior pins exactly, leaves
+    # P without a Cholesky factor wherever the block is
+    model = linear_model(np.zeros((4, 4)), np.eye(4))
+    p = np.full((4, 4), 0.5) + np.eye(4)
+    p[zero, :] = p[:, zero] = 0.0
+    with pytest.raises(UpdateSolverError, match="prior covariance"):
+        update(model, FilterState(np.zeros(4), p), np.ones(4), np.eye(4))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e200, np.finfo(float).max])
 def test_overflowing_gain_matrix_raises(scale):

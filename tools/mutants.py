@@ -8,9 +8,10 @@ kernel's switch point or zero-velocity branch wrong, the rotation check's
 determinant or orthonormality bound wrong, the basis cache keyed on too few
 bytes, the scan check of a trajectory blind to all but its first step or
 its step views taken from the wrong step, the noise check blind to negative
-off-diagonal entries, a step of the filter or of the trial record left out
-or taken against the wrong row, the posterior's product taken without syrk,
-the trial CSV's numbers written short of a round trip.
+off-diagonal entries, the prior's factor left unchecked or its upper half
+not zeroed, a step of the filter or of the trial record left out or taken
+against the wrong row, the posterior's product taken without syrk, the
+trial CSV's numbers written short of a round trip.
 Each row also names the test expected to kill it. ``src/``, ``tests/``,
 ``perfbench/`` (whose tracer the tests load), ``tools/`` (whose record diff
 they load) and ``pyproject.toml`` are copied into a temporary directory
@@ -115,6 +116,14 @@ MUTANTS = (
      "for p_f_k, q_k, g_k in zip(p_f, q, g):", "for p_f_k, q_k, g_k in zip(p_f, q, g[::-1]):",
      "tests/test_lidar_inertial.py::test_scan_steps_are_read_only_views_of_the_stacks"),
     # the filter
+    # (an indefinite or semidefinite P leaves a finite partial factor with info > 0)
+    ("prior factor info unchecked", FILTER,
+     "if info != 0 or not np.isfinite(l_prior).all():", "if not np.isfinite(l_prior).all():",
+     "tests/test_filter.py::test_semidefinite_prior_raises"),
+    # (the products with L_P read its upper half, which then holds P's)
+    ("prior factor not cleaned (clean=0)", FILTER,
+     "dpotrf(state.P, lower=1, clean=1)", "dpotrf(state.P, lower=1, clean=0)",
+     "tests/test_filter.py::test_single_linearization_matches_innovation_form"),
     ("diagonal check counts R > 0", FILTER,
      "np.count_nonzero(R != 0.0)", "np.count_nonzero(R > 0.0)",
      "tests/test_filter.py::test_update_rejects_correlated_or_nonpositive_noise"),
