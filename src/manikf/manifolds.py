@@ -30,8 +30,8 @@ import numpy as np
 from . import so3, sphere
 from .errors import DimensionError
 
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False  # SO(3)'s G_x and G_v at v = 0, returned to every caller
+_EYE2, _EYE3 = np.eye(2), np.eye(3)
+_EYE2.flags.writeable = _EYE3.flags.writeable = False  # G_x and G_v at v = 0, to every caller
 
 
 class Manifold:
@@ -137,8 +137,8 @@ class Sphere2(Manifold):
     Exp(w) A(w)^T = A(w). At v = 0, w = B(x) u and R = Exp(w) give diff_u's
     J = B(z)^T A(w) B(x); at u = 0, R = Exp(v) and C = B(z)^T R give
     diff_v's (C B(x), C A(v)^T). Both return z = R x. At v = 0, where
-    R = A(v) = I, ``diff_v`` returns a copy of x and (C C^T, C) with
-    C = B(x)^T, the same bits, from one basis and no Exp or A.
+    R = A(v) = I, ``diff_v`` returns a copy of x and (I, C) with
+    C = B(x)^T, as C C^T = B^T B is I, from one basis and no Exp or A.
     """
 
     dim = 2
@@ -157,7 +157,7 @@ class Sphere2(Manifold):
     def _diff_v(self, x, v):
         if not any(v.tolist()):
             c = sphere.sphere_basis(x).T  # a read-only view, C-ordered as B(z)^T R is
-            return x.copy(), c.dot(c.T), c
+            return x.copy(), _EYE2, c
         rv = so3.so3_exp(v)
         z = rv.dot(x)
         c = sphere.sphere_basis(z).T.dot(rv)

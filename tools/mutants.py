@@ -82,7 +82,7 @@ MUTANTS = (
     ("SO3 zero-velocity G_v x1.001", MAN,
      "return x.copy(), _EYE3, _EYE3", "return x.copy(), _EYE3, 1.001 * _EYE3", DIFFS_FD),
     ("S2 zero-velocity G_x x1.001", MAN,
-     "return x.copy(), c.dot(c.T), c", "return x.copy(), 1.001 * c.dot(c.T), c", DIFFS_FD),
+     "return x.copy(), _EYE2, c", "return x.copy(), 1.001 * _EYE2, c", DIFFS_FD),
     ("basis cache keyed on x[:2]", SPHERE,
      "key = x.tobytes()", "key = x[:2].tobytes()",
      "tests/test_sphere.py::test_basis_cache_returns_each_point_its_own_read_only_basis"),
