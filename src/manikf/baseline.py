@@ -204,7 +204,7 @@ def baseline_model(augmented: bool = False) -> SystemModel:
         q = x[BREP["q"]]
         a = a_m - x[BREP["ba"]]
         out = dfx0.copy()
-        out[BREP["v"], BREP["q"]] = a @ _drot_dq(q)  # a stack product; a.dot rounds differently
+        out[BREP["v"], BREP["q"]] = a.dot(_drot_dq(q))
         out[BREP["v"], BREP["ba"]] = -quat_to_rot(q)
         out[BREP["q"], BREP["q"]] = 0.5 * _omega(w_m - x[BREP["bw"]])
         out[BREP["q"], BREP["bw"]] = -0.5 * _xi(q)
