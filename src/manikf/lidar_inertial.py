@@ -127,7 +127,7 @@ class ScanRows:
 def scan_residuals(rot, r_ext, p, p_ext, rows: ScanRows) -> np.ndarray:
     """Residual rows g_i (R (R_ext p_f + p_ext) + p - q) of a scan."""
     w = (rows.p_f.dot(r_ext.T) + p_ext).dot(rot.T) + p - rows.q
-    return np.einsum("ij,ij->i", rows.g, w)
+    return np.vecdot(rows.g, w)
 
 
 def lidar_inertial_model() -> SystemModel:
