@@ -42,7 +42,7 @@ METRICS = {"setup_s": "lower", "trial_s": "lower", "steps_per_s": "higher",
 PLAN = [(w, seed) for w in ("circle", "fast-rotation-pair", "dense-scan") for seed in (1, 2)]
 PAIRS = 10
 SECONDS = 10.0  # BENCHMARK.json's run_seconds
-CLAIM = ("circle", "setup_s")
+CLAIM = ("circle", "steps_per_s")
 # per-layer counts that a change leaving the work alone keeps
 COUNTS = ("so3.exp.calls", "so3.log.calls", "so3.mat_a.calls", "sphere.basis.calls",
           "sphere.ops.calls", "manifolds.diff_u.calls", "model.h.calls",

@@ -16,9 +16,9 @@ Each row also names the test expected to kill it. ``src/``, ``tests/``,
 ``perfbench/`` (whose tracer the tests load), ``tools/`` (whose record diff
 they load) and ``pyproject.toml`` are copied into a temporary directory
 once; for each mutant the edit is made there and the named test runs alone
-on the copy, with one BLAS thread. The
-mutant is killed when that test fails; its line gives the test's message,
-so a wall-clock budget that failed instead shows.
+on the copy, with one BLAS thread. The mutant is killed when that test
+fails; its line gives the test's message, so a wall-clock budget that
+failed instead shows.
 If the named test passes, the Tier-1 tests not marked slow run with ``-x``,
 and a failure counts once it recurs when its test runs alone: a test that
 passes alone failed by chance (a wall-clock budget on a busy machine), and
@@ -140,9 +140,9 @@ MUTANTS = (
      "p = fx.dot(state.P).dot(fx.T) + fw.dot(Q).dot(fw.T)", "p = fx.dot(state.P).dot(fx.T)",
      "tests/test_acceptance.py::test_linear_problem_reduces_to_textbook_kf"),
     # the trial record
-    ("NEES factor lower triangle", HARNESS,
-     "fac = np.linalg.cholesky(p, upper=True)", "fac = np.linalg.cholesky(p)",
-     "tests/test_harness.py::test_record_matches_the_per_step_reference"),
+    ("NEES block carry sign flipped", HARNESS,
+     "y[..., rest, :] -= low[..., rest, blk]", "y[..., rest, :] += low[..., rest, blk]",
+     "tests/test_harness.py::test_nees_blocks_agree_with_a_whole_solve"),
     ("errors against truth[k+1]", HARNESS,
      "errors = man.boxminus(traj.truth[: k_done + 1], xs)",
      "errors = man.boxminus(np.roll(traj.truth[: k_done + 1], -1, axis=0), xs)",
