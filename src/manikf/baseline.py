@@ -130,10 +130,10 @@ def initial_cov(init_sigma) -> np.ndarray:
     return np.diag(np.repeat(var, [sl.stop - sl.start for sl in BREP.values()]))
 
 
-# each tangent index's representation index, block by block: tangent_cov's G
-# is the identity there on the blocks that are R^3 in both states
-_TAN_REP = np.concatenate([np.arange(rep.start, rep.start + tan.stop - tan.start)
-                           for tan, rep in zip(TAN.values(), BREP.values())])
+# tangent_cov's identity blocks, on the blocks that are R^3 in both states
+_G_EYE = np.zeros((TANGENT_DIM, STATE_DIM))
+for _key in ("p", "v", "ba", "bw", "p_ext"):
+    _G_EYE[TAN[_key], BREP[_key]] = np.eye(3)
 
 
 def tangent_cov(x: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -141,25 +141,17 @@ def tangent_cov(x: np.ndarray, P: np.ndarray) -> np.ndarray:
     (..., 26, 26) stacks: G P G^T, where
     G = d[to_manifold(x + d) boxminus to_manifold(x)]/dd is 2 xi(q)^T on unit
     quaternions, B(g)^T skew(g) / |g|^2 on gravity and I elsewhere. G drops the
-    radial directions, and since boxminus compares rotations, q and -q agree.
-    G is block-diagonal in the two layouts' common block order, so G P G^T is
-    P's identity blocks gathered, with the curved block rows, then block
-    columns, written over them; no dense G is built."""
+    radial directions, and since boxminus compares rotations, q and -q agree."""
     g = x[..., BREP["g"]]
+    G = np.broadcast_to(_G_EYE, x.shape[:-1] + _G_EYE.shape).copy()
+    for tan, key in (("R", "q"), ("R_ext", "q_ext")):
+        G[..., TAN[tan], BREP[key]] = 2.0 * np.swapaxes(_xi_stack(x[..., BREP[key]]), -1, -2)
     skew_g = np.zeros(g.shape + (3,))
     skew_g[..., [2, 0, 1], [1, 2, 0]], skew_g[..., [1, 2, 0], [2, 0, 1]] = g, -g
     # B^T C-ordered, as sphere_basis(g).T is: the product rounds by its layout
     bt = np.ascontiguousarray(np.swapaxes(_basis_stack(g), -1, -2))
-    blocks = [(TAN[tan], BREP[key], 2.0 * np.swapaxes(_xi_stack(x[..., BREP[key]]), -1, -2))
-              for tan, key in (("R", "q"), ("R_ext", "q_ext"))]
-    blocks.append((TAN["g"], BREP["g"], bt @ skew_g / np.vecdot(g, g)[..., None, None]))
-    gp = P[..., _TAN_REP, :]
-    for tan, rep, blk in blocks:
-        gp[..., tan, :] = blk @ P[..., rep, :]
-    out = gp[..., _TAN_REP]
-    for tan, rep, blk in blocks:
-        out[..., tan] = gp[..., rep] @ np.swapaxes(blk, -1, -2)
-    return out
+    G[..., TAN["g"], BREP["g"]] = bt @ skew_g / np.vecdot(g, g)[..., None, None]
+    return G @ P @ np.swapaxes(G, -1, -2)
 
 
 def normalize_state(x: np.ndarray) -> np.ndarray:

@@ -50,28 +50,18 @@ def _init_state(truth0: np.ndarray, cfg: ScenarioConfig, trial: int):
     return STATE_MANIFOLD.boxplus(truth0, e), p0
 
 
-_NEES_BLOCK = 8  # rows per forward-substitution block: 23 rows take 3
-
-
 def _nees(err: np.ndarray, p: np.ndarray) -> np.ndarray:
     """NEES err^T p^-1 err of each row of (..., n) errors and (..., n, n)
-    covariances p = L L^T, by one batched Cholesky factor and a forward
-    substitution L y = err a block of rows at a time: inf where p has no
-    factor; ValueError on non-finite input. The blocks' LUs are 8x8, where a
-    solve against the whole factor runs a 23x23 LU per row: 1.6x faster on a
-    101-row stack, and no slower on 11 rows."""
+    covariances p = U^T U, by one batched Cholesky factor and one solve of
+    U^T y = err: inf where p has no factor; ValueError on non-finite input."""
     if not (np.isfinite(p).all() and np.isfinite(err).all()):
         raise ValueError("NEES of a non-finite error or covariance")
     try:
-        low = np.linalg.cholesky(p)
+        fac = np.linalg.cholesky(p, upper=True)
     except np.linalg.LinAlgError:  # some p has no factor: inf in its row alone
         return np.array([_nees(e, q) for e, q in zip(err, p)]) if p.ndim > 2 else np.inf
-    y = err[..., None].copy()
-    for start in range(0, err.shape[-1], _NEES_BLOCK):
-        blk, rest = slice(start, start + _NEES_BLOCK), slice(start + _NEES_BLOCK, None)
-        y[..., blk, :] = np.linalg.solve(low[..., blk, blk], y[..., blk, :])
-        y[..., rest, :] -= low[..., rest, blk] @ y[..., blk, :]
-    return np.vecdot(y[..., 0], y[..., 0])
+    y = np.linalg.solve(np.swapaxes(fac, -1, -2), err[..., None])[..., 0]
+    return np.vecdot(y, y)
 
 
 def run_trial(

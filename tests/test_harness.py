@@ -250,24 +250,6 @@ def test_nees_contract():
             harness._nees(e, ps)
 
 
-def test_nees_blocks_agree_with_a_whole_solve():
-    """At the tangent dimension, past one substitution block: each row reads
-    its NEES to rounding, a stacked row the same bits as that row alone, and
-    an indefinite row inf in its row alone."""
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((5, TANGENT_DIM, TANGENT_DIM))
-    ps, errs = a @ np.swapaxes(a, 1, 2) + np.eye(TANGENT_DIM), rng.standard_normal((5, TANGENT_DIM))
-    clean = harness._nees(errs, ps)
-    for e, p, got in zip(errs, ps, clean):
-        assert_close(got, e @ np.linalg.solve(p, e), tol=1e-12)
-        assert got == harness._nees(e, p)
-    bad = ps.copy()
-    bad[1, -1, -1] = -1.0
-    out = harness._nees(errs, bad)
-    assert out[1] == np.inf
-    assert np.array_equal(np.delete(out, 1), np.delete(clean, 1))
-
-
 def test_baseline_collapse_is_a_failed_trial(monkeypatch):
     # q collapsing mid-trial is a numerical failure, not a programming error
     normalize, calls = harness.qb.normalize_state, []

@@ -57,6 +57,12 @@ def test_small_entries_and_one_sided_non_finite_values():
     parent, change = _records(), _records()
     parent["errors"][0][0, 0], change["errors"][0][0, 0] = 1e-7, 2e-7  # below the floor
     assert record_diff.compare(parent, change)["errors"] == 0.0
+    for bad in (np.nan, np.inf, -np.inf):  # a parent entry under the floor, not finite after
+        for small in (0.0, 1e-7):
+            moved = _records()
+            parent["est_rep"][0][1, 2], moved["est_rep"][0][1, 2] = small, bad
+            assert record_diff.compare(parent, moved)["est_rep"] == np.inf, (small, bad)
+    parent["est_rep"] = _records()["est_rep"]
     change["nees"][0][1] = np.inf
     parent["nees"][1][0] = change["nees"][1][0] = np.inf  # inf on both sides is equal
     parent["sigma3"][1][0, 0] = np.nan

@@ -118,13 +118,14 @@ def read_records(path: Path) -> tuple[dict, dict]:
 
 def max_relative_change(parent: np.ndarray, change: np.ndarray) -> float:
     """Largest |c - p| / |p| over the entries with |p| > FLOOR of the rows
-    both have; bitwise-equal entries (inf or NaN on both sides too) read 0."""
+    both have, and every entry that is NaN or inf on one side only, which
+    reads inf; bitwise-equal entries (inf or NaN on both sides too) read 0."""
     rows = min(len(parent), len(change))
     p, c = parent[:rows], change[:rows]
     same = (p == c) | (np.isnan(p) & np.isnan(c))
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.where(same, 0.0, np.abs(c - p) / np.abs(p))
-    rel = rel[~(np.abs(p) <= FLOOR)]  # a NaN in the parent stays in
+    rel = rel[~(np.abs(p) <= FLOOR) | ~np.isfinite(c)]  # a NaN in the parent stays in
     rel[np.isnan(rel)] = np.inf  # a NaN or inf on one side only
     return float(rel.max(initial=0.0))
 
