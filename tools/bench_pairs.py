@@ -20,7 +20,8 @@ whether ``drift_m`` was bitwise equal in every pair. Then one traced run
 call counts of both sides. The claim, ``CLAIM`` (a workload and one of
 its end-to-end metrics), is met at a seed when the change reads better in
 at least 9 of 10 pairs and its median beats the parent's by more than the
-parent's interquartile range.
+parent's interquartile range. The whole plan, traced runs included, takes
+30 to 50 minutes on a 2-core machine, so a change should start it early.
 """
 from __future__ import annotations
 
